@@ -40,6 +40,36 @@ struct CompactionEngine::Pipeline {
                                               transfer.get(), output);
   }
 
+  /// Advances every module one cycle, downstream to upstream so freed
+  /// space propagates next cycle.
+  void Tick() {
+    encoder->Tick();
+    transfer->Tick();
+    comparer->Tick();
+    for (auto& decoder : decoders) decoder->Tick();
+  }
+
+  /// Cycles in which no module moves a FIFO entry: each module's quiet
+  /// count assumes the others stay put, so the smallest one holds for
+  /// the whole pipeline.
+  uint64_t QuietCycles() const {
+    uint64_t n = encoder->QuietCycles();
+    if (n > 0) n = std::min(n, transfer->QuietCycles());
+    if (n > 0) n = std::min(n, comparer->QuietCycles());
+    for (const auto& decoder : decoders) {
+      if (n == 0) break;
+      n = std::min(n, decoder->QuietCycles());
+    }
+    return n;
+  }
+
+  void SkipQuiet(uint64_t n) {
+    encoder->SkipQuiet(n);
+    transfer->SkipQuiet(n);
+    comparer->SkipQuiet(n);
+    for (auto& decoder : decoders) decoder->SkipQuiet(n);
+  }
+
   InternalKeyComparator icmp;
   Options table_options;
   std::vector<std::unique_ptr<InputDecoder>> decoders;
@@ -81,14 +111,21 @@ Status CompactionEngine::Run() {
 
   bool upstream_done_notified = false;
   while (!p.encoder->Done()) {
-    // Downstream to upstream so freed space propagates next cycle.
-    p.encoder->Tick();
-    p.transfer->Tick();
-    p.comparer->Tick();
-    for (auto& decoder : p.decoders) {
-      decoder->Tick();
+    // Jump over quiet cycles, in which every module would only count
+    // down a timer or count a stall, and tick otherwise. The encoder
+    // cannot foresee a pending upstream-done notification, so nothing
+    // is skipped until it has been delivered.
+    uint64_t quiet = 0;
+    if (upstream_done_notified || !p.transfer->Done()) {
+      quiet = std::min(p.QuietCycles(), kCycleBound + 1 - stats_.cycles);
     }
-    stats_.cycles++;
+    if (quiet > 0) {
+      p.SkipQuiet(quiet);
+      stats_.cycles += quiet;
+    } else {
+      p.Tick();
+      stats_.cycles++;
+    }
 
     if (!upstream_done_notified && p.transfer->Done()) {
       p.encoder->NotifyUpstreamDone();

@@ -141,11 +141,40 @@ void Comparer::Tick() {
   if (busy_ == 0) busy_ = 1;
 }
 
+bool Comparer::WaitingForLane() const {
+  for (const InputDecoder* input : inputs_) {
+    if (input->key_stream().Empty() && !input->Exhausted()) return true;
+  }
+  return false;
+}
+
+uint64_t Comparer::QuietCycles() const {
+  if (selection_ready_) {
+    return selection_fifo_.CanPush() ? 0 : kQuietForever;
+  }
+  if (busy_ > 0) return busy_ - 1;  // The last cycle emits the selection.
+  if (WaitingForLane()) return kQuietForever;
+  for (const InputDecoder* input : inputs_) {
+    if (!input->key_stream().Empty()) return 0;  // Starts a selection.
+  }
+  return kQuietForever;  // Every lane drained.
+}
+
+void Comparer::SkipQuiet(uint64_t n) {
+  if (selection_ready_) return;
+  if (busy_ > 0) {
+    busy_ -= n;
+    busy_cycles_ += n;
+  } else if (WaitingForLane()) {
+    wait_cycles_ += n;
+  }
+}
+
 bool Comparer::Done() const {
   if (busy_ > 0 || selection_ready_) return false;
   for (const InputDecoder* input : inputs_) {
     if (!input->Exhausted()) return false;
-    if (!const_cast<InputDecoder*>(input)->key_stream().Empty()) return false;
+    if (!input->key_stream().Empty()) return false;
   }
   return true;
 }

@@ -34,10 +34,15 @@ class Comparer {
 
   void Tick();
 
+  /// Quiet-cycle fast-forward; see InputDecoder::QuietCycles().
+  uint64_t QuietCycles() const;
+  void SkipQuiet(uint64_t n);
+
   /// True when all inputs are exhausted and no selection is pending.
   bool Done() const;
 
   Fifo<Selection>& selections() { return selection_fifo_; }
+  const Fifo<Selection>& selections() const { return selection_fifo_; }
 
   uint64_t selections_made() const { return selections_made_; }
   uint64_t busy_cycles() const { return busy_cycles_; }
@@ -50,6 +55,10 @@ class Comparer {
 
   /// The Validity Check: decides whether the selected record is dropped.
   bool CheckDrop(const std::string& internal_key);
+
+  /// True when some input has no key at its head yet but is not
+  /// exhausted: the compare tree waits for it.
+  bool WaitingForLane() const;
 
   const EngineConfig& config_;
   std::vector<InputDecoder*> inputs_;

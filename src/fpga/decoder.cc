@@ -1,5 +1,7 @@
 #include "fpga/decoder.h"
 
+#include <algorithm>
+
 #include "table/format.h"
 #include "util/coding.h"
 
@@ -225,6 +227,59 @@ void InputDecoder::Tick() {
   // the same one.
   TickDecoder();
   TickFetcher();
+}
+
+uint64_t InputDecoder::QuietCycles() const {
+  // TickDecoder: backpressure and fetch stalls last until a FIFO moves;
+  // the last cycle of a decode publishes the record.
+  uint64_t decoder = 0;
+  if (record_ready_) {
+    if (!key_fifo_.CanPush() || !transfer_fifo_.CanPush()) {
+      decoder = kQuietForever;
+    }
+  } else if (decode_busy_ > 0) {
+    decoder = decode_busy_ - 1;
+  } else if (next_entry_ >= current_entries_.size() && !block_fifo_.CanPop()) {
+    decoder = kQuietForever;
+  }
+
+  // TickFetcher: the last cycle of an index load goes on to the fetch
+  // logic in the same cycle, and a finished fetch pushes its block.
+  uint64_t fetcher = 0;
+  if (index_busy_ > 0) {
+    fetcher = index_busy_ - 1;
+  } else if (fetch_in_flight_) {
+    if (!block_fifo_.CanPush()) {
+      fetcher = kQuietForever;
+    } else if (fetch_busy_ > 0) {
+      fetcher = fetch_busy_ - 1;
+    }
+  } else if (next_handle_ >= block_handles_.size()) {
+    if (next_sstable_ >= input_->sstables.size()) fetcher = kQuietForever;
+  } else if (!block_fifo_.CanPush() ||
+             (!config_.BlocksSeparated() &&
+              (!block_fifo_.Empty() || next_entry_ < current_entries_.size() ||
+               decode_busy_ > 0 || record_ready_))) {
+    fetcher = kQuietForever;
+  }
+  return std::min(decoder, fetcher);
+}
+
+void InputDecoder::SkipQuiet(uint64_t n) {
+  if (record_ready_) {
+    backpressure_cycles_ += n;
+  } else if (decode_busy_ > 0) {
+    decode_busy_ -= n;
+    busy_cycles_ += n;
+  } else if (!Exhausted()) {
+    fetch_stall_cycles_ += n;
+  }
+
+  if (index_busy_ > 0) {
+    index_busy_ -= n;
+  } else if (fetch_in_flight_) {
+    fetch_busy_ -= std::min(n, fetch_busy_);
+  }
 }
 
 bool InputDecoder::Exhausted() const {

@@ -44,6 +44,14 @@ class InputDecoder {
   /// Advances one cycle.
   void Tick();
 
+  /// Number of coming Tick()s that would only count down timers or
+  /// count stalls, assuming no other module moves a FIFO entry; a lower
+  /// bound (see CompactionEngine::Run).
+  uint64_t QuietCycles() const;
+
+  /// Applies `n` quiet Tick()s at once; `n` <= QuietCycles().
+  void SkipQuiet(uint64_t n);
+
   /// True when every record of every staged SSTable has been pushed.
   bool Exhausted() const;
 
@@ -51,9 +59,11 @@ class InputDecoder {
   /// splits this into an original key stream and a copy; the copy is
   /// consumed by the Key-Value Transfer from records_for_transfer().
   Fifo<KvRecord>& key_stream() { return key_fifo_; }
+  const Fifo<KvRecord>& key_stream() const { return key_fifo_; }
 
   /// Records (key copy + value) waiting for the Key-Value Transfer.
   Fifo<KvRecord>& records_for_transfer() { return transfer_fifo_; }
+  const Fifo<KvRecord>& records_for_transfer() const { return transfer_fifo_; }
 
   /// Non-ok if staged data failed to parse (host-visible as an engine
   /// error interrupt).

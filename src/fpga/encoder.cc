@@ -1,5 +1,7 @@
 #include "fpga/encoder.h"
 
+#include <algorithm>
+
 #include "compress/snappy.h"
 #include "fpga/kv_transfer.h"
 #include "table/format.h"
@@ -174,6 +176,24 @@ void OutputEncoder::Tick() {
     FinishTable();
     finalized_ = true;
   }
+}
+
+uint64_t OutputEncoder::QuietCycles() const {
+  // The write port pops the next queued write once write_busy_ drains.
+  const uint64_t writer = write_queue_.Empty() ? kQuietForever : write_busy_;
+  if (finalized_) {
+    return std::min(writer, std::max(busy_, write_busy_));
+  }
+  const bool has_work = transfer_->output().CanPop() ||
+                        (upstream_done_ && transfer_->Done());
+  return std::min(writer, has_work ? busy_ : kQuietForever);
+}
+
+void OutputEncoder::SkipQuiet(uint64_t n) {
+  write_busy_ -= std::min(n, write_busy_);
+  const uint64_t busy = std::min(n, busy_);
+  busy_ -= busy;
+  busy_cycles_ += busy;
 }
 
 void OutputEncoder::NotifyUpstreamDone() { upstream_done_ = true; }

@@ -51,6 +51,11 @@ class OutputEncoder {
 
   void Tick();
 
+  /// Quiet-cycle fast-forward; see InputDecoder::QuietCycles(). Once
+  /// finalized, stops where Done() turns true.
+  uint64_t QuietCycles() const;
+  void SkipQuiet(uint64_t n);
+
   /// True once all upstream records are consumed, the final table is
   /// finalized and the write port is idle. Finalization only happens
   /// after the upstream pipeline reports Done().

@@ -93,6 +93,26 @@ void KeyValueTransfer::Tick() {
   if (busy_ == 0) busy_ = 1;
 }
 
+uint64_t KeyValueTransfer::QuietCycles() const {
+  if (record_ready_) {
+    return !pending_drop_ && !out_fifo_.CanPush() ? kQuietForever : 0;
+  }
+  if (busy_ > 0) return busy_ - 1;  // The last cycle forwards the record.
+  const Fifo<Selection>& selections = comparer_->selections();
+  if (!selections.CanPop() ||
+      inputs_[selections.Front().input_no]->records_for_transfer().Empty()) {
+    return kQuietForever;
+  }
+  return 0;
+}
+
+void KeyValueTransfer::SkipQuiet(uint64_t n) {
+  if (busy_ > 0) {
+    busy_ -= n;
+    busy_cycles_ += n;
+  }
+}
+
 bool KeyValueTransfer::Done() const {
   return busy_ == 0 && !record_ready_ && comparer_->Done() &&
          comparer_->selections().Empty();

@@ -41,10 +41,15 @@ class KeyValueTransfer {
 
   void Tick();
 
+  /// Quiet-cycle fast-forward; see InputDecoder::QuietCycles().
+  uint64_t QuietCycles() const;
+  void SkipQuiet(uint64_t n);
+
   bool Done() const;
 
   /// Surviving records headed to the Data Block Encoder.
   Fifo<KvRecord>& output() { return out_fifo_; }
+  const Fifo<KvRecord>& output() const { return out_fifo_; }
 
   uint64_t transferred() const { return transferred_; }
   uint64_t busy_cycles() const { return busy_cycles_; }
