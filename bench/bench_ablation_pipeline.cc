@@ -17,7 +17,6 @@ namespace bench {
 namespace {
 
 constexpr uint64_t kKeyLen = 16;
-constexpr uint64_t kNoSnapshot = 1ull << 40;
 constexpr uint64_t kBytesPerInput = 2ull << 20;
 
 double RunLevel(fpga::OptLevel level, int value_len, uint64_t* cycles,

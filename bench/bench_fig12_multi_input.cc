@@ -23,7 +23,6 @@ namespace bench {
 namespace {
 
 constexpr uint64_t kKeyLen = 16;
-constexpr uint64_t kNoSnapshot = 1ull << 40;
 constexpr uint64_t kBytesPerInput = 1ull << 21;  // 2 MB per input run.
 
 struct Result {

@@ -24,7 +24,6 @@ namespace {
 
 constexpr uint64_t kInputBytesPerRun = 4ull << 20;  // 2 x 4 MB inputs.
 constexpr uint64_t kKeyLen = 16;
-constexpr uint64_t kNoSnapshot = 1ull << 40;
 
 void Run() {
   PrintHeader("Table V: compaction speed (MB/s), 2-input, key 16 B");

@@ -28,6 +28,13 @@
 namespace fcae {
 namespace bench {
 
+/// A "no snapshots held" smallest_snapshot: above every sequence number
+/// the benches write, so the newest version of each key survives and
+/// older ones drop. kMaxSequenceNumber would drop every record: the
+/// Validity Check starts each key at kMaxSequenceNumber and drops a
+/// record once its newer version is at or below the snapshot.
+constexpr uint64_t kNoSnapshot = 1ull << 40;
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }
@@ -120,43 +127,43 @@ struct DeviceFanoutResult {
 /// workers. Placement uses the executor's own calls — PickCard() plus
 /// the queued-byte accounting — so bench_micro's offload gate and the
 /// scheduler ablation measure the policy the storage engine actually
-/// runs. The set must be freshly constructed: per-card makespans are
-/// read from the devices' lifetime counters.
+/// runs. Every shard is placed, in shard order, before any runs, so the
+/// per-card shard counts do not depend on which kernel finishes first.
+/// The set must be freshly constructed: per-card makespans are read
+/// from the devices' lifetime counters.
 inline DeviceFanoutResult RunDeviceFanout(
     host::DeviceSet* devices,
     const std::vector<std::vector<const fpga::DeviceInput*>>& shards,
     int threads) {
   DeviceFanoutResult result;
+  std::vector<int> cards(shards.size());
+  std::vector<uint64_t> bytes(shards.size(), 0);
+  for (size_t i = 0; i < shards.size(); i++) {
+    for (const fpga::DeviceInput* in : shards[i]) bytes[i] += in->TotalBytes();
+    cards[i] = devices->PickCard();
+    if (cards[i] < 0) return result;  // Every breaker denied.
+    devices->AddQueued(cards[i], bytes[i]);
+  }
+
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
   std::atomic<uint64_t> input_bytes{0};
-
   Env* clock = Env::Default();
   const uint64_t start = clock->NowMicros();
   auto worker = [&]() {
     for (;;) {
       const size_t i = next.fetch_add(1);
       if (i >= shards.size() || failed.load()) return;
-      uint64_t bytes = 0;
-      for (const fpga::DeviceInput* in : shards[i]) bytes += in->TotalBytes();
-      const int card = devices->PickCard();
-      if (card < 0) {  // Every breaker denied: nothing to measure.
-        failed.store(true);
-        return;
-      }
-      devices->AddQueued(card, bytes);
       fpga::DeviceOutput output;
       host::DeviceRunStats stats;
-      // No snapshots held: every obsolete record is droppable.
-      const Status s = devices->device(card)->ExecuteCompaction(
-          shards[i], kMaxSequenceNumber, /*drop_deletions=*/true, &output,
-          &stats);
-      devices->SubQueued(card, bytes);
+      const Status s = devices->device(cards[i])->ExecuteCompaction(
+          shards[i], kNoSnapshot, /*drop_deletions=*/true, &output, &stats);
+      devices->SubQueued(cards[i], bytes[i]);
       if (!s.ok()) {
         failed.store(true);
         return;
       }
-      input_bytes.fetch_add(bytes);
+      input_bytes.fetch_add(bytes[i]);
     }
   };
   std::vector<std::thread> pool;

@@ -33,7 +33,9 @@ struct CpuCompactorOptions {
   size_t data_block_threshold = 4 * 1024;
   size_t sstable_threshold = 2 * 1024 * 1024;
   bool compress_output = true;
-  uint64_t smallest_snapshot = ~0ull >> 8;
+  // Records shadowed by a newer version at or below this sequence are
+  // dropped; the default drops none.
+  uint64_t smallest_snapshot = 0;
   bool drop_deletions = false;
 };
 

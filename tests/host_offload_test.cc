@@ -1,10 +1,12 @@
 #include "host/offload_compaction.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
 #include "fpga_test_util.h"
 #include "gtest/gtest.h"
+#include "host/cpu_compactor.h"
 #include "host/sstable_stager.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
@@ -338,6 +340,39 @@ TEST_F(OffloadDbTest, SchedulerFallsBackWhenInputsExceedN) {
     }
   }
   EXPECT_GT(found, 400);
+}
+
+TEST(CpuCompactorTest, DefaultOptionsKeepNewestVersionOfEachKey) {
+  std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
+  Options options;
+  options.env = env.get();
+  fpga::DeviceInput newer, older;
+  ASSERT_TRUE(fpga_test::BuildDeviceInput(
+                  env.get(), options, {MakeRun("key", 0, 100, 1, 5000, 16)},
+                  0, &newer)
+                  .ok());
+  ASSERT_TRUE(fpga_test::BuildDeviceInput(
+                  env.get(), options, {MakeRun("key", 0, 100, 1, 1000, 16)},
+                  1, &older)
+                  .ok());
+
+  fpga::DeviceOutput output;
+  CpuCompactStats stats;
+  ASSERT_TRUE(
+      CpuCompactImages({&newer, &older}, CpuCompactorOptions(), &output,
+                       &stats)
+          .ok());
+  std::vector<std::pair<std::string, std::string>> got;
+  ASSERT_TRUE(fpga_test::FlattenOutput(output, &got).ok());
+  std::map<std::string, uint64_t> newest;  // User key -> newest sequence.
+  for (const auto& kv : got) {
+    ParsedInternalKey parsed;
+    ASSERT_TRUE(ParseInternalKey(kv.first, &parsed));
+    uint64_t& seq = newest[parsed.user_key.ToString()];
+    seq = std::max(seq, parsed.sequence);
+  }
+  ASSERT_EQ(100u, newest.size());
+  for (const auto& [key, seq] : newest) EXPECT_GE(seq, 5000u) << key;
 }
 
 TEST(EngineInputsNeededTest, CountsRunsNotFiles) {
