@@ -793,8 +793,10 @@ void DBImpl::RecordBackgroundError(const Status& s) {
          {"severity", obs::TraceRecorder::Quote(
                           severity == BgErrorSeverity::kHard ? "hard"
                                                              : "soft")}});
-    background_work_finished_signal_.SignalAll();
+    // Listeners first: a waiter woken by the signal may hand the error
+    // to its caller, who must then find the event already delivered.
     NotifyBackgroundErrorEvent(s, severity == BgErrorSeverity::kHard);
+    background_work_finished_signal_.SignalAll();
   }
   if (bg_error_severity_ == BgErrorSeverity::kSoft) {
     ScheduleAutoResume();
@@ -2425,9 +2427,12 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       // still being flushed, or the global memory budget is exhausted;
       // both drain through the in-flight flush, so wait on it. Counts
       // are recorded before the wait so an observer can see a blocked
-      // writer; durations after.
+      // writer; durations after. Any stop with the pair at the budget is
+      // a memory stop, also when one group commit carried the live
+      // memtable past write_buffer_size in a single step.
       const bool memory_stop =
-          !force && mem_->ApproximateMemoryUsage() <= options_.write_buffer_size;
+          !force && options_.total_write_buffer_size > 0 &&
+          cond.memtable_bytes >= options_.total_write_buffer_size;
       if (memory_stop) {
         metrics_->counter("wc.memory_stalls")->Increment();
         metrics_->counter("wc.stopped_writes")->Increment();

@@ -450,7 +450,7 @@ TEST_F(EventListenerTest, BackgroundErrorAndResume) {
   failing_env.StartFailingWrites();
   auto* impl = reinterpret_cast<DBImpl*>(db.get());
   EXPECT_FALSE(impl->TEST_CompactMemTable().ok());
-  EXPECT_GE(listener_.Count("bg_error"), 1);
+  ASSERT_GE(listener_.Count("bg_error"), 1);
   const auto errors = listener_.Named("bg_error");
   EXPECT_FALSE(errors[0].bg_error.status.ok());
   EXPECT_FALSE(errors[0].bg_error.hard);  // Retryable I/O is soft.

@@ -81,9 +81,10 @@ TEST(PerfContextUnit, TimerGuardChargesOnlyAtEnableTime) {
   }
   {
     ScopedPerfLevel level(obs::PerfLevel::kEnableTime);
-    const uint64_t t0 = obs::PerfNowMicros();
     {
       FCAE_PERF_TIMER_GUARD(timer, wal_sync_micros);
+      // Read after the guard starts, so the guard spans at least 2 us.
+      const uint64_t t0 = obs::PerfNowMicros();
       while (obs::PerfNowMicros() - t0 < 2) {
       }
     }

@@ -404,13 +404,14 @@ TEST_F(WriteStallDBTest, MemoryBudgetStallsConcurrentWritersUntilFlush) {
     });
   }
 
-  // Writers together push ~256 KB at a 128 KB budget with flushes
-  // queued, so at least one must hit the memory stop; keep draining
-  // background work until all of them finish.
+  // Writers together push ~256 KB at a 128 KB budget. The flush lane is
+  // held until a writer blocks, so the first memtable stays in flight
+  // while the second fills and that writer must hit the memory stop;
+  // then background work drains until all of them finish.
   bool saw_memory_stall = false;
   for (int i = 0; i < 100000 && writers_done.load() < kWriters; i++) {
     saw_memory_stall |= Counter("wc.memory_stalls") > 0;
-    env_.RunQueued("fcae-flush");
+    if (Counter("db.write.stall_memtable") > 0) env_.RunQueued("fcae-flush");
     env_.RunQueued("fcae-compact");
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
