@@ -3,10 +3,15 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 
 namespace fcae {
 namespace fpga {
+
+/// QuietCycles() of a pipeline module that stays quiet until another
+/// module moves a FIFO entry (see CompactionEngine::Run).
+constexpr uint64_t kQuietForever = ~0ull;
 
 /// A bounded FIFO connecting two pipeline modules. The paper builds the
 /// inter-module channels from on-chip FIFOs because "the element in FIFO
