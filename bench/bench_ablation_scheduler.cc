@@ -212,10 +212,10 @@ void RealDb(JsonReport* report) {
     std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
     fpga::EngineConfig engine;
     engine.num_inputs = 2;
-    host::FcaeDevice device(engine);
+    host::DeviceSet devices(engine, /*num_cards=*/1);
     host::FcaeExecutorOptions exec_options;
     exec_options.tournament_scheduling = tournament;
-    host::FcaeCompactionExecutor executor(&device, exec_options);
+    host::FcaeCompactionExecutor executor(&devices, exec_options);
 
     Options options;
     options.env = env.get();
@@ -256,12 +256,13 @@ void RealDb(JsonReport* report) {
     CompactionExecStats stats = impl->OffloadStats();
     std::printf("%-28s %12llu %12s %14llu\n",
                 tournament ? "tournament" : "strict (Fig. 6)",
-                (unsigned long long)device.kernels_launched(),
+                (unsigned long long)devices.device(0)->kernels_launched(),
                 tournament ? "(none)" : "(L0 jobs)",
                 (unsigned long long)stats.device_cycles);
 
     const std::string prefix = tournament ? "tournament" : "strict";
-    report_ref.Add(prefix + ".kernels_launched", device.kernels_launched());
+    report_ref.Add(prefix + ".kernels_launched",
+                   devices.device(0)->kernels_launched());
     report_ref.Add(prefix + ".device_cycles", stats.device_cycles);
     report_ref.AddRobustness(prefix, stats, impl->FallbackCompactions());
   }

@@ -204,12 +204,10 @@ int RunTelemetryWorkload(const bench::ObsExportFlags& obs_flags) {
   config.num_inputs = 9;
   config.input_width = 8;
   config.value_width = 8;
-  host::FcaeDevice device(config);
-  host::DeviceHealthMonitor health;
+  host::DeviceSet devices(config, /*num_cards=*/1);
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &health;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   obs::MetricsRegistry registry;
   std::unique_ptr<const FilterPolicy> filter(NewBloomFilterPolicy(10));
@@ -354,12 +352,10 @@ bool RunPerfWorkload(int threads, int subcompactions, PerfRunResult* result) {
   config.num_inputs = 9;
   config.input_width = 8;
   config.value_width = 8;
-  host::FcaeDevice device(config);
-  host::DeviceHealthMonitor health;
+  host::DeviceSet devices(config, /*num_cards=*/1);
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &health;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   obs::MetricsRegistry registry;
   Options options;
@@ -484,11 +480,9 @@ bool RunOverloadWorkload(OverloadRunResult* result) {
   config.num_inputs = 9;
   config.input_width = 8;
   config.value_width = 8;
-  host::FcaeDevice device(config);
-  host::DeviceHealthMonitor health;
+  host::DeviceSet devices(config, /*num_cards=*/1);
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &health;
 
   // Phase 1: sustainable rate and the compaction write rate it drives,
   // full speed, no I/O budget.
@@ -496,7 +490,7 @@ bool RunOverloadWorkload(OverloadRunResult* result) {
   double compaction_write_bps = 0;
   {
     std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
-    host::FcaeCompactionExecutor executor(&device, exec_options);
+    host::FcaeCompactionExecutor executor(&devices, exec_options);
     obs::MetricsRegistry registry;
     Options options;
     options.env = env.get();
@@ -537,7 +531,7 @@ bool RunOverloadWorkload(OverloadRunResult* result) {
   // pathologically slow probe from strangling the run outright.
   {
     std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
-    host::FcaeCompactionExecutor executor(&device, exec_options);
+    host::FcaeCompactionExecutor executor(&devices, exec_options);
     obs::MetricsRegistry registry;
     Options options;
     options.env = env.get();

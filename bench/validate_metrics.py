@@ -10,7 +10,8 @@ Checks the structural contract (counters/gauges/histograms objects with
 numeric values), that every exported instrument is known to the schema
 with the matching kind, the schema's required/nonzero flags, and — when
 --trace is given — that the trace export is loadable chrome://tracing
-JSON with well-formed events.
+JSON with well-formed events. A required glob entry
+('health.card*.quarantined') needs at least one matching instrument.
 
 Understands both schema formats: the current dict sections
 (counters/gauges/histograms mapping name -> {description, required,
@@ -50,6 +51,13 @@ def load_schema_section(schema, kind):
     if kind == "counter":
         nonzero.update(schema.get("nonzero_counters", []))
     return known, required, nonzero
+
+
+def matching(name, exported):
+    """Exported names a schema entry covers: the name itself, or every
+    match when the entry is an fnmatch glob ('.' is no glob character,
+    so a plain dotted name matches only itself)."""
+    return [n for n in exported if fnmatch.fnmatchcase(n, name)]
 
 
 def require_numeric_object(root, section):
@@ -93,29 +101,35 @@ def validate_metrics(metrics, schema):
                  f"add it to bench/metrics_schema.json")
 
     for name in sorted(required_c):
-        if name not in counters:
+        found = matching(name, counters)
+        if not found:
             fail(f"missing required counter '{name}'")
-        elif counters[name] < 0:
-            fail(f"counter '{name}' is negative: {counters[name]}")
+        for n in found:
+            if counters[n] < 0:
+                fail(f"counter '{n}' is negative: {counters[n]}")
     for name in sorted(nonzero_c):
         if counters.get(name, 0) == 0:
             fail(f"counter '{name}' is zero; the workload did not exercise it")
     for name in sorted(required_g):
-        if name not in gauges:
+        if not matching(name, gauges):
             fail(f"missing required gauge '{name}'")
 
     fields = schema.get("histogram_fields", [])
     for name in sorted(required_h):
-        hist = histograms.get(name)
-        if hist is None:
+        found = matching(name, histograms)
+        if not found:
             fail(f"missing required histogram '{name}'")
-            continue
-        for field in fields:
-            value = hist.get(field)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                fail(f"histogram '{name}' field '{field}' missing/non-numeric")
-        if isinstance(hist.get("count"), numbers.Real) and hist["count"] == 0:
-            fail(f"histogram '{name}' recorded no samples")
+        for n in found:
+            hist = histograms[n]
+            for field in fields:
+                value = hist.get(field)
+                if (not isinstance(value, numbers.Real)
+                        or isinstance(value, bool)):
+                    fail(f"histogram '{n}' field '{field}' "
+                         f"missing/non-numeric")
+            if (isinstance(hist.get("count"), numbers.Real)
+                    and hist["count"] == 0):
+                fail(f"histogram '{n}' recorded no samples")
 
 
 def validate_trace(trace):

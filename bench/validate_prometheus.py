@@ -16,7 +16,8 @@ every family back to its schema instrument, and enforces:
   - every sample belongs to a family announced by a `# TYPE` line;
   - every family maps to exactly one schema instrument of the matching
     kind (counter -> counter, gauge -> gauge, histogram -> summary);
-  - required instruments are present and nonzero counters are > 0;
+  - required instruments are present (a required glob entry needs at
+    least one matching family) and nonzero counters are > 0;
   - summaries carry the expected quantiles plus _sum and _count.
 """
 
@@ -48,11 +49,12 @@ def load_schema(schema):
     """Returns ({mangled: (name, prom_kind)}, glob_families,
     required, nonzero) where glob_families is [(mangled_glob, name,
     prom_kind)] for schema names containing '*' (per-card instrument
-    families). Understands both the dict and the legacy list formats."""
+    families) and required/nonzero map a mangled name or glob to its
+    schema name. Understands both the dict and the legacy list formats."""
     by_mangled = {}
     glob_families = []
-    required = set()
-    nonzero = set()
+    required = {}
+    nonzero = {}
     kinds = (("counter", "counter"), ("gauge", "gauge"),
              ("histogram", "summary"))
     for kind, prom_kind in kinds:
@@ -70,18 +72,25 @@ def load_schema(schema):
                 names.setdefault(name, {})["nonzero"] = True
         for name, info in names.items():
             if "*" in name:
-                glob_families.append((mangle_glob(name), name, prom_kind))
-                continue
-            m = mangle(name)
-            if m in by_mangled:
-                fail(f"schema names '{by_mangled[m][0]}' and '{name}' both "
-                     f"mangle to '{m}'")
-            by_mangled[m] = (name, prom_kind)
+                m = mangle_glob(name)
+                glob_families.append((m, name, prom_kind))
+            else:
+                m = mangle(name)
+                if m in by_mangled:
+                    fail(f"schema names '{by_mangled[m][0]}' and '{name}' "
+                         f"both mangle to '{m}'")
+                by_mangled[m] = (name, prom_kind)
             if info.get("required"):
-                required.add(m)
+                required[m] = name
             if info.get("nonzero"):
-                nonzero.add(m)
+                nonzero[m] = name
     return by_mangled, glob_families, required, nonzero
+
+
+def matching(pattern, samples):
+    """Families a mangled schema name covers: itself, or every match of
+    a mangled glob (a plain mangled name has no glob characters)."""
+    return [f for f in samples if fnmatch.fnmatchcase(f, pattern)]
 
 
 SAMPLE_RE = re.compile(
@@ -149,15 +158,15 @@ def validate(text, schema):
         if family not in samples:
             fail(f"family '{family}' announced by # TYPE but has no samples")
 
-    for family in sorted(required):
-        if family not in samples:
-            fail(f"missing required instrument "
-                 f"'{by_mangled[family][0]}' ('{family}')")
-    for family in sorted(nonzero):
-        total = sum(v for (_n, _l, v) in samples.get(family, []))
+    for family, name in sorted(required.items()):
+        if not matching(family, samples):
+            fail(f"missing required instrument '{name}' ('{family}')")
+    for family, name in sorted(nonzero.items()):
+        total = sum(v for f in matching(family, samples)
+                    for (_n, _l, v) in samples[f])
         if total == 0:
-            fail(f"counter '{by_mangled[family][0]}' is zero; the workload "
-                 f"did not exercise it")
+            fail(f"counter '{name}' is zero; the workload did not "
+                 f"exercise it")
 
     for family, ftype in types.items():
         if ftype != "summary" or family not in samples:

@@ -15,9 +15,9 @@
 //           2 = offload with tournament scheduling.
 //
 // num_offload_cards: with use_fcae > 0, drive M simulated cards behind
-// a DeviceSet (least-queued placement, shared PCIe bus) instead of one
-// FcaeDevice; also raises the DB's sub-compaction shard target so the
-// cards see concurrent work.
+// a DeviceSet (least-queued placement, shared PCIe bus); M > 1 also
+// raises the DB's sub-compaction shard target so the cards see
+// concurrent work.
 //
 // metrics_out / metrics_prom_out / trace_out: after the benchmarks
 // finish, write the DB's fcae.metrics JSON (counters/gauges/histograms),
@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "host/device_health_monitor.h"
 #include "host/device_set.h"
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
@@ -129,18 +128,10 @@ class Benchmark {
       config.value_width = 8;
       fcae::host::FcaeExecutorOptions exec_options;
       exec_options.tournament_scheduling = (flags_.use_fcae == 2);
-      if (flags_.num_offload_cards > 1) {
-        devices_ = std::make_unique<fcae::host::DeviceSet>(
-            config, flags_.num_offload_cards);
-        executor_ = std::make_unique<fcae::host::FcaeCompactionExecutor>(
-            devices_.get(), exec_options);
-      } else {
-        device_ = std::make_unique<fcae::host::FcaeDevice>(config);
-        health_ = std::make_unique<fcae::host::DeviceHealthMonitor>();
-        exec_options.health_monitor = health_.get();
-        executor_ = std::make_unique<fcae::host::FcaeCompactionExecutor>(
-            device_.get(), exec_options);
-      }
+      devices_ = std::make_unique<fcae::host::DeviceSet>(
+          config, flags_.num_offload_cards);
+      executor_ = std::make_unique<fcae::host::FcaeCompactionExecutor>(
+          devices_.get(), exec_options);
     }
     Open(true);
   }
@@ -286,12 +277,6 @@ class Benchmark {
       if (db_->GetProperty("fcae.stats", &stats)) {
         std::printf("%s\n", stats.c_str());
       }
-      if (device_) {
-        std::printf("device: %llu kernels, %llu cycles, %.2f ms pcie\n",
-                    (unsigned long long)device_->kernels_launched(),
-                    (unsigned long long)device_->total_kernel_cycles(),
-                    device_->total_pcie_micros() / 1e3);
-      }
       if (devices_) {
         for (int c = 0; c < devices_->num_cards(); c++) {
           const fcae::host::FcaeDevice* d = devices_->device(c);
@@ -329,9 +314,7 @@ class Benchmark {
   Flags flags_;
   std::unique_ptr<fcae::Env> owned_env_;
   fcae::Env* env_;
-  std::unique_ptr<fcae::host::FcaeDevice> device_;
   std::unique_ptr<fcae::host::DeviceSet> devices_;
-  std::unique_ptr<fcae::host::DeviceHealthMonitor> health_;
   std::unique_ptr<fcae::host::FcaeCompactionExecutor> executor_;
   fcae::obs::MetricsRegistry registry_;
   std::unique_ptr<fcae::DB> db_;

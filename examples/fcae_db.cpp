@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   engine_config.num_inputs = 9;
   engine_config.input_width = 8;
   engine_config.value_width = 8;
-  host::FcaeDevice device(engine_config);
-  host::FcaeCompactionExecutor executor(&device);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
+  host::FcaeCompactionExecutor executor(&devices);
 
   auto open_db = [&](const std::string& name,
                      CompactionExecutor* exec) -> std::unique_ptr<DB> {
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   CompactionExecStats stats = impl->OffloadStats();
   std::printf("\noffload statistics (fcae_db):\n");
   std::printf("  kernels launched : %llu\n",
-              (unsigned long long)device.kernels_launched());
+              (unsigned long long)devices.device(0)->kernels_launched());
   std::printf("  device cycles    : %llu (%.2f ms at 200 MHz)\n",
               (unsigned long long)stats.device_cycles,
               stats.device_micros / 1e3);

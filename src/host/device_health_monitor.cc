@@ -16,11 +16,7 @@ DeviceHealthMonitor::DeviceHealthMonitor(DeviceHealthOptions options,
 
 std::string DeviceHealthMonitor::GaugeName(const char* field) const {
   char buf[64];
-  if (card_id_ < 0) {
-    std::snprintf(buf, sizeof(buf), "health.%s", field);
-  } else {
-    std::snprintf(buf, sizeof(buf), "health.card%d.%s", card_id_, field);
-  }
+  std::snprintf(buf, sizeof(buf), "health.card%d.%s", card_id_, field);
   return std::string(buf);
 }
 
@@ -41,12 +37,9 @@ void DeviceHealthMonitor::PublishLocked() {
   if (metrics_ == nullptr) return;
   // Gauges mirror the snapshot so one fcae.metrics read shows breaker
   // state without a second property. The registry lock is a leaf below
-  // mutex_. A card-bound monitor publishes per-card names so the M
-  // breakers of a DeviceSet never alias in the registry.
+  // mutex_. Per-card names keep the M breakers of a DeviceSet from
+  // aliasing in the registry.
   //
-  // fcae-check: declare-metric(gauge): health.quarantined, health.consecutive_failures, health.jobs_succeeded
-  // fcae-check: declare-metric(gauge): health.jobs_failed, health.sticky_failures, health.quarantines
-  // fcae-check: declare-metric(gauge): health.probes, health.readmissions, health.jobs_denied
   // fcae-check: declare-metric(gauge): health.card*.quarantined, health.card*.consecutive_failures
   // fcae-check: declare-metric(gauge): health.card*.jobs_succeeded, health.card*.jobs_failed
   // fcae-check: declare-metric(gauge): health.card*.sticky_failures, health.card*.quarantines
@@ -103,14 +96,9 @@ void DeviceHealthMonitor::RecordJobSuccess() {
   // Instants and listener callbacks run outside mutex_ so a slow sink
   // never extends the breaker's critical section.
   if (trace != nullptr) {
-    if (card_id_ >= 0) {
-      trace->RecordInstant("device_readmitted", "health",
-                           obs::TraceNowMicros(), 0,
-                           {{"card", std::to_string(card_id_)}});
-    } else {
-      trace->RecordInstant("device_readmitted", "health",
-                           obs::TraceNowMicros(), 0);
-    }
+    trace->RecordInstant("device_readmitted", "health",
+                         obs::TraceNowMicros(), 0,
+                         {{"card", std::to_string(card_id_)}});
   }
   if (notifier != nullptr && notifier->active()) {
     obs::DeviceHealthChangeInfo info;
@@ -146,16 +134,10 @@ void DeviceHealthMonitor::RecordJobFailure(bool sticky) {
     PublishLocked();
   }
   if (trace != nullptr) {
-    if (card_id_ >= 0) {
-      trace->RecordInstant("device_quarantined", "health",
-                           obs::TraceNowMicros(), 0,
-                           {{"sticky", sticky ? "true" : "false"},
-                            {"card", std::to_string(card_id_)}});
-    } else {
-      trace->RecordInstant("device_quarantined", "health",
-                           obs::TraceNowMicros(), 0,
-                           {{"sticky", sticky ? "true" : "false"}});
-    }
+    trace->RecordInstant("device_quarantined", "health",
+                         obs::TraceNowMicros(), 0,
+                         {{"sticky", sticky ? "true" : "false"},
+                          {"card", std::to_string(card_id_)}});
   }
   if (notifier != nullptr && notifier->active()) {
     obs::DeviceHealthChangeInfo info;
@@ -188,26 +170,20 @@ DeviceHealthMonitor::Snapshot DeviceHealthMonitor::snapshot() const {
 
 std::string DeviceHealthMonitor::ToString() const {
   Snapshot snap = snapshot();
-  std::string prefix;
-  if (card_id_ >= 0) {
-    char cbuf[24];
-    std::snprintf(cbuf, sizeof(cbuf), "card%d ", card_id_);
-    prefix = cbuf;
-  }
   char buf[256];
   std::snprintf(
       buf, sizeof(buf),
-      "quarantined=%d consecutive-failures=%d jobs{ok=%llu failed=%llu "
-      "sticky=%llu denied=%llu} breaker{opened=%llu probes=%llu "
-      "readmitted=%llu}",
-      snap.quarantined ? 1 : 0, snap.consecutive_failures,
+      "card%d quarantined=%d consecutive-failures=%d jobs{ok=%llu "
+      "failed=%llu sticky=%llu denied=%llu} breaker{opened=%llu "
+      "probes=%llu readmitted=%llu}",
+      card_id_, snap.quarantined ? 1 : 0, snap.consecutive_failures,
       (unsigned long long)snap.jobs_succeeded,
       (unsigned long long)snap.jobs_failed,
       (unsigned long long)snap.sticky_failures,
       (unsigned long long)snap.jobs_denied,
       (unsigned long long)snap.quarantines, (unsigned long long)snap.probes,
       (unsigned long long)snap.readmissions);
-  return prefix + std::string(buf);
+  return std::string(buf);
 }
 
 }  // namespace host

@@ -31,9 +31,10 @@ struct DeviceHealthOptions {
   int probe_interval = 8;
 };
 
-/// DeviceHealthMonitor is the circuit breaker between the DB and the
-/// offload executor. The executor reports per-job outcomes
-/// (RecordJobSuccess / RecordJobFailure); CanExecute consults Admit().
+/// DeviceHealthMonitor is the circuit breaker of one card of a
+/// DeviceSet. The offload executor reports per-job outcomes
+/// (RecordJobSuccess / RecordJobFailure); DeviceSet::PickCard skips a
+/// quarantined card and consults Admit() only when every card is out.
 ///
 /// States: healthy -> (K consecutive failures) -> quarantined ->
 /// (periodic probe job succeeds) -> healthy again. While quarantined,
@@ -42,13 +43,10 @@ struct DeviceHealthOptions {
 /// gracefully instead of stalling.
 class DeviceHealthMonitor {
  public:
-  /// `card_id` >= 0 binds the monitor to one card of a multi-card
-  /// DeviceSet: gauges publish under `health.card<N>.*` instead of the
-  /// legacy `health.*` names and OnDeviceHealthChange events carry the
-  /// id, so per-card breakers never alias. The default -1 keeps the
-  /// single-device behaviour bit-for-bit.
-  explicit DeviceHealthMonitor(DeviceHealthOptions options = {},
-                               int card_id = -1);
+  /// `card_id` is the card's index in its DeviceSet: gauges publish
+  /// under `health.card<N>.*` and OnDeviceHealthChange events carry the
+  /// id, so per-card breakers never alias.
+  DeviceHealthMonitor(DeviceHealthOptions options, int card_id);
 
   DeviceHealthMonitor(const DeviceHealthMonitor&) = delete;
   DeviceHealthMonitor& operator=(const DeviceHealthMonitor&) = delete;
@@ -87,8 +85,8 @@ class DeviceHealthMonitor {
   /// which is what keeps the property readable mid-quarantine.
   std::string ToString() const EXCLUDES(mutex_);
 
-  /// Publishes breaker state to obs: gauges named `health.*` are set on
-  /// every state change, and breaker transitions (quarantine/
+  /// Publishes breaker state to obs: gauges named `health.card<N>.*`
+  /// are set on every state change, and breaker transitions (quarantine/
   /// readmission) are recorded as trace instants. Either pointer may be
   /// null; both are borrowed and must outlive the monitor. Idempotent —
   /// the offload executor calls this once per job with the handles the
@@ -107,8 +105,7 @@ class DeviceHealthMonitor {
   /// mutex_; the registry's own lock is a leaf below it.
   void PublishLocked() REQUIRES(mutex_);
 
-  /// Gauge name for `field`: "health.<field>" when unbound,
-  /// "health.card<N>.<field>" when bound to a card.
+  /// Gauge name for `field`: "health.card<N>.<field>".
   std::string GaugeName(const char* field) const;
 
   const DeviceHealthOptions options_;

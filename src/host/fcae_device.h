@@ -54,8 +54,8 @@ class FcaeDevice {
  public:
   /// `bus`, when non-null, is the shared multi-card PCIe bus this
   /// card's DMA bursts contend on (borrowed; must outlive the device).
-  /// `card_id` distinguishes cards in a DeviceSet; single-device setups
-  /// keep the default 0.
+  /// `card_id` distinguishes cards in a DeviceSet; a standalone device
+  /// driven directly (benches, kernel tests) keeps the default 0.
   explicit FcaeDevice(const fpga::EngineConfig& config,
                       const fpga::PcieModel& pcie = fpga::PcieModel(),
                       fpga::PcieBus* bus = nullptr, int card_id = 0);
@@ -184,7 +184,7 @@ class FcaeDevice {
 
   const fpga::EngineConfig config_;
   const fpga::PcieModel pcie_;
-  fpga::PcieBus* const bus_;  // Borrowed shared bus; null = lone card.
+  fpga::PcieBus* const bus_;  // Borrowed shared bus; null = standalone.
   const int card_id_;
   Mutex mutex_;
   fpga::DeviceFaultInjector* fault_injector_ GUARDED_BY(mutex_) = nullptr;

@@ -116,14 +116,16 @@ void RecordDeviceMetrics(obs::MetricsRegistry* metrics,
 }
 
 /// Emits the modeled pipeline sub-spans of one device run: DMA and the
-/// per-module busy time, laid out sequentially from `start_micros`.
+/// per-module busy time, laid out sequentially from `start_micros` on
+/// the job's own track and tagged with the card that ran it.
 /// Modeled durations (simulated cycles at the engine clock), not wall
 /// time — the pipeline stages actually overlap — so they are tagged
 /// "modeled": true and readers must not treat them as wall spans.
-void RecordDeviceSpans(obs::TraceRecorder* trace, uint64_t tid,
+void RecordDeviceSpans(obs::TraceRecorder* trace, uint64_t tid, int card,
                        uint64_t start_micros,
                        const DeviceRunStats& run_stats) {
   if (trace == nullptr) return;
+  const std::string card_arg = std::to_string(card);
   const fpga::EngineStats& e = run_stats.engine;
   const double mpc =  // Micros per cycle at the configured clock.
       run_stats.kernel_cycles > 0
@@ -132,7 +134,8 @@ void RecordDeviceSpans(obs::TraceRecorder* trace, uint64_t tid,
   uint64_t ts = start_micros;
   auto emit = [&](const char* name, double dur_micros) {
     const uint64_t dur = static_cast<uint64_t>(dur_micros);
-    trace->RecordSpan(name, "fpga", ts, dur, tid, {{"modeled", "true"}});
+    trace->RecordSpan(name, "fpga", ts, dur, tid,
+                      {{"modeled", "true"}, {"card", card_arg}});
     ts += dur;
   };
   const double total_bytes =
@@ -148,18 +151,9 @@ void RecordDeviceSpans(obs::TraceRecorder* trace, uint64_t tid,
 
 }  // namespace
 
-FcaeCompactionExecutor::FcaeCompactionExecutor(FcaeDevice* device,
-                                               FcaeExecutorOptions options)
-    : device_(device), options_(options) {
-  lanes_.push_back(std::make_unique<CardLane>());
-}
-
 FcaeCompactionExecutor::FcaeCompactionExecutor(DeviceSet* devices,
                                                FcaeExecutorOptions options)
-    : device_(devices->device(0)), devices_(devices), options_(options) {
-  // The set's per-card monitors own health in multi-card mode; a
-  // caller-supplied global breaker would alias all cards again.
-  options_.health_monitor = nullptr;
+    : devices_(devices), options_(options) {
   for (int i = 0; i < devices->num_cards(); i++) {
     lanes_.push_back(std::make_unique<CardLane>());
   }
@@ -184,23 +178,12 @@ int EngineInputsNeeded(const CompactionJob& job) {
 bool FcaeCompactionExecutor::CanExecute(const CompactionJob& job) const {
   const int needed = EngineInputsNeeded(job);
   if (needed < 1) return false;
-  if (!(options_.tournament_scheduling || needed <= device_->max_inputs())) {
-    return false;
-  }
-  if (devices_ != nullptr) {
-    // Multi-card mode: admission is decided at placement time inside
-    // Execute(), where a job is refused only when every card's breaker
-    // denies it — a single quarantined card must not push work to the
-    // CPU while its siblings are healthy.
-    return true;
-  }
-  // Circuit breaker: a quarantined device refuses jobs, except for the
-  // periodic probe the monitor lets through to test recovery.
-  if (options_.health_monitor != nullptr &&
-      !options_.health_monitor->Admit()) {
-    return false;
-  }
-  return true;
+  // Breakers are consulted at placement time inside Execute(), where a
+  // job is refused only when every card's breaker denies it — one
+  // quarantined card must not push work to the CPU while its siblings
+  // are healthy. All cards of a set share one engine configuration.
+  return options_.tournament_scheduling ||
+         needed <= devices_->device(0)->max_inputs();
 }
 
 Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
@@ -212,41 +195,31 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
 
   // Route breaker transitions into the DB's metrics/trace and event
   // listeners. Idempotent; cheap relative to a compaction.
-  if (options_.health_monitor != nullptr) {
-    options_.health_monitor->AttachObservability(job.metrics, job.trace);
-    options_.health_monitor->AttachNotifier(job.notifier);
-  }
+  devices_->AttachObservability(job.metrics, job.trace);
+  devices_->AttachNotifier(job.notifier);
 
-  // Multi-card placement: bind the job to the healthy card with the
-  // fewest queued bytes before staging, so the queue estimate covers
-  // the job's whole residency. The estimate is the on-disk size of the
-  // inputs (known up front; actual staged bytes differ only by the
-  // metaindex region).
-  FcaeDevice* device = device_;
-  DeviceHealthMonitor* health = options_.health_monitor;
-  int card = 0;
+  // Placement: bind the job to the healthy card with the fewest queued
+  // bytes before staging, so the queue estimate covers the job's whole
+  // residency. The estimate is the on-disk size of the inputs (known up
+  // front; actual staged bytes differ only by the metaindex region).
+  const int card = devices_->PickCard();
+  if (card < 0) {
+    // Every card's breaker denied the job: the caller (DBImpl) falls
+    // back to the CPU path.
+    return Status::Busy("all offload cards quarantined");
+  }
+  FcaeDevice* device = devices_->device(card);
+  DeviceHealthMonitor* health = devices_->monitor(card);
   uint64_t queued_estimate = 0;
-  if (devices_ != nullptr) {
-    devices_->AttachObservability(job.metrics, job.trace);
-    devices_->AttachNotifier(job.notifier);
-    card = devices_->PickCard();
-    if (card < 0) {
-      // Every card's breaker denied the job: the caller (DBImpl) falls
-      // back to the CPU path, exactly like a single quarantined device.
-      return Status::Busy("all offload cards quarantined");
+  for (int which = 0; which < 2; which++) {
+    for (int i = 0; i < c->num_input_files(which); i++) {
+      queued_estimate += c->input(which, i)->file_size;
     }
-    device = devices_->device(card);
-    health = devices_->monitor(card);
-    for (int which = 0; which < 2; which++) {
-      for (int i = 0; i < c->num_input_files(which); i++) {
-        queued_estimate += c->input(which, i)->file_size;
-      }
-    }
-    devices_->AddQueued(card, queued_estimate);
-    if (job.metrics != nullptr) {
-      job.metrics->gauge(CardMetricName(card, "queued_bytes"))
-          ->Set(static_cast<int64_t>(devices_->queued_bytes(card)));
-    }
+  }
+  devices_->AddQueued(card, queued_estimate);
+  if (job.metrics != nullptr) {
+    job.metrics->gauge(CardMetricName(card, "queued_bytes"))
+        ->Set(static_cast<int64_t>(devices_->queued_bytes(card)));
   }
   // Un-queue on every exit path, success or failure.
   struct PlacementGuard {
@@ -255,7 +228,6 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
     uint64_t bytes;
     obs::MetricsRegistry* metrics;
     ~PlacementGuard() {
-      if (devices == nullptr) return;
       devices->SubQueued(card, bytes);
       if (metrics != nullptr) {
         metrics->gauge(CardMetricName(card, "queued_bytes"))
@@ -263,9 +235,6 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
       }
     }
   } placement_guard{devices_, card, queued_estimate, job.metrics};
-  // Device trace spans land on a per-card tid so two cards' modeled
-  // pipelines render as separate tracks.
-  const uint64_t device_tid = job.trace_tid + static_cast<uint64_t>(card);
 
   // Sub-compaction shard bounds (if any): staging trims whole data
   // blocks outside (lower, upper] and the engine's Key-Value Transfer
@@ -332,12 +301,12 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
     return Status::OK();
   }
   const bool tournament =
-      static_cast<int>(input_ptrs.size()) > device_->max_inputs();
+      static_cast<int>(input_ptrs.size()) > device->max_inputs();
 
   // 2./3. DMA + kernel (steps 4-7 of the paper's workflow), with bounded
   //       retry. Transient faults (busy, timeout, corruption the host
-  //       verifier catches) back off and retry; a sticky card drop or an
-  //       exhausted deadline gives up so DBImpl can rerun on the CPU.
+  //       verifier catches) back off and retry; a sticky card drop or
+  //       exhausted attempts give up so DBImpl can rerun on the CPU.
   const int max_attempts = std::max(1, options_.max_attempts);
   fpga::DeviceOutput device_output;
   DeviceRunStats run_stats;            // From the successful attempt.
@@ -352,11 +321,6 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
 
   for (int attempt = 1; attempt <= max_attempts; attempt++) {
     if (attempt > 1) {
-      if (options_.job_deadline_micros > 0 &&
-          env->NowMicros() - start_micros >= options_.job_deadline_micros) {
-        s = Status::IOError("device job deadline exhausted before retry");
-        break;
-      }
       if (options_.backoff_base_micros > 0) {
         const uint64_t wait = options_.backoff_base_micros
                               << (attempt - 2 > 62 ? 62 : attempt - 2);
@@ -413,7 +377,7 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
     ReleaseDeviceTicket(card, job.metrics);
     FCAE_PERF_TIME(offload_device_micros,
                    obs::TraceNowMicros() - run_start_micros);
-    if (devices_ != nullptr && job.metrics != nullptr) {
+    if (job.metrics != nullptr) {
       // Modeled device occupancy, failed attempts included — a card
       // burning cycles on a doomed kernel is still busy.
       job.metrics->counter(CardMetricName(card, "busy_micros"))
@@ -421,7 +385,7 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
                                             run_stats.pcie_micros));
     }
 
-    if (s.ok() && options_.verify_outputs) {
+    if (s.ok()) {
       // Host-side verification: CRCs, strict key order, bounds. Runs
       // BEFORE any SSTable is assembled, so a silently corrupt device
       // result can never reach the manifest.
@@ -448,7 +412,7 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
     if (s.ok()) {
       RecordDeviceMetrics(job.metrics, run_stats,
                           static_cast<int>(input_ptrs.size()));
-      RecordDeviceSpans(job.trace, device_tid, run_start_micros,
+      RecordDeviceSpans(job.trace, job.trace_tid, card, run_start_micros,
                         run_stats);
       break;
     }
@@ -463,17 +427,15 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
     if (!IsRetryableFault(s)) break;
   }
 
-  // Feed the circuit breaker with the job outcome (one report per job,
-  // not per attempt: a job saved by a retry is a success). In
-  // multi-card mode `health` is the placed card's own breaker.
-  if (health != nullptr) {
-    if (s.ok()) {
-      health->RecordJobSuccess();
-    } else {
-      health->RecordJobFailure(sticky);
-    }
+  // Feed the placed card's circuit breaker with the job outcome (one
+  // report per job, not per attempt: a job saved by a retry is a
+  // success).
+  if (s.ok()) {
+    health->RecordJobSuccess();
+  } else {
+    health->RecordJobFailure(sticky);
   }
-  if (devices_ != nullptr && job.metrics != nullptr && health != nullptr) {
+  if (job.metrics != nullptr) {
     // Advance the per-card quarantine counter by however many times
     // this card's breaker has opened since we last published.
     const DeviceHealthMonitor::Snapshot snap = health->snapshot();
@@ -622,14 +584,9 @@ std::string FcaeCompactionExecutor::HealthString() const {
       (unsigned long long)counters.verify_failures,
       (unsigned long long)counters.backoff_micros);
   std::string result(buf);
-  if (devices_ != nullptr) {
-    for (int i = 0; i < devices_->num_cards(); i++) {
-      result += " ";
-      result += devices_->monitor(i)->ToString();
-    }
-  } else if (options_.health_monitor != nullptr) {
+  for (int i = 0; i < devices_->num_cards(); i++) {
     result += " ";
-    result += options_.health_monitor->ToString();
+    result += devices_->monitor(i)->ToString();
   }
   return result;
 }

@@ -5,9 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "host/device_health_monitor.h"
 #include "host/device_set.h"
-#include "host/fcae_device.h"
 #include "lsm/compaction_executor.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -24,15 +22,15 @@ namespace host {
 /// back to software compaction exactly when the paper's scheduler does
 /// ("when the input number is not larger than nine, the compaction
 /// tasks would be pushed down to FPGA, otherwise it is handled by
-/// CPU") — unless tournament scheduling is enabled below. It also
-/// consults the DeviceHealthMonitor circuit breaker: a quarantined
-/// device refuses jobs (except periodic probes), so everything flows to
-/// the CPU executor until the card recovers.
+/// CPU") — unless tournament scheduling is enabled below. Card health
+/// is decided at placement time inside Execute(): DeviceSet::PickCard
+/// skips quarantined cards, and when every card's breaker denies the
+/// job Execute() returns Status::Busy so DBImpl reruns it on the CPU.
 ///
 /// The executor is thread-safe: the DB's parallel compaction scheduler
 /// may have several jobs inside Execute() at once. Kernel attempts are
-/// admitted to the card through a FIFO ticket queue, so in-flight jobs
-/// share the device fairly instead of serializing further up the stack.
+/// admitted to each card through a FIFO ticket queue, so in-flight jobs
+/// share a card fairly instead of serializing further up the stack.
 
 /// Scheduler policy knobs for the offload executor.
 struct FcaeExecutorOptions {
@@ -52,36 +50,15 @@ struct FcaeExecutorOptions {
   /// Backoff before retry attempt k (1-based) is
   /// `backoff_base_micros << (k - 1)`. 0 disables the sleep.
   uint64_t backoff_base_micros = 100;
-
-  /// Wall-clock budget for one job's device attempts; once exceeded no
-  /// further retry is started (0 = unlimited). The CPU fallback in
-  /// DBImpl picks the job up afterwards.
-  uint64_t job_deadline_micros = 0;
-
-  /// Verify every device output (CRC, strict key order, bounds) before
-  /// any SSTable is assembled; see host/output_verifier.h. Costs one
-  /// decode pass over the output. On by default — a silently corrupt
-  /// device result must never reach the manifest.
-  bool verify_outputs = true;
-
-  /// Circuit breaker consulted by CanExecute and fed by Execute.
-  /// Borrowed; may be null (no breaker, e.g. micro-benches).
-  DeviceHealthMonitor* health_monitor = nullptr;
 };
 
 class FcaeCompactionExecutor : public CompactionExecutor {
  public:
-  /// `device` is borrowed and may be shared by several DB instances.
-  explicit FcaeCompactionExecutor(FcaeDevice* device,
-                                  FcaeExecutorOptions options = {});
-
-  /// Multi-card mode: jobs are spread over the set's cards by the
-  /// least-queued-bytes placement policy (DeviceSet::PickCard), each
-  /// card has its own FIFO ticket lane, and health is tracked by the
-  /// set's per-card monitors — `options.health_monitor` is ignored.
-  /// CanExecute() checks input feasibility only; quarantine is decided
-  /// at placement time, so a job is refused (Status::Busy -> CPU
-  /// fallback in DBImpl) only when every card's breaker denies it.
+  /// `devices` is borrowed and may be shared by several DB instances; a
+  /// single card is a one-card set. Jobs are spread over the set's
+  /// cards by the least-queued-bytes placement policy
+  /// (DeviceSet::PickCard), each card has its own FIFO ticket lane, and
+  /// health is tracked by the set's per-card monitors.
   explicit FcaeCompactionExecutor(DeviceSet* devices,
                                   FcaeExecutorOptions options = {});
 
@@ -107,10 +84,6 @@ class FcaeCompactionExecutor : public CompactionExecutor {
   };
   RobustnessCounters robustness_counters() const EXCLUDES(mutex_);
 
-  DeviceHealthMonitor* health_monitor() const {
-    return options_.health_monitor;
-  }
-
  private:
   /// Per-card device admission queue: one kernel runs at a time on each
   /// card; concurrent jobs line up here instead of serializing anywhere
@@ -131,9 +104,8 @@ class FcaeCompactionExecutor : public CompactionExecutor {
   void AcquireDeviceTicket(int card, obs::MetricsRegistry* metrics);
   void ReleaseDeviceTicket(int card, obs::MetricsRegistry* metrics);
 
-  FcaeDevice* device_;    // Card 0 of devices_ in multi-card mode.
-  DeviceSet* devices_ = nullptr;  // Null in single-device mode.
-  FcaeExecutorOptions options_;
+  DeviceSet* const devices_;  // Borrowed.
+  const FcaeExecutorOptions options_;
 
   // mutex_ guards only the counters. Multiple compaction workers may be
   // inside Execute() concurrently (the DB's parallel scheduler), and

@@ -1682,7 +1682,7 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
     shard->db = this;
     shard->latch = &latch;
     // An unsharded job may always use the device. Key-bounded shards
-    // may only when the executor is multi-card aware (it trims staged
+    // may only when several cards back the executor (it trims staged
     // blocks to the shard range); with one card they would serialize on
     // the device anyway, so they keep the concurrent CPU path.
     shard->device_eligible =

@@ -65,9 +65,8 @@ struct BackgroundErrorInfo {
 };
 
 struct DeviceHealthChangeInfo {
-  /// Which card's breaker changed state. -1 for a single-device setup
-  /// whose monitor was not bound to a card id.
-  int card_id = -1;
+  /// Which card of the DeviceSet changed breaker state.
+  int card_id = 0;
   bool quarantined = false;  // New breaker state.
   int consecutive_failures = 0;
 };

@@ -75,7 +75,7 @@ class HistogramMetric {
 /// Naming scheme (see DESIGN.md §7): dotted lowercase
 /// `<layer>.<subsystem>.<measure>[_<unit>]`, e.g.
 /// `db.compaction.micros`, `fpga.decoder.fetch_stalls`,
-/// `health.quarantines`. Registration (`counter()` / `gauge()` /
+/// `health.card0.quarantines`. Registration (`counter()` / `gauge()` /
 /// `histogram()`) takes the registry mutex once; callers on hot paths
 /// should cache the returned pointer, which stays valid for the
 /// registry's lifetime. Re-registering a name returns the existing

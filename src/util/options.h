@@ -140,7 +140,7 @@ struct Options {
   /// sharding. Clipped to [1, 16].
   int max_subcompactions = 1;
 
-  /// Number of offload cards behind `compaction_executor` (a multi-card
+  /// Number of offload cards behind `compaction_executor` (a
   /// host::FcaeCompactionExecutor over a DeviceSet). A scheduler knob
   /// only — the DB never creates devices: > 1 makes key-bounded
   /// sub-compaction shards device-eligible (the executor trims staged

@@ -24,9 +24,9 @@ class AutoCompactTest : public testing::TestWithParam<bool> {
       config.num_inputs = 9;
       config.input_width = 8;
       config.value_width = 8;
-      device_ = std::make_unique<host::FcaeDevice>(config);
+      devices_ = std::make_unique<host::DeviceSet>(config, /*num_cards=*/1);
       executor_ =
-          std::make_unique<host::FcaeCompactionExecutor>(device_.get());
+          std::make_unique<host::FcaeCompactionExecutor>(devices_.get());
     }
     Options options;
     options.env = env_.get();
@@ -56,7 +56,7 @@ class AutoCompactTest : public testing::TestWithParam<bool> {
   }
 
   std::unique_ptr<Env> env_;
-  std::unique_ptr<host::FcaeDevice> device_;
+  std::unique_ptr<host::DeviceSet> devices_;
   std::unique_ptr<host::FcaeCompactionExecutor> executor_;
   std::unique_ptr<DB> db_;
 };
@@ -93,7 +93,7 @@ TEST_P(AutoCompactTest, SustainedWritesDeepenTheTreeAutomatically) {
   EXPECT_GT(found, kKeys * 9 / 10);
 
   if (GetParam()) {
-    EXPECT_GT(device_->kernels_launched(), 0u);
+    EXPECT_GT(devices_->device(0)->kernels_launched(), 0u);
   }
 }
 

@@ -18,7 +18,7 @@
 #include "fpga/fault_injector.h"
 #include "gtest/gtest.h"
 #include "host/device_health_monitor.h"
-#include "host/fcae_device.h"
+#include "host/device_set.h"
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
@@ -77,14 +77,13 @@ TEST_F(ConcurrentStressTest, ReadersWritersIteratorsDuringFaultyOffload) {
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 2;  // Tournaments: many launches per job.
-  host::FcaeDevice device(engine_config);
-  device.set_fault_injector(&injector);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
+  devices.device(0)->set_fault_injector(&injector);
+  host::DeviceHealthMonitor& monitor = *devices.monitor(0);
 
-  host::DeviceHealthMonitor monitor;
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &monitor;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   std::unique_ptr<DB> db = OpenDb(&executor);
 
@@ -207,18 +206,17 @@ TEST_F(ConcurrentStressTest, QuarantineTransitionVisibleToConcurrentReaders) {
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 2;
-  host::FcaeDevice device(engine_config);
-  device.set_fault_injector(&injector);
-
   host::DeviceHealthOptions health_options;
   health_options.quarantine_threshold = 3;
   health_options.sticky_weight = 3;  // One sticky fault opens the breaker.
   health_options.probe_interval = 2;
-  host::DeviceHealthMonitor monitor(health_options);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1, fpga::PcieModel(),
+                          health_options);
+  devices.device(0)->set_fault_injector(&injector);
+  host::DeviceHealthMonitor& monitor = *devices.monitor(0);
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &monitor;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   std::unique_ptr<DB> db = OpenDb(&executor);
 

@@ -298,15 +298,15 @@ void RunCrashRound(const MatrixCase& c, uint32_t seed) {
   CrashInjectionEnv env(base.get());
   const std::string dbname = "/crashdb";
 
-  std::unique_ptr<host::FcaeDevice> device;
+  std::unique_ptr<host::DeviceSet> devices;
   std::unique_ptr<host::FcaeCompactionExecutor> executor;
   if (c.offload) {
     fpga::EngineConfig config;
     config.num_inputs = 9;
-    device = std::make_unique<host::FcaeDevice>(config);
+    devices = std::make_unique<host::DeviceSet>(config, /*num_cards=*/1);
     host::FcaeExecutorOptions exec_options;
     exec_options.tournament_scheduling = true;  // accept any input count
-    executor = std::make_unique<host::FcaeCompactionExecutor>(device.get(),
+    executor = std::make_unique<host::FcaeCompactionExecutor>(devices.get(),
                                                               exec_options);
   }
 

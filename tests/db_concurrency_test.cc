@@ -38,9 +38,9 @@ class DbConcurrencyTest : public testing::TestWithParam<bool> {
       config.num_inputs = 9;
       config.input_width = 8;
       config.value_width = 8;
-      device_ = std::make_unique<host::FcaeDevice>(config);
+      devices_ = std::make_unique<host::DeviceSet>(config, /*num_cards=*/1);
       executor_ =
-          std::make_unique<host::FcaeCompactionExecutor>(device_.get());
+          std::make_unique<host::FcaeCompactionExecutor>(devices_.get());
     }
     Options options;
     options.env = env_.get();
@@ -53,7 +53,7 @@ class DbConcurrencyTest : public testing::TestWithParam<bool> {
   }
 
   std::unique_ptr<Env> env_;
-  std::unique_ptr<host::FcaeDevice> device_;
+  std::unique_ptr<host::DeviceSet> devices_;
   std::unique_ptr<host::FcaeCompactionExecutor> executor_;
   std::unique_ptr<DB> db_;
 };

@@ -16,8 +16,7 @@
 
 #include "fpga/fault_injector.h"
 #include "gtest/gtest.h"
-#include "host/device_health_monitor.h"
-#include "host/fcae_device.h"
+#include "host/device_set.h"
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
@@ -88,12 +87,10 @@ class DbMetricsTest : public testing::Test {
 TEST_F(DbMetricsTest, MetricsPropertyCoversAllLayers) {
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 9;
-  host::FcaeDevice device(engine_config);
-  host::DeviceHealthMonitor monitor;
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &monitor;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   std::unique_ptr<DB> db = OpenDb(&executor);
   RunWorkload(db.get());
@@ -128,13 +125,14 @@ TEST_F(DbMetricsTest, MetricsPropertyCoversAllLayers) {
   ASSERT_TRUE(gauges.Has("fpga.bottleneck.comparer_share_pct"));
 
   // Health-monitor state (breaker closed, jobs succeeded).
-  EXPECT_EQ(0.0, gauges["health.quarantined"].number);
-  EXPECT_GT(gauges["health.jobs_succeeded"].number, 0.0);
+  ASSERT_TRUE(gauges.Has("health.card0.quarantined"));
+  EXPECT_EQ(0.0, gauges["health.card0.quarantined"].number);
+  EXPECT_GT(gauges["health.card0.jobs_succeeded"].number, 0.0);
 }
 
 TEST_F(DbMetricsTest, TracePropertyIsValidChromeTracing) {
-  host::FcaeDevice device(fpga::EngineConfig{});
-  host::FcaeCompactionExecutor executor(&device);
+  host::DeviceSet devices(fpga::EngineConfig{}, /*num_cards=*/1);
+  host::FcaeCompactionExecutor executor(&devices);
   std::unique_ptr<DB> db = OpenDb(&executor);
   RunWorkload(db.get());
 
@@ -163,13 +161,13 @@ TEST_F(DbMetricsTest, GoldenTraceRetryThenCpuFallback) {
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 9;
-  host::FcaeDevice device(engine_config);
-  device.set_fault_injector(&injector);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
+  devices.device(0)->set_fault_injector(&injector);
 
   host::FcaeExecutorOptions exec_options;
   exec_options.max_attempts = 2;
   exec_options.backoff_base_micros = 10;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   std::unique_ptr<DB> db = OpenDb(&executor);
   RunWorkload(db.get());

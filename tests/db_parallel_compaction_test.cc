@@ -17,9 +17,7 @@
 
 #include "fpga/fault_injector.h"
 #include "gtest/gtest.h"
-#include "host/device_health_monitor.h"
 #include "host/device_set.h"
-#include "host/fcae_device.h"
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
@@ -90,14 +88,12 @@ TEST_F(DBParallelCompactionTest, WritersReadersUnderFourWorkersWithFaults) {
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 2;  // Tournaments: many launches per job.
-  host::FcaeDevice device(engine_config);
-  device.set_fault_injector(&injector);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
+  devices.device(0)->set_fault_injector(&injector);
 
-  host::DeviceHealthMonitor monitor;
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &monitor;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   std::unique_ptr<DB> db =
       OpenDb("/parallel-stress", &executor, /*threads=*/4,
@@ -191,10 +187,10 @@ TEST_F(DBParallelCompactionTest, ParallelContentsMatchSequential) {
   // compaction) must produce identical logical contents whether
   // compactions run on one worker or four with sharding.
   fpga::EngineConfig engine_config;
-  host::FcaeDevice device_seq(engine_config);
-  host::FcaeCompactionExecutor exec_seq(&device_seq);
-  host::FcaeDevice device_par(engine_config);
-  host::FcaeCompactionExecutor exec_par(&device_par);
+  host::DeviceSet devices_seq(engine_config, /*num_cards=*/1);
+  host::FcaeCompactionExecutor exec_seq(&devices_seq);
+  host::DeviceSet devices_par(engine_config, /*num_cards=*/1);
+  host::FcaeCompactionExecutor exec_par(&devices_par);
 
   auto run_workload = [](DB* db) {
     Random rnd(4711);
@@ -244,8 +240,8 @@ TEST_F(DBParallelCompactionTest, QuarantinedCardContentsMatchSingleCard) {
   devices.monitor(0)->RecordJobFailure(/*sticky=*/true);
   ASSERT_TRUE(devices.monitor(0)->quarantined());
 
-  host::FcaeDevice lone_device(engine_config);
-  host::FcaeCompactionExecutor one_card_exec(&lone_device);
+  host::DeviceSet one_card(engine_config, /*num_cards=*/1);
+  host::FcaeCompactionExecutor one_card_exec(&one_card);
 
   auto run_workload = [](DB* db) {
     Random rnd(20260808);
@@ -356,8 +352,8 @@ TEST_F(DBParallelCompactionTest, CompactRangeWaitsForAllWorkers) {
   // CompactRange must block until every in-flight job is installed,
   // even with multiple workers: afterwards, level 0 is empty.
   fpga::EngineConfig engine_config;
-  host::FcaeDevice device(engine_config);
-  host::FcaeCompactionExecutor executor(&device);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
+  host::FcaeCompactionExecutor executor(&devices);
 
   std::unique_ptr<DB> db =
       OpenDb("/compact-wait", &executor, /*threads=*/4, /*subcompactions=*/2);

@@ -107,7 +107,7 @@ TEST(DeviceFaultInjectorTest, CardDropIsSticky) {
 TEST(DeviceHealthMonitorTest, OpensAfterConsecutiveFailures) {
   DeviceHealthOptions options;
   options.quarantine_threshold = 3;
-  DeviceHealthMonitor monitor(options);
+  DeviceHealthMonitor monitor(options, /*card_id=*/0);
 
   EXPECT_TRUE(monitor.Admit());
   monitor.RecordJobFailure(false);
@@ -127,7 +127,7 @@ TEST(DeviceHealthMonitorTest, StickyFailureOpensImmediately) {
   DeviceHealthOptions options;
   options.quarantine_threshold = 3;
   options.sticky_weight = 3;
-  DeviceHealthMonitor monitor(options);
+  DeviceHealthMonitor monitor(options, /*card_id=*/0);
   monitor.RecordJobFailure(/*sticky=*/true);
   EXPECT_TRUE(monitor.quarantined());
 }
@@ -136,7 +136,7 @@ TEST(DeviceHealthMonitorTest, ProbeAndReadmission) {
   DeviceHealthOptions options;
   options.quarantine_threshold = 1;
   options.probe_interval = 4;
-  DeviceHealthMonitor monitor(options);
+  DeviceHealthMonitor monitor(options, /*card_id=*/0);
   monitor.RecordJobFailure(false);
   ASSERT_TRUE(monitor.quarantined());
 
@@ -164,10 +164,10 @@ TEST(DeviceHealthMonitorTest, ProbeAndReadmission) {
 }
 
 TEST(DeviceHealthMonitorTest, CardBoundMonitorPublishesPerCardNames) {
-  // A monitor bound to card 2 of a DeviceSet must publish its gauges
-  // under health.card2.* (never the legacy unbound names) and stamp the
-  // card id on every OnDeviceHealthChange event, so per-card breakers
-  // never alias in the registry or in listener callbacks.
+  // The monitor of card 2 of a DeviceSet must publish its gauges under
+  // health.card2.* (no card-less names) and stamp the card id on every
+  // OnDeviceHealthChange event, so per-card breakers never alias in the
+  // registry or in listener callbacks.
   class CaptureListener : public obs::EventListener {
    public:
     void OnDeviceHealthChange(
@@ -202,7 +202,7 @@ TEST(DeviceHealthMonitorTest, CardBoundMonitorPublishesPerCardNames) {
   EXPECT_EQ(1, metrics.gauge("health.card2.quarantined")->value());
   EXPECT_EQ(1, metrics.gauge("health.card2.sticky_failures")->value());
   EXPECT_EQ(1, metrics.gauge("health.card2.quarantines")->value());
-  // The legacy unbound names were never registered by this monitor.
+  // No card-less name was registered.
   obs::MetricsRegistry::Snapshot snap = metrics.TakeSnapshot();
   EXPECT_EQ(0u, snap.gauges.count("health.quarantined"));
 
@@ -219,18 +219,10 @@ TEST(DeviceHealthMonitorTest, CardBoundMonitorPublishesPerCardNames) {
   // ToString names the card so multi-card health dumps stay readable.
   EXPECT_NE(std::string::npos, monitor.ToString().find("card2"))
       << monitor.ToString();
-
-  // An unbound monitor keeps the legacy behaviour: card_id -1 events.
-  DeviceHealthMonitor unbound(options);
-  unbound.AttachNotifier(&notifier);
-  unbound.RecordJobFailure(/*sticky=*/true);
-  events = listener.events();
-  ASSERT_EQ(3u, events.size());
-  EXPECT_EQ(-1, events[2].card_id);
 }
 
 TEST(DeviceHealthMonitorTest, ToStringCarriesCounters) {
-  DeviceHealthMonitor monitor;
+  DeviceHealthMonitor monitor(DeviceHealthOptions(), /*card_id=*/0);
   monitor.RecordJobSuccess();
   monitor.RecordJobFailure(false);
   std::string s = monitor.ToString();

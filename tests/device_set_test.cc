@@ -18,6 +18,7 @@
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
+#include "mini_json.h"
 #include "table/iterator.h"
 #include "util/mem_env.h"
 #include "util/random.h"
@@ -368,6 +369,37 @@ TEST_F(MultiCardDbTest, QuarantinedCardIsAbsorbedByHealthySibling) {
   EXPECT_GT(devices.device(1)->kernels_launched(), 0u);
   auto* impl = reinterpret_cast<DBImpl*>(db.get());
   EXPECT_EQ(0, impl->FallbackCompactions());
+
+  // The modeled device spans land on the track of the job that ran
+  // them and name its card: every dma_in starts inside a
+  // device_attempt of the same tid and carries card 1, the only
+  // healthy card.
+  std::string json;
+  ASSERT_TRUE(db->GetProperty("fcae.trace", &json));
+  mini_json::Value trace;
+  std::string error;
+  ASSERT_TRUE(mini_json::Parse(json, &trace, &error)) << error;
+  EXPECT_EQ(0.0, trace["eventsDropped"].number);
+  const std::vector<mini_json::Value>& events = trace["traceEvents"].array;
+  int dma_in_spans = 0;
+  for (const mini_json::Value& span : events) {
+    if (span["name"].str != "dma_in") continue;
+    dma_in_spans++;
+    EXPECT_EQ(1.0, span["args"]["card"].number);
+    const double ts = span["ts"].number;
+    bool inside_attempt = false;
+    for (const mini_json::Value& attempt : events) {
+      if (attempt["name"].str == "device_attempt" &&
+          attempt["tid"].number == span["tid"].number &&
+          attempt["ts"].number <= ts &&
+          ts <= attempt["ts"].number + attempt["dur"].number) {
+        inside_attempt = true;
+      }
+    }
+    EXPECT_TRUE(inside_attempt)
+        << "dma_in at ts " << ts << " on tid " << span["tid"].number;
+  }
+  EXPECT_GT(dma_in_spans, 0);
 
   // And the contents are exactly what a CPU-only DB produces.
   std::unique_ptr<DB> cpu_db = OpenDb("/mc_degraded_cpu", nullptr, 1);

@@ -23,7 +23,7 @@
 #include "fpga/fault_injector.h"
 #include "gtest/gtest.h"
 #include "host/device_health_monitor.h"
-#include "host/fcae_device.h"
+#include "host/device_set.h"
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
@@ -245,12 +245,12 @@ TEST_F(EventListenerTest, OffloadRetryAndFallback) {
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 9;
-  host::FcaeDevice device(engine_config);
-  device.set_fault_injector(&injector);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
+  devices.device(0)->set_fault_injector(&injector);
   host::FcaeExecutorOptions exec_options;
   exec_options.max_attempts = 2;
   exec_options.backoff_base_micros = 10;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   {
     Options options;
@@ -468,7 +468,7 @@ TEST_F(EventListenerTest, DeviceHealthChangeOnBreakerTransitions) {
   host::DeviceHealthOptions health_options;
   health_options.quarantine_threshold = 2;
   health_options.probe_interval = 1;
-  host::DeviceHealthMonitor monitor(health_options);
+  host::DeviceHealthMonitor monitor(health_options, /*card_id=*/0);
   monitor.AttachNotifier(&notifier);
 
   monitor.RecordJobFailure(/*sticky=*/false);

@@ -17,8 +17,7 @@
 
 #include "fpga/fault_injector.h"
 #include "gtest/gtest.h"
-#include "host/device_health_monitor.h"
-#include "host/fcae_device.h"
+#include "host/device_set.h"
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
@@ -334,14 +333,12 @@ TEST_F(DeviceFaultTest, TransientFaultStormLosesNothing) {
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 2;  // Tournaments: many launches per job.
-  host::FcaeDevice device(engine_config);
-  device.set_fault_injector(&injector);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
+  devices.device(0)->set_fault_injector(&injector);
 
-  host::DeviceHealthMonitor monitor;
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &monitor;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   std::unique_ptr<DB> db = OpenDb(&executor);
   std::map<std::string, std::string> model;
@@ -386,18 +383,17 @@ TEST_F(DeviceFaultTest, StickyFaultQuarantinesDeviceAndDbCompactsOnCpu) {
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 2;
-  host::FcaeDevice device(engine_config);
-  device.set_fault_injector(&injector);
-
   host::DeviceHealthOptions health_options;
   health_options.quarantine_threshold = 3;
   health_options.sticky_weight = 3;  // One sticky fault opens the breaker.
   health_options.probe_interval = 2;  // Probe the card often.
-  host::DeviceHealthMonitor monitor(health_options);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1, fpga::PcieModel(),
+                          health_options);
+  devices.device(0)->set_fault_injector(&injector);
+  host::DeviceHealthMonitor& monitor = *devices.monitor(0);
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  exec_options.health_monitor = &monitor;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   std::unique_ptr<DB> db = OpenDb(&executor);
   std::map<std::string, std::string> model;
@@ -420,7 +416,7 @@ TEST_F(DeviceFaultTest, StickyFaultQuarantinesDeviceAndDbCompactsOnCpu) {
   (void)impl;
   std::string health;
   ASSERT_TRUE(db->GetProperty("fcae.device-health", &health));
-  EXPECT_NE(std::string::npos, health.find("quarantined=1")) << health;
+  EXPECT_NE(std::string::npos, health.find("card0 quarantined=1")) << health;
 
   // Retryable device conditions (busy card, dropped card) belong to the
   // offload retry/fallback machinery — they must never surface as a

@@ -255,8 +255,8 @@ TEST_F(OffloadDbTest, OffloadDbMatchesCpuDb) {
   config.num_inputs = 9;  // Lets level-0 compactions offload too.
   config.input_width = 8;
   config.value_width = 8;
-  FcaeDevice device(config);
-  FcaeCompactionExecutor fcae_executor(&device);
+  DeviceSet devices(config, /*num_cards=*/1);
+  FcaeCompactionExecutor fcae_executor(&devices);
 
   std::unique_ptr<DB> cpu_db(OpenDb("/cpu_db", nullptr));
   std::unique_ptr<DB> fcae_db(OpenDb("/fcae_db", &fcae_executor));
@@ -307,7 +307,7 @@ TEST_F(OffloadDbTest, OffloadDbMatchesCpuDb) {
   auto* fcae_impl = reinterpret_cast<DBImpl*>(fcae_db.get());
   CompactionExecStats stats = fcae_impl->OffloadStats();
   EXPECT_GT(stats.device_cycles, 0u);
-  EXPECT_GT(device.kernels_launched(), 0u);
+  EXPECT_GT(devices.device(0)->kernels_launched(), 0u);
 }
 
 TEST_F(OffloadDbTest, SchedulerFallsBackWhenInputsExceedN) {
@@ -316,8 +316,8 @@ TEST_F(OffloadDbTest, SchedulerFallsBackWhenInputsExceedN) {
   // the DB still works correctly.
   fpga::EngineConfig config;
   config.num_inputs = 2;
-  FcaeDevice device(config);
-  FcaeCompactionExecutor executor(&device);
+  DeviceSet devices(config, /*num_cards=*/1);
+  FcaeCompactionExecutor executor(&devices);
 
   std::unique_ptr<DB> db(OpenDb("/fallback_db", &executor));
   Random rnd(7);

@@ -27,8 +27,8 @@ TEST(OffloadFilterTest, AssembledTablesCarryFilterBlocks) {
   config.num_inputs = 9;
   config.input_width = 8;
   config.value_width = 8;
-  FcaeDevice device(config);
-  FcaeCompactionExecutor executor(&device);
+  DeviceSet devices(config, /*num_cards=*/1);
+  FcaeCompactionExecutor executor(&devices);
 
   Options options;
   options.env = env.get();
@@ -51,7 +51,7 @@ TEST(OffloadFilterTest, AssembledTablesCarryFilterBlocks) {
   for (int level = 0; level < kNumLevels - 1; level++) {
     impl->TEST_CompactRange(level, nullptr, nullptr);
   }
-  ASSERT_GT(device.kernels_launched(), 0u);
+  ASSERT_GT(devices.device(0)->kernels_launched(), 0u);
 
   // Reads still work (filter must not produce false negatives).
   std::string value;

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "host/fcae_device.h"
+#include "host/device_set.h"
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "obs/metrics.h"
@@ -38,10 +38,10 @@ TEST(OverloadSoakTest, SustainedOverloadDegradesGracefully) {
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 2;
-  host::FcaeDevice device(engine_config);
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  host::FcaeCompactionExecutor executor(&device, exec_options);
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
   obs::MetricsRegistry metrics;
   Options options;

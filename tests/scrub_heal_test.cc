@@ -79,7 +79,7 @@ class ScrubHealTest : public testing::Test {
   void Reset() {
     db_.reset();
     executor_.reset();
-    device_.reset();
+    devices_.reset();
     env_.reset();
     mem_env_.reset();
     mem_env_.reset(NewMemEnv(Env::Default()));
@@ -104,9 +104,9 @@ class ScrubHealTest : public testing::Test {
         config.num_inputs = 9;
         config.input_width = 8;
         config.value_width = 8;
-        device_ = std::make_unique<host::FcaeDevice>(config);
+        devices_ = std::make_unique<host::DeviceSet>(config, /*num_cards=*/1);
         executor_ =
-            std::make_unique<host::FcaeCompactionExecutor>(device_.get());
+            std::make_unique<host::FcaeCompactionExecutor>(devices_.get());
       }
       options.compaction_executor = executor_.get();
     }
@@ -239,7 +239,7 @@ class ScrubHealTest : public testing::Test {
   std::unique_ptr<CorruptionInjectionEnv> env_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<ScrubEventRecorder> recorder_;
-  std::unique_ptr<host::FcaeDevice> device_;
+  std::unique_ptr<host::DeviceSet> devices_;
   std::unique_ptr<host::FcaeCompactionExecutor> executor_;
   std::unique_ptr<DB> db_;
 };

@@ -153,10 +153,10 @@ TEST_F(TournamentTest, DeletionsSurviveIntermediatePasses) {
 TEST_F(TournamentTest, DbWithTournamentExecutorMatchesCpuDb) {
   fpga::EngineConfig config;
   config.num_inputs = 2;  // L0 compactions exceed N: tournament kicks in.
-  FcaeDevice device(config);
+  DeviceSet devices(config, /*num_cards=*/1);
   FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  FcaeCompactionExecutor executor(&device, exec_options);
+  FcaeCompactionExecutor executor(&devices, exec_options);
 
   auto open_db = [&](const std::string& name, CompactionExecutor* exec) {
     Options options;
