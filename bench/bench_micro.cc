@@ -51,7 +51,7 @@ void BM_Crc32c(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * data.size());
 }
-BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_Crc32c)->Arg(100)->Arg(4096)->Arg(65536);
 
 void BM_SnappyCompress(benchmark::State& state) {
   std::string data = MakePayload(state.range(0));

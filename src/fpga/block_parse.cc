@@ -3,7 +3,6 @@
 #include "compress/snappy.h"
 #include "table/format.h"
 #include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace fcae {
 namespace fpga {
@@ -17,12 +16,8 @@ Status DecodeStoredBlock(const Slice& stored_block, bool verify_checksum,
   const size_t n = stored_block.size() - kBlockTrailerSize;
   const char* data = stored_block.data();
 
-  if (verify_checksum) {
-    const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
-    const uint32_t actual = crc32c::Value(data, n + 1);
-    if (actual != crc) {
-      return Status::Corruption("block checksum mismatch in engine");
-    }
+  if (verify_checksum && !BlockTrailerMatches(data, n)) {
+    return Status::Corruption("block checksum mismatch in engine");
   }
 
   switch (static_cast<CompressionType>(data[n])) {

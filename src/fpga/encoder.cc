@@ -5,8 +5,6 @@
 #include "compress/snappy.h"
 #include "fpga/kv_transfer.h"
 #include "table/format.h"
-#include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace fcae {
 namespace fpga {
@@ -57,10 +55,7 @@ void OutputEncoder::FlushBlock() {
   current_table_.data_memory.append(block_contents.data(),
                                     block_contents.size());
   char trailer[kBlockTrailerSize];
-  trailer[0] = static_cast<char>(type);
-  uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
-  crc = crc32c::Extend(crc, trailer, 1);
-  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  EncodeBlockTrailer(block_contents, type, trailer);
   current_table_.data_memory.append(trailer, kBlockTrailerSize);
 
   current_table_.index_entries.push_back(std::move(entry));

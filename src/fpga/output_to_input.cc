@@ -3,9 +3,7 @@
 #include "lsm/dbformat.h"
 #include "table/block_builder.h"
 #include "table/format.h"
-#include "util/coding.h"
 #include "util/comparator.h"
-#include "util/crc32c.h"
 #include "util/options.h"
 
 namespace fcae {
@@ -45,10 +43,7 @@ Status ConvertOutputToInput(const DeviceOutput& output, DeviceInput* input) {
     desc.index_size = contents.size() + kBlockTrailerSize;
     input->index_memory.append(contents.data(), contents.size());
     char trailer[kBlockTrailerSize];
-    trailer[0] = kNoCompression;
-    uint32_t crc = crc32c::Value(contents.data(), contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+    EncodeBlockTrailer(contents, kNoCompression, trailer);
     input->index_memory.append(trailer, kBlockTrailerSize);
 
     input->sstables.push_back(desc);

@@ -8,9 +8,7 @@
 #include "lsm/dbformat.h"
 #include "table/block_builder.h"
 #include "table/format.h"
-#include "util/coding.h"
 #include "util/comparator.h"
-#include "util/crc32c.h"
 #include "util/env.h"
 #include "util/options.h"
 
@@ -170,10 +168,7 @@ class ImageTableWriter {
     entry.size = contents.size();
     table_.data_memory.append(contents.data(), contents.size());
     char trailer[kBlockTrailerSize];
-    trailer[0] = static_cast<char>(type);
-    uint32_t crc = crc32c::Value(contents.data(), contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+    EncodeBlockTrailer(contents, type, trailer);
     table_.data_memory.append(trailer, kBlockTrailerSize);
     table_.index_entries.push_back(std::move(entry));
     builder_->Reset();

@@ -4,9 +4,7 @@
 
 #include "table/block_builder.h"
 #include "table/format.h"
-#include "util/coding.h"
 #include "util/comparator.h"
-#include "util/crc32c.h"
 #include "util/env.h"
 #include "util/file_checksum.h"
 #include "util/options.h"
@@ -34,10 +32,7 @@ Slice UserKeyOf(const std::string& internal_key) {
 void AppendStoredBlock(const Slice& contents, std::string* dst) {
   dst->append(contents.data(), contents.size());
   char trailer[kBlockTrailerSize];
-  trailer[0] = kNoCompression;
-  uint32_t crc = crc32c::Value(contents.data(), contents.size());
-  crc = crc32c::Extend(crc, trailer, 1);
-  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  EncodeBlockTrailer(contents, kNoCompression, trailer);
   dst->append(trailer, kBlockTrailerSize);
 }
 
@@ -217,10 +212,7 @@ Status AssembleTableFile(Env* env, const std::string& fname,
     Status as = file->Append(contents);
     if (!as.ok()) return as;
     char trailer[kBlockTrailerSize];
-    trailer[0] = kNoCompression;
-    uint32_t crc = crc32c::Value(contents.data(), contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+    EncodeBlockTrailer(contents, kNoCompression, trailer);
     as = file->Append(Slice(trailer, kBlockTrailerSize));
     if (!as.ok()) return as;
     offset += contents.size() + kBlockTrailerSize;

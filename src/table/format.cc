@@ -60,6 +60,19 @@ Status Footer::DecodeFrom(Slice* input) {
   return result;
 }
 
+void EncodeBlockTrailer(const Slice& contents, CompressionType type,
+                        char* trailer) {
+  trailer[0] = static_cast<char>(type);
+  uint32_t crc = crc32c::Value(contents.data(), contents.size());
+  crc = crc32c::Extend(crc, trailer, 1);  // Extend crc to cover block type
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+}
+
+bool BlockTrailerMatches(const char* data, size_t n) {
+  return crc32c::Value(data, n + 1) ==
+         crc32c::Unmask(DecodeFixed32(data + n + 1));
+}
+
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result) {
   result->data = Slice();
@@ -87,13 +100,9 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
 
   // Check the crc of the type and the block contents.
   const char* data = contents.data();
-  if (options.verify_checksums) {
-    const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
-    const uint32_t actual = crc32c::Value(data, n + 1);
-    if (actual != crc) {
-      delete[] buf;
-      return Status::Corruption("block checksum mismatch");
-    }
+  if (options.verify_checksums && !BlockTrailerMatches(data, n)) {
+    delete[] buf;
+    return Status::Corruption("block checksum mismatch");
   }
 
   switch (data[n]) {

@@ -65,6 +65,15 @@ constexpr uint64_t kTableMagicNumber = 0xfcae57ab1e5eed01ull;
 /// 1 byte CompressionType + 4 byte masked CRC32C of data+type.
 constexpr size_t kBlockTrailerSize = 5;
 
+/// Writes the trailer of the stored block `contents` into
+/// trailer[0, kBlockTrailerSize).
+void EncodeBlockTrailer(const Slice& contents, CompressionType type,
+                        char* trailer);
+
+/// Returns true iff the trailer at data[n, n + kBlockTrailerSize) holds
+/// the checksum of data[0, n) and the trailer's type byte.
+bool BlockTrailerMatches(const char* data, size_t n);
+
 /// The result of reading a block from a file.
 struct BlockContents {
   Slice data;           // Actual contents of the (decompressed) block.

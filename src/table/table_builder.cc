@@ -6,9 +6,7 @@
 #include "table/block_builder.h"
 #include "table/filter_block.h"
 #include "table/format.h"
-#include "util/coding.h"
 #include "util/comparator.h"
-#include "util/crc32c.h"
 #include "util/env.h"
 #include "util/filter_policy.h"
 
@@ -154,10 +152,7 @@ void TableBuilder::WriteRawBlock(const Slice& block_contents,
   r->status = r->file->Append(block_contents);
   if (r->status.ok()) {
     char trailer[kBlockTrailerSize];
-    trailer[0] = type;
-    uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);  // Extend crc to cover block type
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+    EncodeBlockTrailer(block_contents, type, trailer);
     r->status = r->file->Append(Slice(trailer, kBlockTrailerSize));
     if (r->status.ok()) {
       r->offset += block_contents.size() + kBlockTrailerSize;

@@ -8,8 +8,14 @@ namespace fcae {
 namespace crc32c {
 
 /// Returns the CRC32C of concat(A, data[0, n)) where Extend(init_crc, ...)
-/// is given the CRC32C of some prior byte string A.
+/// is given the CRC32C of some prior byte string A. The kernel is picked
+/// once per process from the CPU: the SSE4.2 CRC32 instruction on x86-64
+/// CPUs that have it, ExtendPortable() everywhere else.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The byte-at-a-time table loop: Extend() on CPUs without a CRC32C
+/// instruction, and the reference the tests compare Extend() against.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 /// Returns the CRC32C of data[0, n).
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

@@ -1,5 +1,6 @@
 #include "util/file_checksum.h"
 
+#include <algorithm>
 #include <memory>
 
 namespace fcae {
@@ -20,20 +21,29 @@ Status ComputeFileChecksum(Env* env, const std::string& fname,
     return s;
   }
   std::unique_ptr<SequentialFile> file_guard(file);
+  uint64_t file_size = 0;
+  s = env->GetFileSize(fname, &file_size);
+  if (!s.ok()) {
+    return s;
+  }
   std::unique_ptr<char[]> scratch(new char[kScrubChunkSize]);
   uint32_t running = 0;
   uint64_t total = 0;
-  while (true) {
+  while (total < file_size) {
+    // Charge only what this read can return, so the limiter sees the
+    // file's size and not a whole chunk per read.
+    const size_t want = static_cast<size_t>(
+        std::min<uint64_t>(kScrubChunkSize, file_size - total));
     if (limiter != nullptr) {
-      limiter->Request(kScrubChunkSize, RateLimiter::Priority::kLow);
+      limiter->Request(want, RateLimiter::Priority::kLow);
     }
     Slice chunk;
-    s = file->Read(kScrubChunkSize, &chunk, scratch.get());
+    s = file->Read(want, &chunk, scratch.get());
     if (!s.ok()) {
       return s;
     }
     if (chunk.empty()) {
-      break;
+      break;  // Shorter than GetFileSize said; the caller sees *size.
     }
     running = crc32c::Extend(running, chunk.data(), chunk.size());
     total += chunk.size();

@@ -48,8 +48,9 @@ class ChecksumWritableFile : public WritableFile {
 
 /// Re-reads `fname` sequentially and computes its whole-file crc32c.
 /// Used by the scrubber to compare at-rest bytes against the manifest's
-/// recorded checksum. Reads in bounded chunks; when `limiter` is
-/// non-null every chunk is charged against the low-priority lane first
+/// recorded checksum. Reads in bounded chunks up to the size
+/// GetFileSize() reports; when `limiter` is non-null every chunk is
+/// charged, for the bytes it reads, against the low-priority lane first
 /// so scrubbing yields to flushes and foreground-driven compactions.
 /// On success stores the crc in *crc and the byte count in *size
 /// (either may be null).

@@ -5,11 +5,15 @@
 #include "util/rate_limiter.h"
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/crc32c.h"
 #include "util/env.h"
+#include "util/file_checksum.h"
+#include "util/mem_env.h"
 
 namespace fcae {
 
@@ -180,6 +184,38 @@ TEST(RateLimiterTest, RateLimitedFileChargesAppendsAgainstTheLimiter) {
   // The second 100 KB had to wait on refill.
   EXPECT_GT(limiter.total_wait_micros(), 0u);
   EXPECT_GT(limiter.total_throttled_bytes(), 0u);
+}
+
+TEST(RateLimiterTest, FileChecksumChargesOnlyTheBytesItReads) {
+  std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
+  RateLimiter limiter(env.get(), 0);  // Unlimited, but still counting.
+  struct Case {
+    std::string name;
+    size_t size;
+    uint64_t requests;
+  };
+  // Under one 64 KiB chunk, and one chunk plus one byte. No request for
+  // the read that finds the end of the file.
+  const Case cases[] = {{"/small", 100, 1}, {"/chunk_plus_one", 65537, 2}};
+  uint64_t charged = 0;
+  for (const Case& c : cases) {
+    std::string contents(c.size, '\0');
+    for (size_t i = 0; i < c.size; i++) {
+      contents[i] = static_cast<char>(i * 131 + c.size);
+    }
+    ASSERT_TRUE(WriteStringToFile(env.get(), contents, c.name).ok());
+    const uint64_t requests_before = limiter.total_requests();
+    uint32_t crc = 0;
+    uint64_t size = 0;
+    ASSERT_TRUE(
+        ComputeFileChecksum(env.get(), c.name, &limiter, &crc, &size).ok());
+    EXPECT_EQ(crc32c::Value(contents.data(), contents.size()), crc);
+    EXPECT_EQ(c.size, size);
+    charged += c.size;
+    EXPECT_EQ(charged, limiter.total_bytes_through()) << c.name;
+    EXPECT_EQ(c.requests, limiter.total_requests() - requests_before)
+        << c.name;
+  }
 }
 
 TEST(RateLimiterTest, NullLimiterWrapperIsAPassThrough) {
