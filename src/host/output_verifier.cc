@@ -1,12 +1,11 @@
 #include "host/output_verifier.h"
 
-#include <vector>
-
-#include "fpga/block_parse.h"
-#include "table/format.h"
+#include "table/table_verifier.h"
 
 namespace fcae {
 namespace host {
+
+namespace {
 
 Status VerifyDeviceOutputTable(const fpga::DeviceOutputTable& table,
                                const InternalKeyComparator& icmp,
@@ -14,92 +13,48 @@ Status VerifyDeviceOutputTable(const fpga::DeviceOutputTable& table,
   if (table.index_entries.empty()) {
     return Status::Corruption("device output table has no index entries");
   }
-  if (table.smallest_key.empty() || table.largest_key.empty()) {
-    return Status::Corruption("device output table has empty bounds");
-  }
-  if (icmp.Compare(table.smallest_key, table.largest_key) > 0) {
-    return Status::Corruption("device output bounds are inverted");
-  }
-
+  BlockWalker walker(Slice(table.data_memory), &icmp);
   uint64_t expected_offset = 0;
-  uint64_t entries_seen = 0;
-  std::string prev_key;
   for (const fpga::OutputIndexEntry& e : table.index_entries) {
-    // Bounds: the handle must address a complete stored block (payload +
-    // 5-byte trailer) inside the returned data memory, and blocks must
-    // tile it in order without overlap.
+    // Blocks must tile the returned data memory in order, without
+    // overlap or gaps.
     if (e.offset != expected_offset) {
       return Status::Corruption("device output blocks overlap or leave gaps");
     }
-    const uint64_t stored_size = e.size + kBlockTrailerSize;
-    if (e.offset + stored_size > table.data_memory.size()) {
-      return Status::Corruption("device index entry out of data bounds");
-    }
-    expected_offset = e.offset + stored_size;
-
-    // CRC + decompression of the stored block.
-    std::string contents;
-    Status s = fpga::DecodeStoredBlock(
-        Slice(table.data_memory.data() + e.offset, stored_size),
-        /*verify_checksum=*/true, &contents);
+    BlockHandle handle;
+    handle.set_offset(e.offset);
+    handle.set_size(e.size);
+    Status s = walker.NextBlock(e.last_key, handle, nullptr);
     if (!s.ok()) return s;
-
-    std::vector<fpga::ParsedEntry> entries;
-    s = fpga::ParseBlockEntries(contents, &entries);
-    if (!s.ok()) return s;
-    if (entries.empty()) {
-      return Status::Corruption("device output block has no entries");
-    }
-
-    // Strict internal-key ordering across blocks; keys inside MetaOut's
-    // claimed [smallest, largest] range.
-    for (const fpga::ParsedEntry& entry : entries) {
-      if (!prev_key.empty() && icmp.Compare(prev_key, entry.key) >= 0) {
-        return Status::Corruption("device output keys out of order");
-      }
-      prev_key = entry.key;
-      entries_seen++;
-    }
-    if (icmp.Compare(entries.back().key, e.last_key) != 0) {
+    // The engine's separators are its blocks' exact last keys.
+    if (walker.stats().largest != e.last_key) {
       return Status::Corruption("index separator disagrees with block");
     }
+    expected_offset = e.offset + e.size + kBlockTrailerSize;
     stats->blocks++;
   }
 
   if (expected_offset != table.data_memory.size()) {
     return Status::Corruption("device output data has trailing garbage");
   }
-  if (entries_seen != table.num_entries) {
+  // The record count and first/last keys must equal MetaOut, which the
+  // host installs in the version edit.
+  const BlockWalkStats& walk = walker.stats();
+  if (walk.entries != table.num_entries) {
     return Status::Corruption("device output entry count mismatch");
   }
-  // First/last keys must equal the MetaOut bounds the host installs in
-  // the version edit.
-  const fpga::OutputIndexEntry& last = table.index_entries.back();
-  if (icmp.Compare(last.last_key, table.largest_key) != 0) {
+  if (walk.smallest != table.smallest_key) {
+    return Status::Corruption("device output smallest key mismatch");
+  }
+  if (walk.largest != table.largest_key) {
     return Status::Corruption("device output largest key mismatch");
   }
-  // prev_key now holds the table's last key; re-derive the first from
-  // the first block to compare against smallest.
-  {
-    std::string contents;
-    const fpga::OutputIndexEntry& first = table.index_entries.front();
-    Status s = fpga::DecodeStoredBlock(
-        Slice(table.data_memory.data() + first.offset,
-              first.size + kBlockTrailerSize),
-        /*verify_checksum=*/false, &contents);
-    if (!s.ok()) return s;
-    std::vector<fpga::ParsedEntry> entries;
-    s = fpga::ParseBlockEntries(contents, &entries);
-    if (!s.ok()) return s;
-    if (entries.empty() ||
-        icmp.Compare(entries.front().key, table.smallest_key) != 0) {
-      return Status::Corruption("device output smallest key mismatch");
-    }
-  }
   stats->tables++;
-  stats->entries += entries_seen;
+  stats->entries += walk.entries;
   return Status::OK();
 }
+
+}  // namespace
 
 Status VerifyDeviceOutput(const fpga::DeviceOutput& output,
                           const InternalKeyComparator& icmp,

@@ -16,24 +16,19 @@ struct OutputVerifyStats {
   uint64_t entries = 0;
 };
 
-/// Verifies one device-returned output table before it can become an
-/// SSTable. Invariants checked:
-///  - every index entry's block handle lies inside the returned data
-///    memory, handles are ascending and non-overlapping;
-///  - every data block's stored trailer CRC32C matches its bytes (and
-///    compressed blocks decompress cleanly);
-///  - internal keys are strictly increasing across the whole table
-///    (user key ascending, mark descending — no duplicates);
+/// Verifies every table of a device output before any of it can become
+/// an SSTable. Every data block goes through the table walker
+/// (table/table_verifier.h: trailer CRC32C, clean decode, internal keys
+/// strictly increasing across the whole table, separators bracketing
+/// their blocks). On top, the device-only checks:
+///  - each table's blocks tile its returned data memory in order,
+///    without gaps, overlap or trailing bytes;
 ///  - each block's last key equals its index entry's separator;
-///  - the first/last keys match MetaOut's smallest/largest bounds, and
-///    the record count matches MetaOut's num_entries.
+///  - each table's first/last keys match MetaOut's smallest/largest
+///    bounds, and its record count matches MetaOut's num_entries;
+///  - the tables form one sorted run, without overlap.
 /// Any violation returns Status::Corruption: a silently corrupt device
 /// result can never reach the manifest.
-Status VerifyDeviceOutputTable(const fpga::DeviceOutputTable& table,
-                               const InternalKeyComparator& icmp,
-                               OutputVerifyStats* stats);
-
-/// Verifies every table of a device output (see above).
 Status VerifyDeviceOutput(const fpga::DeviceOutput& output,
                           const InternalKeyComparator& icmp,
                           OutputVerifyStats* stats);

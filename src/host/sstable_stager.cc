@@ -12,6 +12,7 @@
 #include "lsm/dbformat.h"
 #include "fpga/block_parse.h"
 #include "table/filter_block.h"
+#include "table/table_verifier.h"
 #include "util/filter_policy.h"
 
 namespace fcae {
@@ -233,35 +234,27 @@ Status AssembleTableFile(Env* env, const std::string& fname,
   block_options.comparator = icmp;
 
   // 2. Optional filter block, rebuilt on the host from the engine's
-  //    data blocks. Keys are fed as internal keys, exactly as
-  //    TableBuilder feeds them (the DB passes its InternalFilterPolicy,
-  //    which strips the mark fields itself).
+  //    data blocks, read through the table walker. Keys are fed as
+  //    internal keys, exactly as TableBuilder feeds them (the DB passes
+  //    its InternalFilterPolicy, which strips the mark fields itself).
   BlockHandle filter_handle;
   bool has_filter = false;
   if (filter_policy != nullptr) {
     FilterBlockBuilder filter_builder(filter_policy);
     filter_builder.StartBlock(0);
-    Status fs = Status::OK();
+    BlockWalker walker(Slice(table.data_memory), icmp);
+    std::vector<std::pair<std::string, std::string>> entries;
     for (const fpga::OutputIndexEntry& e : table.index_entries) {
-      if (e.offset + e.size + kBlockTrailerSize > table.data_memory.size()) {
-        fs = Status::Corruption("index entry out of range");
-        break;
-      }
       filter_builder.StartBlock(e.offset);
-      std::string contents;
-      fs = fpga::DecodeStoredBlock(
-          Slice(table.data_memory.data() + e.offset,
-                e.size + kBlockTrailerSize),
-          /*verify_checksum=*/false, &contents);
-      if (!fs.ok()) break;
-      std::vector<fpga::ParsedEntry> entries;
-      fs = fpga::ParseBlockEntries(contents, &entries);
-      if (!fs.ok()) break;
-      for (const fpga::ParsedEntry& entry : entries) {
-        filter_builder.AddKey(entry.key);
+      BlockHandle handle;
+      handle.set_offset(e.offset);
+      handle.set_size(e.size);
+      s = walker.NextBlock(e.last_key, handle, &entries);
+      if (!s.ok()) return s;
+      for (const auto& entry : entries) {
+        filter_builder.AddKey(entry.first);
       }
     }
-    if (!fs.ok()) return fs;
     s = append_raw_block(filter_builder.Finish(), &filter_handle);
     if (!s.ok()) return s;
     has_filter = true;

@@ -11,7 +11,6 @@
 #include "lsm/builder.h"
 #include "lsm/db_iter.h"
 #include "lsm/filename.h"
-#include "lsm/integrity_scrubber.h"
 #include "lsm/log_reader.h"
 #include "lsm/memtable.h"
 #include "lsm/table_cache.h"
@@ -1023,6 +1022,28 @@ Status DBImpl::ScrubNow() {
   return RunScrubCycle();
 }
 
+namespace {
+
+// One table to verify: a value snapshot of its manifest facts, taken
+// under the DB mutex so VerifyTable can run with the mutex released. By
+// then the version may have moved on; callers re-check liveness before
+// acting on a failure.
+struct ScrubItem {
+  ScrubItem(const FileMetaData& f, RateLimiter* limiter) : number(f.number) {
+    spec.file_size = f.file_size;
+    spec.has_file_checksum = f.has_file_checksum;
+    spec.file_checksum = f.file_checksum;
+    spec.smallest = f.smallest.Encode().ToString();
+    spec.largest = f.largest.Encode().ToString();
+    spec.rate_limiter = limiter;
+  }
+
+  uint64_t number;
+  TableVerifySpec spec;
+};
+
+}  // namespace
+
 bool DBImpl::TableIsLive(uint64_t number) {
   // Requires mutex_ held.
   Version* v = versions_->current();
@@ -1051,10 +1072,13 @@ Status DBImpl::RunScrubCycle() {
     RepairQuarantinedFile(number);
   }
 
-  Version* base = versions_->current();
-  base->Ref();
-  std::vector<ScrubItem> items = IntegrityScrubber::BuildWorkList(base);
-  base->Unref();
+  // Every live table, shallowest level first.
+  std::vector<ScrubItem> items;
+  for (int level = 0; level < kNumLevels; level++) {
+    for (const FileMetaData* f : versions_->current()->files(level)) {
+      items.emplace_back(*f, options_.rate_limiter);
+    }
+  }
 
   obs::ScrubCycleInfo cycle;
   Status cycle_status;
@@ -1065,22 +1089,21 @@ Status DBImpl::RunScrubCycle() {
     if (versions_->quarantine()->Contains(item.number)) {
       continue;  // A repair already owns it.
     }
-    uint64_t bytes = 0;
+    TableVerifyReport report;
     Status s;
     {
       mutex_.Unlock();
-      s = IntegrityScrubber::VerifyItem(env_, options_, dbname_,
-                                        &internal_comparator_,
-                                        options_.rate_limiter, item, &bytes);
+      s = VerifyTable(env_, options_, TableFileName(dbname_, item.number),
+                      item.spec, &report);
       mutex_.Lock();
     }
     if (!s.ok() && !TableIsLive(item.number)) {
       continue;  // Compacted away while the mutex was down; stale item.
     }
     cycle.files_scanned++;
-    cycle.bytes_scanned += bytes;
+    cycle.bytes_scanned += report.bytes;
     metrics_->counter("scrub.files_verified")->Increment();
-    metrics_->counter("scrub.bytes_verified")->Increment(bytes);
+    metrics_->counter("scrub.bytes_verified")->Increment(report.bytes);
     if (s.IsCorruption()) {
       cycle.corruptions_found++;
       if (HandleCorruptTable(item.number, "scrub", s)) {
@@ -1225,12 +1248,12 @@ void DBImpl::RepairQuarantinedFile(uint64_t number) {
     // version in one atomic edit.
     VersionEdit edit;
     edit.RemoveFile(level, number);
-    if (s.ok() && !salvage.empty) {
+    if (s.ok() && salvage.walk.entries > 0) {
       FileMetaData f;
       f.number = salvage_number;
       f.file_size = salvage.file_size;
-      f.smallest.DecodeFrom(salvage.smallest);
-      f.largest.DecodeFrom(salvage.largest);
+      f.smallest.DecodeFrom(salvage.walk.smallest);
+      f.largest.DecodeFrom(salvage.walk.largest);
       f.file_checksum = salvage.file_checksum;
       f.has_file_checksum = true;
       edit.AddFile(level, f);
@@ -1251,7 +1274,7 @@ void DBImpl::RepairQuarantinedFile(uint64_t number) {
         "repair", "db", obs::TraceNowMicros(), 0,
         {{"file", std::to_string(number)},
          {"level", std::to_string(level)},
-         {"salvaged_entries", std::to_string(salvage.entries)},
+         {"salvaged_entries", std::to_string(salvage.walk.entries)},
          {"dropped_blocks", std::to_string(salvage.dropped_blocks)}});
     // The corrupt physical file is unreferenced now; reclaim it.
     RemoveObsoleteFiles();
@@ -1279,15 +1302,7 @@ void DBImpl::ContainCompactionCorruption(Compaction* c, const Status& s,
   std::vector<ScrubItem> items;
   for (int which = 0; which < 2; which++) {
     for (const FileMetaData* f : c->inputs(which)) {
-      ScrubItem item;
-      item.level = c->level() + which;
-      item.number = f->number;
-      item.file_size = f->file_size;
-      item.has_file_checksum = f->has_file_checksum;
-      item.file_checksum = f->file_checksum;
-      item.smallest = f->smallest.Encode().ToString();
-      item.largest = f->largest.Encode().ToString();
-      items.push_back(std::move(item));
+      items.emplace_back(*f, options_.rate_limiter);
     }
   }
   bool any_corrupt = false;
@@ -1296,9 +1311,8 @@ void DBImpl::ContainCompactionCorruption(Compaction* c, const Status& s,
     Status vs;
     {
       mutex_.Unlock();
-      vs = IntegrityScrubber::VerifyItem(env_, options_, dbname_,
-                                         &internal_comparator_,
-                                         options_.rate_limiter, item, nullptr);
+      vs = VerifyTable(env_, options_, TableFileName(dbname_, item.number),
+                       item.spec, nullptr);
       mutex_.Lock();
     }
     if (vs.IsCorruption()) {

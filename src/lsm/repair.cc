@@ -14,6 +14,7 @@
 #include "lsm/version_edit.h"
 #include "lsm/write_batch.h"
 #include "table/iterator.h"
+#include "table/table_verifier.h"
 #include "util/env.h"
 
 namespace fcae {
@@ -179,60 +180,29 @@ class Repairer {
     TableInfo t;
     t.meta.number = number;
     std::string fname = TableFileName(dbname_, number);
-    uint64_t file_size = 0;
-    Status status = env_->GetFileSize(fname, &file_size);
-    t.meta.file_size = file_size;
-
+    // With no manifest facts the structural walk decides alone. It
+    // checks every block CRC regardless of Options::paranoid_checks, so
+    // repair never resurrects rotten bytes.
+    TableVerifyReport report;
+    Status status = env_->GetFileSize(fname, &t.meta.file_size);
     if (status.ok()) {
-      // Extract metadata by scanning through table. Salvage must not
-      // resurrect rotten bytes, so block CRCs are always verified here
-      // regardless of Options::paranoid_checks.
-      ReadOptions scan_options;
-      scan_options.verify_checksums = true;
-      int counter = 0;
-      Iterator* iter = table_cache_->NewIterator(
-          scan_options, t.meta.number, t.meta.file_size);
-      bool empty = true;
-      ParsedInternalKey parsed;
-      t.max_sequence = 0;
-      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-        Slice key = iter->key();
-        if (!ParseInternalKey(key, &parsed)) {
-          std::fprintf(stderr, "Table #%llu: unparsable key\n",
-                       static_cast<unsigned long long>(t.meta.number));
-          continue;
-        }
-
-        counter++;
-        if (empty) {
-          empty = false;
-          t.meta.smallest.DecodeFrom(key);
-        }
-        t.meta.largest.DecodeFrom(key);
-        if (parsed.sequence > t.max_sequence) {
-          t.max_sequence = parsed.sequence;
-        }
-      }
-      if (!iter->status().ok()) {
-        status = iter->status();
-      }
-      delete iter;
-      if (empty && status.ok()) {
-        status = Status::Corruption("table holds no parsable entries");
-      }
-      std::fprintf(stderr, "Table #%llu: %d entries %s\n",
-                   static_cast<unsigned long long>(t.meta.number), counter,
-                   status.ToString().c_str());
+      status = VerifyTable(env_, options_, fname, TableVerifySpec(), &report);
     }
+    if (status.ok() && report.walk.entries == 0) {
+      status = Status::Corruption("table holds no entries");
+    }
+    std::fprintf(stderr, "Table #%llu: %llu entries %s\n",
+                 static_cast<unsigned long long>(number),
+                 static_cast<unsigned long long>(report.walk.entries),
+                 status.ToString().c_str());
     if (status.ok()) {
+      t.meta.smallest.DecodeFrom(report.walk.smallest);
+      t.meta.largest.DecodeFrom(report.walk.largest);
+      t.max_sequence = report.walk.max_sequence;
       tables_.push_back(t);
     } else {
-      RepairTable(fname);  // Moves the bad table aside.
+      ArchiveFile(fname);  // Moves the bad table aside.
     }
-  }
-
-  void RepairTable(const std::string& src) {
-    ArchiveFile(src);
   }
 
   Status WriteDescriptor() {

@@ -73,6 +73,41 @@ bool BlockTrailerMatches(const char* data, size_t n) {
          crc32c::Unmask(DecodeFixed32(data + n + 1));
 }
 
+Status DecodeBlock(const Slice& stored, bool verify_checksum,
+                   BlockContents* result) {
+  result->data = Slice();
+  result->cachable = false;
+  result->heap_allocated = false;
+  const char* data = stored.data();
+  const size_t n = stored.size() - kBlockTrailerSize;
+  if (verify_checksum && !BlockTrailerMatches(data, n)) {
+    return Status::Corruption("block checksum mismatch");
+  }
+
+  switch (data[n]) {
+    case kNoCompression:
+      result->data = Slice(data, n);
+      return Status::OK();
+    case kSnappyCompression: {
+      size_t ulength = 0;
+      if (!snappy::GetUncompressedLength(data, n, &ulength)) {
+        return Status::Corruption("corrupted compressed block contents");
+      }
+      char* ubuf = new char[ulength];
+      if (!snappy::Uncompress(data, n, ubuf)) {
+        delete[] ubuf;
+        return Status::Corruption("corrupted compressed block contents");
+      }
+      result->data = Slice(ubuf, ulength);
+      result->heap_allocated = true;
+      result->cachable = true;
+      return Status::OK();
+    }
+    default:
+      return Status::Corruption("bad block type");
+  }
+}
+
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result) {
   result->data = Slice();
@@ -88,63 +123,26 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
     FCAE_IOSTATS_TIMER_GUARD(read_timer, read_micros);
     s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf);
   }
-  if (!s.ok()) {
-    delete[] buf;
-    return s;
-  }
-  FCAE_IOSTATS_COUNT(bytes_read, contents.size());
-  if (contents.size() != n + kBlockTrailerSize) {
-    delete[] buf;
-    return Status::Corruption("truncated block read");
-  }
-
-  // Check the crc of the type and the block contents.
-  const char* data = contents.data();
-  if (options.verify_checksums && !BlockTrailerMatches(data, n)) {
-    delete[] buf;
-    return Status::Corruption("block checksum mismatch");
-  }
-
-  switch (data[n]) {
-    case kNoCompression:
-      if (data != buf) {
-        // File implementation gave us a pointer to some other data.
-        // Use it directly under the assumption that it will be live while
-        // the file is open.
-        delete[] buf;
-        result->data = Slice(data, n);
-        result->heap_allocated = false;
-        result->cachable = false;  // Do not double-cache.
-      } else {
-        result->data = Slice(buf, n);
-        result->heap_allocated = true;
-        result->cachable = true;
-      }
-      break;
-    case kSnappyCompression: {
-      size_t ulength = 0;
-      if (!snappy::GetUncompressedLength(data, n, &ulength)) {
-        delete[] buf;
-        return Status::Corruption("corrupted compressed block contents");
-      }
-      char* ubuf = new char[ulength];
-      if (!snappy::Uncompress(data, n, ubuf)) {
-        delete[] buf;
-        delete[] ubuf;
-        return Status::Corruption("corrupted compressed block contents");
-      }
-      delete[] buf;
-      result->data = Slice(ubuf, ulength);
-      result->heap_allocated = true;
-      result->cachable = true;
-      break;
+  if (s.ok()) {
+    FCAE_IOSTATS_COUNT(bytes_read, contents.size());
+    if (contents.size() != n + kBlockTrailerSize) {
+      s = Status::Corruption("truncated block read");
     }
-    default:
-      delete[] buf;
-      return Status::Corruption("bad block type");
   }
-
-  return Status::OK();
+  if (s.ok()) {
+    s = DecodeBlock(contents, options.verify_checksums, result);
+  }
+  if (s.ok() && result->data.data() == buf) {
+    // An uncompressed block read into buf: the caller now owns buf.
+    result->heap_allocated = true;
+    result->cachable = true;
+  } else {
+    // Either the block was decompressed into its own buffer, or the
+    // file handed back a pointer to its own data, which stays live
+    // while the file is open (and must not be double-cached).
+    delete[] buf;
+  }
+  return s;
 }
 
 }  // namespace fcae

@@ -81,9 +81,16 @@ struct BlockContents {
   bool heap_allocated;  // True iff caller should delete[] data.data().
 };
 
-/// Reads the block identified by `handle` from `file`, verifying the
-/// trailer checksum when options.verify_checksums is set, and
-/// decompressing if needed.
+/// Decodes the stored block `stored` (contents, then a whole trailer):
+/// checks the trailer checksum when `verify_checksum` is set and
+/// decompresses if needed. An uncompressed block's result->data points
+/// into `stored`.
+Status DecodeBlock(const Slice& stored, bool verify_checksum,
+                   BlockContents* result);
+
+/// Reads the block identified by `handle` from `file` and decodes it
+/// with DecodeBlock, checking the trailer when options.verify_checksums
+/// is set.
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result);
 

@@ -1,16 +1,147 @@
 #include "table/table_verifier.h"
 
+#include <algorithm>
 #include <memory>
-#include <vector>
 
+#include "lsm/dbformat.h"
 #include "table/block.h"
-#include "table/format.h"
-#include "table/table.h"
 #include "table/table_builder.h"
 #include "util/comparator.h"
 #include "util/file_checksum.h"
 
 namespace fcae {
+
+Status BlockWalker::ReadBlock(const BlockHandle& handle,
+                              BlockContents* contents) const {
+  if (file_ != nullptr) {
+    ReadOptions options;
+    options.verify_checksums = true;
+    return fcae::ReadBlock(file_, options, handle, contents);
+  }
+  const uint64_t size = image_.size();
+  if (handle.offset() > size || size - handle.offset() < kBlockTrailerSize ||
+      handle.size() > size - handle.offset() - kBlockTrailerSize) {
+    return Status::Corruption("block handle out of bounds");
+  }
+  return DecodeBlock(Slice(image_.data() + handle.offset(),
+                           handle.size() + kBlockTrailerSize),
+                     /*verify_checksum=*/true, contents);
+}
+
+Status BlockWalker::NextBlock(
+    const Slice& separator, const BlockHandle& handle,
+    std::vector<std::pair<std::string, std::string>>* entries) {
+  if (entries != nullptr) {
+    entries->clear();
+  }
+  // Parse before comparing: the comparator reads a key's last 8 bytes.
+  ParsedInternalKey parsed;
+  if (!ParseInternalKey(separator, &parsed)) {
+    return Status::Corruption("index separator is not an internal key");
+  }
+  BlockContents contents;
+  Status s = ReadBlock(handle, &contents);
+  if (!s.ok()) {
+    return s;
+  }
+  Block block(contents);
+  std::unique_ptr<Iterator> iter(block.NewIterator(icmp_));
+  // Work on copies so a failed block leaves the walk as it was.
+  std::string first;
+  std::string last = stats_.largest;
+  uint64_t count = 0;
+  uint64_t max_sequence = stats_.max_sequence;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    const Slice key = iter->key();
+    if (!ParseInternalKey(key, &parsed)) {
+      return Status::Corruption("block key is not an internal key");
+    }
+    if (!last.empty() && icmp_->Compare(last, key) >= 0) {
+      return Status::Corruption("keys out of order");
+    }
+    if (count == 0) {
+      if (!separator_.empty() && icmp_->Compare(separator_, key) >= 0) {
+        return Status::Corruption(
+            "index separator not below the next block's first key");
+      }
+      first.assign(key.data(), key.size());
+    }
+    last.assign(key.data(), key.size());
+    max_sequence = std::max(max_sequence, parsed.sequence);
+    count++;
+    if (entries != nullptr) {
+      entries->emplace_back(key.ToString(), iter->value().ToString());
+    }
+  }
+  if (!iter->status().ok()) {
+    return iter->status();
+  }
+  if (count == 0) {
+    return Status::Corruption("data block has no entries");
+  }
+  if (icmp_->Compare(separator, last) < 0) {
+    return Status::Corruption("index separator below its block's last key");
+  }
+  if (stats_.blocks == 0) {
+    stats_.smallest = std::move(first);
+  }
+  stats_.largest = std::move(last);
+  stats_.max_sequence = max_sequence;
+  stats_.entries += count;
+  stats_.blocks++;
+  separator_.assign(separator.data(), separator.size());
+  return Status::OK();
+}
+
+namespace {
+
+// Reads the footer of the table in file[0, file_size) and its index
+// block, CRC checked.
+Status ReadFooterAndIndex(RandomAccessFile* file, const BlockWalker& walker,
+                          uint64_t file_size, Footer* footer,
+                          BlockContents* index) {
+  if (file_size < Footer::kEncodedLength) {
+    return Status::Corruption("file too short to be a table");
+  }
+  char footer_space[Footer::kEncodedLength];
+  Slice footer_input;
+  Status s = file->Read(file_size - Footer::kEncodedLength,
+                        Footer::kEncodedLength, &footer_input, footer_space);
+  if (s.ok()) {
+    s = footer->DecodeFrom(&footer_input);
+  }
+  if (s.ok()) {
+    s = walker.ReadBlock(footer->index_handle(), index);
+  }
+  return s;
+}
+
+// Checks the CRCs of the metaindex block and of every block it names
+// (the filter), which the data walk never reads.
+Status CheckMetaBlocks(const BlockWalker& walker, const BlockHandle& handle) {
+  BlockContents contents;
+  Status s = walker.ReadBlock(handle, &contents);
+  if (!s.ok()) {
+    return s;
+  }
+  Block metaindex(contents);
+  std::unique_ptr<Iterator> iter(metaindex.NewIterator(BytewiseComparator()));
+  for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
+    BlockHandle meta_handle;
+    Slice handle_value = iter->value();
+    s = meta_handle.DecodeFrom(&handle_value);
+    BlockContents meta;
+    if (s.ok()) {
+      s = walker.ReadBlock(meta_handle, &meta);
+    }
+    if (s.ok() && meta.heap_allocated) {
+      delete[] meta.data.data();
+    }
+  }
+  return s.ok() ? iter->status() : s;
+}
+
+}  // namespace
 
 Status VerifyTable(Env* env, const Options& options, const std::string& fname,
                    const TableVerifySpec& spec, TableVerifyReport* report) {
@@ -31,7 +162,7 @@ Status VerifyTable(Env* env, const Options& options, const std::string& fname,
 
   // Stage 2: whole-file crc32c against the install-time checksum. This
   // catches any flipped byte anywhere, including regions the structural
-  // pass cannot cover (block trailers, footer padding).
+  // pass cannot cover (footer padding).
   if (spec.has_file_checksum) {
     uint32_t crc = 0;
     s = ComputeFileChecksum(env, fname, spec.rate_limiter, &crc, &rep->bytes);
@@ -44,56 +175,57 @@ Status VerifyTable(Env* env, const Options& options, const std::string& fname,
     }
   }
 
-  // Stage 3: structural scan — footer, index, per-block trailer CRCs,
-  // strict key order, and bounds-vs-manifest invariants.
+  // Stage 3: structural walk — footer, index and meta blocks, every data
+  // block, and the walked key range against the manifest bounds.
   RandomAccessFile* raw_file = nullptr;
   s = env->NewRandomAccessFile(fname, &raw_file);
   if (!s.ok()) {
     return s;
   }
   std::unique_ptr<RandomAccessFile> file(raw_file);
-  Table* raw_table = nullptr;
-  s = Table::Open(options, file.get(), actual_size, &raw_table);
+  const Comparator* cmp = options.comparator;
+  BlockWalker walker(file.get(), cmp);
+  Footer footer;
+  BlockContents index_contents;
+  s = ReadFooterAndIndex(file.get(), walker, actual_size, &footer,
+                         &index_contents);
   if (!s.ok()) {
     return s;
   }
-  std::unique_ptr<Table> table(raw_table);
-
-  const Comparator* cmp =
-      (spec.comparator != nullptr) ? spec.comparator : options.comparator;
-  ReadOptions read_options;
-  read_options.verify_checksums = true;
-  read_options.fill_cache = false;
-  std::unique_ptr<Iterator> iter(table->NewIterator(read_options));
-  std::string prev_key;
-  bool has_prev = false;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    const Slice key = iter->key();
-    if (cmp != nullptr) {
-      if (has_prev && cmp->Compare(Slice(prev_key), key) >= 0) {
-        return Status::Corruption(fname, "keys out of order");
-      }
-      if (!has_prev && !spec.smallest.empty() &&
-          cmp->Compare(key, Slice(spec.smallest)) < 0) {
-        return Status::Corruption(fname, "key below manifest smallest bound");
-      }
-      if (!spec.largest.empty() &&
-          cmp->Compare(key, Slice(spec.largest)) > 0) {
-        return Status::Corruption(fname, "key above manifest largest bound");
-      }
+  Block index(index_contents);
+  s = CheckMetaBlocks(walker, footer.metaindex_handle());
+  std::unique_ptr<Iterator> iter(index.NewIterator(cmp));
+  for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
+    BlockHandle handle;
+    Slice handle_value = iter->value();
+    s = handle.DecodeFrom(&handle_value);
+    if (s.ok()) {
+      s = walker.NextBlock(iter->key(), handle, nullptr);
     }
-    prev_key.assign(key.data(), key.size());
-    has_prev = true;
-    rep->entries++;
   }
-  return iter->status();
+  if (s.ok()) {
+    s = iter->status();
+  }
+  rep->walk = walker.stats();
+  if (!s.ok()) {
+    return s;
+  }
+  const BlockWalkStats& walk = walker.stats();
+  if (walk.entries > 0 && !spec.smallest.empty() &&
+      cmp->Compare(walk.smallest, spec.smallest) < 0) {
+    return Status::Corruption(fname, "key below manifest smallest bound");
+  }
+  if (walk.entries > 0 && !spec.largest.empty() &&
+      cmp->Compare(walk.largest, spec.largest) > 0) {
+    return Status::Corruption(fname, "key above manifest largest bound");
+  }
+  return Status::OK();
 }
 
 Status SalvageTable(Env* env, const Options& options,
                     const std::string& src_fname, uint64_t src_file_size,
                     const std::string& dst_fname, SalvageResult* result) {
   *result = SalvageResult();
-  const Comparator* cmp = options.comparator;
 
   RandomAccessFile* raw_file = nullptr;
   Status s = env->NewRandomAccessFile(src_fname, &raw_file);
@@ -108,31 +240,15 @@ Status SalvageTable(Env* env, const Options& options,
       return s;
     }
   }
-  if (src_file_size < Footer::kEncodedLength) {
-    return Status::Corruption(src_fname, "file too short to be a table");
-  }
 
   // Footer and index must be readable: they are the map to everything
   // else. When they are the damaged part there is nothing to salvage —
   // the caller drops the file and relies on surviving copies.
-  char footer_space[Footer::kEncodedLength];
-  Slice footer_input;
-  s = file->Read(src_file_size - Footer::kEncodedLength,
-                 Footer::kEncodedLength, &footer_input, footer_space);
-  if (!s.ok()) {
-    return s;
-  }
+  BlockWalker walker(file.get(), options.comparator);
   Footer footer;
-  s = footer.DecodeFrom(&footer_input);
-  if (!s.ok()) {
-    return s;
-  }
-
-  ReadOptions read_options;
-  read_options.verify_checksums = true;
   BlockContents index_contents;
-  s = ReadBlock(file.get(), read_options, footer.index_handle(),
-                &index_contents);
+  s = ReadFooterAndIndex(file.get(), walker, src_file_size, &footer,
+                         &index_contents);
   if (!s.ok()) {
     return s;
   }
@@ -147,70 +263,37 @@ Status SalvageTable(Env* env, const Options& options,
   std::unique_ptr<WritableFile> out_guard(out);
   TableBuilder builder(options, out);
 
-  std::string last_added;
-  bool has_last_added = false;
-  std::unique_ptr<Iterator> index_iter(index_block.NewIterator(cmp));
+  // Copy only the blocks the walker passes; a block that fails any
+  // check is the rot and is dropped whole.
+  std::vector<std::pair<std::string, std::string>> entries;
+  std::unique_ptr<Iterator> index_iter(
+      index_block.NewIterator(options.comparator));
   for (index_iter->SeekToFirst(); index_iter->Valid(); index_iter->Next()) {
     BlockHandle handle;
     Slice handle_value = index_iter->value();
-    if (!handle.DecodeFrom(&handle_value).ok()) {
-      result->dropped_blocks++;
-      continue;
-    }
-    BlockContents contents;
-    if (!ReadBlock(file.get(), read_options, handle, &contents).ok()) {
-      // Trailer CRC (or the read itself) failed: this block is the rot.
-      result->dropped_blocks++;
-      continue;
-    }
-    Block block(contents);
-    // Admit the block only if *all* of it is clean and in order — a
-    // half-copied block could smuggle garbage past the per-block CRC
-    // (e.g. a corrupt restart array that parses but misorders keys).
-    std::vector<std::pair<std::string, std::string>> entries;
-    std::unique_ptr<Iterator> block_iter(block.NewIterator(cmp));
-    bool block_ok = true;
-    std::string prev = last_added;
-    bool has_prev = has_last_added;
-    for (block_iter->SeekToFirst(); block_iter->Valid(); block_iter->Next()) {
-      const Slice key = block_iter->key();
-      if (has_prev && cmp->Compare(Slice(prev), key) >= 0) {
-        block_ok = false;
-        break;
-      }
-      prev.assign(key.data(), key.size());
-      has_prev = true;
-      entries.emplace_back(key.ToString(), block_iter->value().ToString());
-    }
-    if (!block_ok || !block_iter->status().ok() || entries.empty()) {
+    if (!handle.DecodeFrom(&handle_value).ok() ||
+        !walker.NextBlock(index_iter->key(), handle, &entries).ok()) {
       result->dropped_blocks++;
       continue;
     }
     for (const auto& kv : entries) {
       builder.Add(Slice(kv.first), Slice(kv.second));
-      if (result->entries == 0) {
-        result->smallest = kv.first;
-      }
-      result->entries++;
     }
-    last_added = prev;
-    has_last_added = true;
   }
   if (!index_iter->status().ok()) {
     builder.Abandon();
     return index_iter->status();
   }
 
-  if (result->entries == 0) {
+  result->walk = walker.stats();
+  if (result->walk.entries == 0) {
     // Nothing rescued: leave no output behind.
     builder.Abandon();
     out_guard.reset();
     env->RemoveFile(dst_fname).IgnoreError();
-    result->empty = true;
     return Status::OK();
   }
 
-  result->largest = last_added;
   s = builder.Finish();
   if (s.ok()) {
     result->file_size = builder.FileSize();
@@ -224,7 +307,6 @@ Status SalvageTable(Env* env, const Options& options,
     env->RemoveFile(dst_fname).IgnoreError();
     return s;
   }
-  result->empty = false;
   return Status::OK();
 }
 
