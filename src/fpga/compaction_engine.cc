@@ -6,25 +6,16 @@
 #include "fpga/decoder.h"
 #include "fpga/encoder.h"
 #include "fpga/kv_transfer.h"
-#include "lsm/dbformat.h"
-#include "util/comparator.h"
 
 namespace fcae {
 namespace fpga {
 
-/// Owns the module graph and the Options the encoder's BlockBuilder
-/// needs (keys flowing through the engine are internal keys, so the
-/// builder is configured with the internal key comparator).
+/// Owns the module graph.
 struct CompactionEngine::Pipeline {
   Pipeline(const EngineConfig& config,
            const std::vector<const DeviceInput*>& inputs,
            uint64_t smallest_snapshot, bool drop_deletions,
-           DeviceOutput* output, const KeyBounds* bounds)
-      : icmp(BytewiseComparator()) {
-    table_options.comparator = &icmp;
-    table_options.block_restart_interval = 16;
-    table_options.block_size = config.data_block_threshold;
-
+           DeviceOutput* output, const KeyBounds* bounds) {
     for (size_t i = 0; i < inputs.size(); i++) {
       decoders.push_back(std::make_unique<InputDecoder>(
           config, inputs[i], static_cast<int>(i)));
@@ -36,8 +27,8 @@ struct CompactionEngine::Pipeline {
                                           smallest_snapshot, drop_deletions);
     transfer = std::make_unique<KeyValueTransfer>(config, comparer.get(),
                                                   decoder_ptrs, bounds);
-    encoder = std::make_unique<OutputEncoder>(config, table_options,
-                                              transfer.get(), output);
+    encoder =
+        std::make_unique<OutputEncoder>(config, transfer.get(), output);
   }
 
   /// Advances every module one cycle, downstream to upstream so freed
@@ -70,8 +61,6 @@ struct CompactionEngine::Pipeline {
     for (auto& decoder : decoders) decoder->SkipQuiet(n);
   }
 
-  InternalKeyComparator icmp;
-  Options table_options;
   std::vector<std::unique_ptr<InputDecoder>> decoders;
   std::unique_ptr<Comparer> comparer;
   std::unique_ptr<KeyValueTransfer> transfer;

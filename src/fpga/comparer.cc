@@ -1,9 +1,7 @@
 #include "fpga/comparer.h"
 
-#include <cstring>
-
 #include "fpga/decoder.h"
-#include "lsm/dbformat.h"
+#include "util/comparator.h"
 
 namespace fcae {
 namespace fpga {
@@ -27,53 +25,10 @@ Comparer::Comparer(const EngineConfig& config,
                    uint64_t smallest_snapshot, bool drop_deletions)
     : config_(config),
       inputs_(std::move(inputs)),
-      smallest_snapshot_(smallest_snapshot),
-      drop_deletions_(drop_deletions),
+      icmp_(BytewiseComparator()),
+      validity_check_(BytewiseComparator(), smallest_snapshot,
+                      drop_deletions),
       selection_fifo_(static_cast<size_t>(config.record_fifo_depth)) {}
-
-int Comparer::CompareInternalKeys(const std::string& a,
-                                  const std::string& b) {
-  // Hardware-friendly bytewise compare of the user keys, then the mark
-  // field compared in reverse (larger sequence/type first).
-  Slice ua = ExtractUserKey(a);
-  Slice ub = ExtractUserKey(b);
-  int r = ua.Compare(ub);
-  if (r != 0) {
-    return r;
-  }
-  uint64_t ma = ExtractMark(a);
-  uint64_t mb = ExtractMark(b);
-  if (ma > mb) return -1;
-  if (ma < mb) return +1;
-  return 0;
-}
-
-bool Comparer::CheckDrop(const std::string& internal_key) {
-  ParsedInternalKey parsed;
-  if (!ParseInternalKey(internal_key, &parsed)) {
-    // Do not hide corruption: forward unparsable keys untouched.
-    has_current_user_key_ = false;
-    last_sequence_for_key_ = kMaxSequenceNumber;
-    return false;
-  }
-
-  bool drop = false;
-  if (!has_current_user_key_ ||
-      parsed.user_key.Compare(Slice(current_user_key_)) != 0) {
-    current_user_key_.assign(parsed.user_key.data(), parsed.user_key.size());
-    has_current_user_key_ = true;
-    last_sequence_for_key_ = kMaxSequenceNumber;
-  }
-
-  if (last_sequence_for_key_ <= smallest_snapshot_) {
-    drop = true;  // Shadowed by a newer record for the same user key.
-  } else if (parsed.type == kTypeDeletion &&
-             parsed.sequence <= smallest_snapshot_ && drop_deletions_) {
-    drop = true;  // Obsolete deletion marker with no deeper data.
-  }
-  last_sequence_for_key_ = parsed.sequence;
-  return drop;
-}
 
 void Comparer::Tick() {
   if (selection_ready_) {
@@ -110,9 +65,8 @@ void Comparer::Tick() {
       continue;  // Fully drained lane: excluded from the tree.
     }
     if (best < 0 ||
-        CompareInternalKeys(input->key_stream().Front().internal_key,
-                            inputs_[best]->key_stream().Front().internal_key) <
-            0) {
+        icmp_.Compare(input->key_stream().Front().internal_key,
+                      inputs_[best]->key_stream().Front().internal_key) < 0) {
       best = static_cast<int>(i);
     }
   }
@@ -124,7 +78,7 @@ void Comparer::Tick() {
   pending_.input_no = best;
   pending_.key_length = static_cast<uint32_t>(record.key_length());
   pending_.value_length = static_cast<uint32_t>(record.value_length());
-  pending_.drop = CheckDrop(record.internal_key);
+  pending_.drop = validity_check_.ShouldDrop(record.internal_key);
 
   selections_made_++;
   if (pending_.drop) {

@@ -2,12 +2,12 @@
 #define FCAE_FPGA_COMPARER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "fpga/config.h"
 #include "fpga/kv_record.h"
 #include "fpga/sim/fifo.h"
+#include "lsm/dbformat.h"
 
 namespace fcae {
 namespace fpga {
@@ -17,8 +17,9 @@ class InputDecoder;
 /// The Comparer module (paper Section V-A): the Key Compare tree selects
 /// the smallest key across the N input key streams and the Validity
 /// Check inspects its mark fields to decide whether the record survives
-/// (drop superseded versions and obsolete deletion markers). The result
-/// — input number + drop flag — feeds the Key-Value Transfer.
+/// (drop superseded versions and obsolete deletion markers, by the
+/// CompactionDropRule both CPU merges use). The result — input number +
+/// drop flag — feeds the Key-Value Transfer.
 ///
 /// Timing: (2 + ceil(log2 N)) * L_key cycles per selection ("key read +
 /// key compare + check key if existing", Table II); when key-value
@@ -50,33 +51,20 @@ class Comparer {
   uint64_t wait_cycles() const { return wait_cycles_; }
 
  private:
-  /// Compares two internal keys: user key ascending, mark descending.
-  static int CompareInternalKeys(const std::string& a, const std::string& b);
-
-  /// The Validity Check: decides whether the selected record is dropped.
-  bool CheckDrop(const std::string& internal_key);
-
   /// True when some input has no key at its head yet but is not
   /// exhausted: the compare tree waits for it.
   bool WaitingForLane() const;
 
   const EngineConfig& config_;
   std::vector<InputDecoder*> inputs_;
-  const uint64_t smallest_snapshot_;
-  const bool drop_deletions_;
+  const InternalKeyComparator icmp_;  // Over bytewise user keys.
+  CompactionDropRule validity_check_;
 
   Fifo<Selection> selection_fifo_;
 
   uint64_t busy_ = 0;
   bool selection_ready_ = false;
   Selection pending_;
-
-  // Validity Check state: tracks the user key last seen and the
-  // sequence of its previous occurrence (identical rule to the CPU
-  // executor so both paths produce the same output tables).
-  std::string current_user_key_;
-  bool has_current_user_key_ = false;
-  uint64_t last_sequence_for_key_ = ~0ull;
 
   uint64_t selections_made_ = 0;
   uint64_t busy_cycles_ = 0;

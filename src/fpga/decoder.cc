@@ -1,9 +1,11 @@
 #include "fpga/decoder.h"
 
 #include <algorithm>
+#include <memory>
 
+#include "table/block.h"
 #include "table/format.h"
-#include "util/coding.h"
+#include "util/comparator.h"
 
 namespace fcae {
 namespace fpga {
@@ -11,6 +13,19 @@ namespace fpga {
 namespace {
 
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
+
+// Reads the block `handle` addresses in `image`, trailer checked, and
+// appends its records.
+Status ReadRecords(const Slice& image, const BlockHandle& handle,
+                   std::vector<KvRecord>* records) {
+  std::unique_ptr<Iterator> iter(
+      NewImageBlockIterator(image, handle, BytewiseComparator()));
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    records->push_back(
+        KvRecord{iter->key().ToString(), iter->value().ToString()});
+  }
+  return iter->status();
+}
 
 }  // namespace
 
@@ -32,20 +47,11 @@ bool InputDecoder::LoadNextIndexBlock() {
     next_sstable_++;
     sstable_data_base_ = desc.data_offset;
 
-    if (desc.index_offset + desc.index_size > input_->index_memory.size()) {
-      status_ = Status::Corruption("index block outside staged memory");
-      return false;
-    }
-    Slice stored(input_->index_memory.data() + desc.index_offset,
-                 static_cast<size_t>(desc.index_size));
-    std::string contents;
-    Status s = DecodeStoredBlock(stored, /*verify_checksum=*/true, &contents);
-    if (!s.ok()) {
-      status_ = s;
-      return false;
-    }
-    std::vector<ParsedEntry> entries;
-    s = ParseBlockEntries(contents, &entries);
+    BlockHandle index_handle;
+    index_handle.set_offset(desc.index_offset);
+    index_handle.set_size(desc.index_size - kBlockTrailerSize);
+    std::vector<KvRecord> entries;
+    Status s = ReadRecords(input_->index_memory, index_handle, &entries);
     if (!s.ok()) {
       status_ = s;
       return false;
@@ -53,7 +59,7 @@ bool InputDecoder::LoadNextIndexBlock() {
 
     block_handles_.clear();
     next_handle_ = 0;
-    for (const ParsedEntry& e : entries) {
+    for (const KvRecord& e : entries) {
       Slice handle_input(e.value);
       BlockHandle handle;
       if (!handle.DecodeFrom(&handle_input).ok()) {
@@ -111,7 +117,7 @@ void InputDecoder::TickFetcher() {
     return;  // Prefetch window full.
   }
   if (!config_.BlocksSeparated() &&
-      (!block_fifo_.Empty() || next_entry_ < current_entries_.size() ||
+      (!block_fifo_.Empty() || next_record_ < current_records_.size() ||
        decode_busy_ > 0 || record_ready_)) {
     // The basic design has a single read pointer: the next fetch cannot
     // start until the current block is completely decoded (paper
@@ -123,29 +129,19 @@ void InputDecoder::TickFetcher() {
   const auto [offset, size] = block_handles_[next_handle_];
   next_handle_++;
 
-  const uint64_t stored_size = size + kBlockTrailerSize;
-  const uint64_t start = sstable_data_base_ + offset;
-  if (start + stored_size > input_->data_memory.size()) {
-    status_ = Status::Corruption("data block outside staged memory");
-    return;
-  }
-
   // Functional decode of the block happens when the fetch completes.
-  Slice stored(input_->data_memory.data() + start,
-               static_cast<size_t>(stored_size));
-  std::string contents;
-  Status s = DecodeStoredBlock(stored, /*verify_checksum=*/true, &contents);
-  if (!s.ok()) {
-    status_ = s;
-    return;
-  }
+  BlockHandle handle;
+  handle.set_offset(sstable_data_base_ + offset);
+  handle.set_size(size);
   fetching_block_ = PendingBlock();
-  fetching_block_.stored_size = stored_size;
-  s = ParseBlockEntries(contents, &fetching_block_.entries);
+  Status s =
+      ReadRecords(input_->data_memory, handle, &fetching_block_.records);
   if (!s.ok()) {
     status_ = s;
     return;
   }
+  const uint64_t stored_size = size + kBlockTrailerSize;
+  fetching_block_.stored_size = stored_size;
 
   bytes_fetched_ += stored_size;
 
@@ -195,7 +191,7 @@ void InputDecoder::TickDecoder() {
   }
 
   // Start decoding the next record.
-  if (next_entry_ >= current_entries_.size()) {
+  if (next_record_ >= current_records_.size()) {
     if (!block_fifo_.CanPop()) {
       if (!Exhausted()) {
         fetch_stall_cycles_++;
@@ -203,21 +199,19 @@ void InputDecoder::TickDecoder() {
       return;
     }
     PendingBlock block = block_fifo_.Pop();
-    current_entries_ = std::move(block.entries);
-    next_entry_ = 0;
-    if (current_entries_.empty()) {
+    current_records_ = std::move(block.records);
+    next_record_ = 0;
+    if (current_records_.empty()) {
       return;
     }
   }
 
-  const ParsedEntry& entry = current_entries_[next_entry_++];
-  pending_record_.internal_key = entry.key;
-  pending_record_.value = entry.value;
+  pending_record_ = std::move(current_records_[next_record_++]);
 
   // Table III: decoding key (1 byte/cycle) + value read (V bytes/cycle).
-  const uint64_t key_cycles = entry.key.size();
-  const uint64_t value_cycles =
-      CeilDiv(entry.value.size(), config_.EffectiveValueWidth());
+  const uint64_t key_cycles = pending_record_.key_length();
+  const uint64_t value_cycles = CeilDiv(pending_record_.value_length(),
+                                        config_.EffectiveValueWidth());
   decode_busy_ = key_cycles + value_cycles;
   if (decode_busy_ == 0) decode_busy_ = 1;
 }
@@ -239,7 +233,8 @@ uint64_t InputDecoder::QuietCycles() const {
     }
   } else if (decode_busy_ > 0) {
     decoder = decode_busy_ - 1;
-  } else if (next_entry_ >= current_entries_.size() && !block_fifo_.CanPop()) {
+  } else if (next_record_ >= current_records_.size() &&
+             !block_fifo_.CanPop()) {
     decoder = kQuietForever;
   }
 
@@ -258,7 +253,7 @@ uint64_t InputDecoder::QuietCycles() const {
     if (next_sstable_ >= input_->sstables.size()) fetcher = kQuietForever;
   } else if (!block_fifo_.CanPush() ||
              (!config_.BlocksSeparated() &&
-              (!block_fifo_.Empty() || next_entry_ < current_entries_.size() ||
+              (!block_fifo_.Empty() || next_record_ < current_records_.size() ||
                decode_busy_ > 0 || record_ready_))) {
     fetcher = kQuietForever;
   }
@@ -288,7 +283,7 @@ bool InputDecoder::Exhausted() const {
   }
   return next_sstable_ >= input_->sstables.size() &&
          next_handle_ >= block_handles_.size() && !fetch_in_flight_ &&
-         block_fifo_.Empty() && next_entry_ >= current_entries_.size() &&
+         block_fifo_.Empty() && next_record_ >= current_records_.size() &&
          decode_busy_ == 0 && !record_ready_;
 }
 

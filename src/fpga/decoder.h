@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "fpga/block_parse.h"
 #include "fpga/config.h"
 #include "fpga/device_memory.h"
 #include "fpga/kv_record.h"
@@ -77,8 +76,8 @@ class InputDecoder {
 
  private:
   struct PendingBlock {
-    uint64_t stored_size = 0;           // Bytes incl. trailer (fetch cost).
-    std::vector<ParsedEntry> entries;   // Functional contents.
+    uint64_t stored_size = 0;        // Bytes incl. trailer (fetch cost).
+    std::vector<KvRecord> records;  // Functional contents.
   };
 
   /// Loads the next SSTable's index block (functional part); returns
@@ -111,8 +110,8 @@ class InputDecoder {
   PendingBlock fetching_block_;
 
   // --- Data Block Decoder state ---
-  std::vector<ParsedEntry> current_entries_;
-  size_t next_entry_ = 0;
+  std::vector<KvRecord> current_records_;
+  size_t next_record_ = 0;
   uint64_t decode_busy_ = 0;     // Cycles left on the current record.
   bool record_ready_ = false;    // Decoded record awaiting FIFO space.
   KvRecord pending_record_;

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 
-#include "compress/snappy.h"
 #include "fpga/kv_transfer.h"
+#include "lsm/dbformat.h"
 #include "table/format.h"
+#include "util/comparator.h"
 
 namespace fcae {
 namespace fpga {
@@ -13,103 +14,127 @@ namespace {
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 }  // namespace
 
-OutputEncoder::OutputEncoder(const EngineConfig& config,
-                             const Options& table_options,
-                             KeyValueTransfer* transfer, DeviceOutput* output)
-    : config_(config),
-      table_options_(table_options),
-      transfer_(transfer),
+OutputTableWriter::OutputTableWriter(size_t data_block_threshold,
+                                     size_t sstable_threshold, bool compress,
+                                     DeviceOutput* output)
+    : data_block_threshold_(data_block_threshold),
+      sstable_threshold_(sstable_threshold),
+      compress_(compress),
       output_(output),
-      block_builder_(new BlockBuilder(&table_options_)),
-      write_queue_(4) {}
-
-OutputEncoder::~OutputEncoder() = default;
-
-void OutputEncoder::FlushBlock() {
-  if (block_builder_->empty()) {
-    return;
-  }
-  Slice raw = block_builder_->Finish();
-
-  Slice block_contents;
-  CompressionType type = kNoCompression;
-  if (config_.compress_output) {
-    snappy::Compress(raw.data(), raw.size(), &compression_scratch_);
-    if (compression_scratch_.size() < raw.size() - (raw.size() / 8u)) {
-      block_contents = compression_scratch_;
-      type = kSnappyCompression;
-    } else {
-      block_contents = raw;
-    }
-  } else {
-    block_contents = raw;
-  }
-
-  // Append stored block + trailer to the output table's data memory,
-  // exactly as TableBuilder::WriteRawBlock does on the host.
-  OutputIndexEntry entry;
-  entry.last_key = block_last_key_;
-  entry.offset = current_table_.data_memory.size();
-  entry.size = block_contents.size();
-
-  current_table_.data_memory.append(block_contents.data(),
-                                    block_contents.size());
-  char trailer[kBlockTrailerSize];
-  EncodeBlockTrailer(block_contents, type, trailer);
-  current_table_.data_memory.append(trailer, kBlockTrailerSize);
-
-  current_table_.index_entries.push_back(std::move(entry));
-
-  // Index Block Encoder: eager writeback when separated; BRAM
-  // accumulation otherwise (paper Section V-B2).
-  const size_t index_entry_bytes = block_last_key_.size() + 16;
-  if (config_.BlocksSeparated()) {
-    if (write_queue_.CanPush()) {
-      write_queue_.Push(QueuedWrite{index_entry_bytes});
-    } else {
-      // Fold into the block's own write when the port queue is full.
-    }
-  } else {
-    bram_index_bytes_ += index_entry_bytes;
-    if (bram_index_bytes_ > bram_index_bytes_peak_) {
-      bram_index_bytes_peak_ = bram_index_bytes_;
-    }
-  }
-
-  // Queue the data block write (payload + trailer through the upsizer).
-  const uint64_t stored = block_contents.size() + kBlockTrailerSize;
-  bytes_written_ += stored;
-  if (write_queue_.CanPush()) {
-    write_queue_.Push(QueuedWrite{stored});
-  } else {
-    // The write port is saturated: the encoder stalls for the whole
-    // transfer instead of queueing (models output buffer overflow).
-    busy_ += config_.dram_read_latency +
-             CeilDiv(stored, config_.EffectiveOutputWidth());
-    write_stall_cycles_ += busy_;
-  }
-  blocks_emitted_++;
-
-  block_builder_->Reset();
-  block_first_key_.clear();
-  block_last_key_.clear();
+      block_(&block_options_) {
+  // Keys are internal keys.
+  static const InternalKeyComparator* icmp =
+      new InternalKeyComparator(BytewiseComparator());
+  block_options_.comparator = icmp;
+  block_options_.block_restart_interval = 16;
 }
 
-void OutputEncoder::FinishTable() {
-  FlushBlock();
+OutputTableWriter::Closed OutputTableWriter::Add(const Slice& key,
+                                                 const Slice& value) {
+  if (!table_open_) {
+    table_open_ = true;
+    table_.smallest_key.assign(key.data(), key.size());
+  }
+  table_.largest_key.assign(key.data(), key.size());
+  table_.num_entries++;
+  block_.Add(key, value);
+
+  Closed closed;
+  if (block_.CurrentSizeEstimate() >= data_block_threshold_) {
+    FlushBlock(&closed);
+    if (table_.data_memory.size() >= sstable_threshold_) {
+      FinishTable(&closed);
+    }
+  }
+  return closed;
+}
+
+OutputTableWriter::Closed OutputTableWriter::Finish() {
+  Closed closed;
+  FlushBlock(&closed);
+  FinishTable(&closed);
+  return closed;
+}
+
+void OutputTableWriter::FlushBlock(Closed* closed) {
+  if (block_.empty()) {
+    return;
+  }
+  CompressionType type = compress_ ? kSnappyCompression : kNoCompression;
+  const Slice contents = CompressBlock(block_.Finish(), &type, &compressed_);
+
+  // The stored block and its trailer, as TableBuilder writes them on the
+  // host, and its index entry.
+  OutputIndexEntry entry;
+  entry.last_key = table_.largest_key;
+  entry.offset = table_.data_memory.size();
+  entry.size = contents.size();
+  table_.data_memory.append(contents.data(), contents.size());
+  char trailer[kBlockTrailerSize];
+  EncodeBlockTrailer(contents, type, trailer);
+  table_.data_memory.append(trailer, kBlockTrailerSize);
+  closed->block_bytes = contents.size() + kBlockTrailerSize;
+  closed->index_entry_bytes = entry.last_key.size() + 16;
+  table_.index_entries.push_back(std::move(entry));
+  block_.Reset();
+}
+
+void OutputTableWriter::FinishTable(Closed* closed) {
   if (!table_open_) {
     return;
   }
-  if (!config_.BlocksSeparated() && bram_index_bytes_ > 0) {
+  output_->tables.push_back(std::move(table_));
+  table_ = DeviceOutputTable();
+  table_open_ = false;
+  closed->table = true;
+}
+
+OutputEncoder::OutputEncoder(const EngineConfig& config,
+                             KeyValueTransfer* transfer, DeviceOutput* output)
+    : config_(config),
+      transfer_(transfer),
+      writer_(config.data_block_threshold, config.sstable_threshold,
+              config.compress_output, output),
+      write_queue_(4) {}
+
+void OutputEncoder::Charge(const OutputTableWriter::Closed& closed) {
+  if (closed.block_bytes > 0) {
+    // Index Block Encoder: eager writeback when separated; BRAM
+    // accumulation otherwise (paper Section V-B2).
+    if (config_.BlocksSeparated()) {
+      if (write_queue_.CanPush()) {
+        write_queue_.Push(QueuedWrite{closed.index_entry_bytes});
+      } else {
+        // Fold into the block's own write when the port queue is full.
+      }
+    } else {
+      bram_index_bytes_ += closed.index_entry_bytes;
+      if (bram_index_bytes_ > bram_index_bytes_peak_) {
+        bram_index_bytes_peak_ = bram_index_bytes_;
+      }
+    }
+
+    // Queue the data block write (payload + trailer through the upsizer).
+    bytes_written_ += closed.block_bytes;
+    if (write_queue_.CanPush()) {
+      write_queue_.Push(QueuedWrite{closed.block_bytes});
+    } else {
+      // The write port is saturated: the encoder stalls for the whole
+      // transfer instead of queueing (models output buffer overflow).
+      busy_ += config_.dram_read_latency +
+               CeilDiv(closed.block_bytes, config_.EffectiveOutputWidth());
+      write_stall_cycles_ += busy_;
+    }
+    blocks_emitted_++;
+  }
+
+  if (closed.table && !config_.BlocksSeparated() && bram_index_bytes_ > 0) {
     // Bulk index block writeback at table end; the encoder is stalled
     // for its duration (the basic design's extra transfer time).
     busy_ += config_.dram_read_latency +
              CeilDiv(bram_index_bytes_, config_.EffectiveOutputWidth());
     bram_index_bytes_ = 0;
   }
-  output_->tables.push_back(std::move(current_table_));
-  current_table_ = DeviceOutputTable();
-  table_open_ = false;
 }
 
 void OutputEncoder::TickWriter() {
@@ -135,40 +160,19 @@ void OutputEncoder::Tick() {
 
   if (transfer_->output().CanPop()) {
     KvRecord record = transfer_->output().Pop();
-
-    if (!table_open_) {
-      table_open_ = true;
-      current_table_.smallest_key = record.internal_key;
-    }
-    if (block_builder_->empty()) {
-      block_first_key_ = record.internal_key;
-    }
-    block_last_key_ = record.internal_key;
-    current_table_.largest_key = record.internal_key;
-    current_table_.num_entries++;
-
-    block_builder_->Add(record.internal_key, record.value);
     records_encoded_++;
-
     uint64_t cycles = record.key_length();
     if (!config_.KeyValueSeparated()) {
       cycles += record.value_length();
     }
     busy_ = cycles == 0 ? 1 : cycles;
-
-    if (block_builder_->CurrentSizeEstimate() >=
-        config_.data_block_threshold) {
-      FlushBlock();
-      if (current_table_.data_memory.size() >= config_.sstable_threshold) {
-        FinishTable();
-      }
-    }
+    Charge(writer_.Add(record.internal_key, record.value));
     return;
   }
 
   if (upstream_done_ && !finalized_ && transfer_->Done() &&
       transfer_->output().Empty()) {
-    FinishTable();
+    Charge(writer_.Finish());
     finalized_ = true;
   }
 }

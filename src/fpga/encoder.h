@@ -2,9 +2,7 @@
 #define FCAE_FPGA_ENCODER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "fpga/config.h"
 #include "fpga/device_memory.h"
@@ -18,15 +16,54 @@ namespace fpga {
 
 class KeyValueTransfer;
 
+/// The functional half of the Data and Index Block Encoders, shared with
+/// the CPU reference merge so both emit the same bytes. Records arrive in
+/// merge order and are encoded into standard SSTable data blocks
+/// (restart-point prefix compression, Snappy when CompressBlock keeps
+/// it). A block closes at `data_block_threshold` bytes, with an index
+/// entry (its last key and handle), and the output table rolls over once
+/// its data reaches `sstable_threshold`. Each table records its
+/// smallest and largest key and entry count for MetaOut.
+class OutputTableWriter {
+ public:
+  /// What one call closed, for the engine's timing model.
+  struct Closed {
+    uint64_t block_bytes = 0;        // Stored data block incl. trailer.
+    uint64_t index_entry_bytes = 0;  // That block's index entry.
+    bool table = false;              // An output table was closed.
+  };
+
+  OutputTableWriter(size_t data_block_threshold, size_t sstable_threshold,
+                    bool compress, DeviceOutput* output);
+
+  OutputTableWriter(const OutputTableWriter&) = delete;
+  OutputTableWriter& operator=(const OutputTableWriter&) = delete;
+
+  /// Appends one record, closing its block and table once they are full.
+  Closed Add(const Slice& key, const Slice& value);
+
+  /// Closes the tail block and table.
+  Closed Finish();
+
+ private:
+  void FlushBlock(Closed* closed);
+  void FinishTable(Closed* closed);
+
+  const size_t data_block_threshold_;
+  const size_t sstable_threshold_;
+  const bool compress_;
+  DeviceOutput* const output_;
+  Options block_options_;
+  BlockBuilder block_;
+  DeviceOutputTable table_;
+  bool table_open_ = false;
+  std::string compressed_;
+};
+
 /// The encode side of the engine: Data Block Encoder, Index Block
 /// Encoder and the output AXI path with its Stream Upsizer (paper
-/// Figs. 3 and 5).
-///
-/// Functionally, records are re-encoded into standard SSTable data
-/// blocks (restart-point prefix compression + optional Snappy), flushed
-/// at the data-block threshold and rolled into a new output table at the
-/// SSTable threshold; the Index Block Encoder records (last_key, handle)
-/// per block and the smallest/largest key per table for MetaOut.
+/// Figs. 3 and 5). An OutputTableWriter does the functional work; this
+/// module adds the timing.
 ///
 /// Timing:
 ///  - Record encode: L_key cycles (Table II "encoding key"); without
@@ -41,13 +78,11 @@ class KeyValueTransfer;
 ///    the table completes, stalling the encoder.
 class OutputEncoder {
  public:
-  OutputEncoder(const EngineConfig& config, const Options& table_options,
-                KeyValueTransfer* transfer, DeviceOutput* output);
+  OutputEncoder(const EngineConfig& config, KeyValueTransfer* transfer,
+                DeviceOutput* output);
 
   OutputEncoder(const OutputEncoder&) = delete;
   OutputEncoder& operator=(const OutputEncoder&) = delete;
-
-  ~OutputEncoder();
 
   void Tick();
 
@@ -78,26 +113,16 @@ class OutputEncoder {
     uint64_t bytes = 0;  // Payload going through the upsizer.
   };
 
-  /// Finishes the current data block: compress, append to the output
-  /// table's data memory, emit the index entry, queue the AXI write.
-  void FlushBlock();
-
-  /// Finishes the current output table (index block writeback for the
-  /// basic design, MetaOut bookkeeping) and opens a fresh one.
-  void FinishTable();
+  /// Charges what the writer closed: the block's AXI write and index
+  /// entry, and for the basic design the table's bulk index writeback.
+  void Charge(const OutputTableWriter::Closed& closed);
 
   void TickWriter();
 
   const EngineConfig& config_;
-  const Options& table_options_;
   KeyValueTransfer* transfer_;
-  DeviceOutput* output_;
+  OutputTableWriter writer_;
 
-  std::unique_ptr<BlockBuilder> block_builder_;
-  DeviceOutputTable current_table_;
-  bool table_open_ = false;
-  std::string block_first_key_;
-  std::string block_last_key_;
   size_t bram_index_bytes_ = 0;  // Basic design: buffered index block.
   size_t bram_index_bytes_peak_ = 0;
 
@@ -114,8 +139,6 @@ class OutputEncoder {
   uint64_t blocks_emitted_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t write_stall_cycles_ = 0;
-
-  std::string compression_scratch_;
 };
 
 }  // namespace fpga

@@ -10,7 +10,7 @@
 #include "util/options.h"
 #include "util/rate_limiter.h"
 #include "lsm/dbformat.h"
-#include "fpga/block_parse.h"
+#include "table/block.h"
 #include "table/filter_block.h"
 #include "table/table_verifier.h"
 #include "util/filter_policy.h"
@@ -21,10 +21,10 @@ namespace host {
 namespace {
 
 // Internal key = user key + 8-byte mark ((sequence << 8) | type).
-Slice UserKeyOf(const std::string& internal_key) {
+Slice UserKeyOf(const Slice& internal_key) {
   return internal_key.size() >= 8
              ? Slice(internal_key.data(), internal_key.size() - 8)
-             : Slice(internal_key);
+             : internal_key;
 }
 
 // Appends a stored-format block (contents + kNoCompression trailer with
@@ -99,30 +99,28 @@ Status SstableStager::AddTable(const std::string& fname,
     // holds the keys in (last_key[i-1], last_key[i]], so it is still
     // short of the shard while its own last user key is <= lower, and
     // past it once the *previous* block's last user key is > upper.
-    std::string index_contents;
-    s = fpga::DecodeStoredBlock(Slice(index_stored),
-                                /*verify_checksum=*/true, &index_contents);
+    BlockContents index_contents;
+    s = DecodeBlock(Slice(index_stored), /*verify_checksum=*/true,
+                    &index_contents);
     if (!s.ok()) return s;
-    std::vector<fpga::ParsedEntry> entries;
-    s = fpga::ParseBlockEntries(index_contents, &entries);
-    if (!s.ok()) return s;
-
+    Block index(index_contents);
     InternalKeyComparator icmp(BytewiseComparator());
+    std::unique_ptr<Iterator> iter(index.NewIterator(&icmp));
+
     Options index_options;
     index_options.comparator = &icmp;
     index_options.block_restart_interval = 1;
     BlockBuilder trimmed_index(&index_options);
     bool any = false;
-    for (size_t i = 0; i < entries.size(); i++) {
-      if (bounds->has_lower &&
-          UserKeyOf(entries[i].key).Compare(Slice(bounds->lower)) <= 0) {
+    bool past_upper = false;  // The previous block ends above the shard.
+    for (iter->SeekToFirst(); iter->Valid() && !past_upper; iter->Next()) {
+      const Slice user_key = UserKeyOf(iter->key());
+      past_upper =
+          bounds->has_upper && user_key.Compare(Slice(bounds->upper)) > 0;
+      if (bounds->has_lower && user_key.Compare(Slice(bounds->lower)) <= 0) {
         continue;  // Whole block at or below the exclusive lower bound.
       }
-      if (bounds->has_upper && i > 0 &&
-          UserKeyOf(entries[i - 1].key).Compare(Slice(bounds->upper)) > 0) {
-        break;  // This block starts past the inclusive upper bound.
-      }
-      Slice handle_input(entries[i].value);
+      Slice handle_input = iter->value();
       BlockHandle handle;
       s = handle.DecodeFrom(&handle_input);
       if (!s.ok()) return s;
@@ -142,8 +140,9 @@ Status SstableStager::AddTable(const std::string& fname,
       rebased.set_size(handle.size());
       std::string handle_encoding;
       rebased.EncodeTo(&handle_encoding);
-      trimmed_index.Add(entries[i].key, handle_encoding);
+      trimmed_index.Add(iter->key(), handle_encoding);
     }
+    if (!iter->status().ok()) return iter->status();
     if (!any) {
       // Every data block lies outside the shard: nothing to stage.
       return Status::OK();

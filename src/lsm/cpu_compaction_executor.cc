@@ -37,16 +37,13 @@ class CpuCompactionExecutor : public CompactionExecutor {
     input->SeekToFirst();
 
     Status status;
-    std::string current_user_key;
-    bool has_current_user_key = false;
-    SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
+    CompactionDropRule drop_rule(job.icmp->user_comparator(),
+                                 job.smallest_snapshot, job.no_deeper_data);
 
     WritableFile* outfile = nullptr;
     ChecksumWritableFile* checksum_file = nullptr;  // Aliases outfile.
     std::unique_ptr<TableBuilder> builder;
     CompactionOutput current;
-
-    const Comparator* ucmp = job.icmp->user_comparator();
 
     auto finish_output = [&]() -> Status {
       assert(builder != nullptr);
@@ -77,41 +74,8 @@ class CpuCompactionExecutor : public CompactionExecutor {
 
     for (; input->Valid() && status.ok(); input->Next()) {
       Slice key = input->key();
-
-      // Decide whether to drop this entry (identical logic to the FPGA
-      // engine's Validity Check module; see fpga/comparer.cc).
-      bool drop = false;
-      ParsedInternalKey ikey;
-      if (!ParseInternalKey(key, &ikey)) {
-        // Do not hide corruption.
-        current_user_key.clear();
-        has_current_user_key = false;
-        last_sequence_for_key = kMaxSequenceNumber;
-      } else {
-        stats->entries_in++;
-        if (!has_current_user_key ||
-            ucmp->Compare(ikey.user_key, Slice(current_user_key)) != 0) {
-          // First occurrence of this user key.
-          current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-          has_current_user_key = true;
-          last_sequence_for_key = kMaxSequenceNumber;
-        }
-
-        if (last_sequence_for_key <= job.smallest_snapshot) {
-          // Hidden by a newer entry for the same user key.
-          drop = true;
-        } else if (ikey.type == kTypeDeletion &&
-                   ikey.sequence <= job.smallest_snapshot &&
-                   job.no_deeper_data) {
-          // This deletion marker is obsolete and no deeper level can
-          // contain the deleted key: drop it.
-          drop = true;
-        }
-
-        last_sequence_for_key = ikey.sequence;
-      }
-
-      if (drop) {
+      stats->entries_in++;
+      if (drop_rule.ShouldDrop(key)) {
         stats->entries_dropped++;
         continue;
       }

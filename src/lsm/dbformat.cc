@@ -83,6 +83,29 @@ void InternalKeyComparator::FindShortSuccessor(std::string* key) const {
   }
 }
 
+bool CompactionDropRule::ShouldDrop(const Slice& internal_key) {
+  ParsedInternalKey ikey;
+  if (!ParseInternalKey(internal_key, &ikey)) {
+    has_user_key_ = false;
+    last_sequence_ = kMaxSequenceNumber;
+    return false;
+  }
+  if (!has_user_key_ ||
+      user_comparator_->Compare(ikey.user_key, Slice(user_key_)) != 0) {
+    // First occurrence of this user key.
+    user_key_.assign(ikey.user_key.data(), ikey.user_key.size());
+    has_user_key_ = true;
+    last_sequence_ = kMaxSequenceNumber;
+  }
+  // Hidden by a newer entry for the same user key, or an obsolete
+  // tombstone with no deeper data to hide.
+  const bool drop = last_sequence_ <= smallest_snapshot_ ||
+                    (ikey.type == kTypeDeletion &&
+                     ikey.sequence <= smallest_snapshot_ && drop_deletions_);
+  last_sequence_ = ikey.sequence;
+  return drop;
+}
+
 const char* InternalFilterPolicy::Name() const { return user_policy_->Name(); }
 
 void InternalFilterPolicy::CreateFilter(const Slice* keys, int n,

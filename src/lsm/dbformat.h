@@ -177,6 +177,32 @@ inline bool ParseInternalKey(const Slice& internal_key,
   return (c <= static_cast<uint8_t>(kTypeValue));
 }
 
+/// LevelDB's compaction drop rule, the one copy behind the card's
+/// Validity Check and both CPU merges. Feed it every internal key of a
+/// merge in output order. A key is dropped when a newer version of its
+/// user key at or below `smallest_snapshot` came before it, or when it
+/// is a tombstone at or below the snapshot and `drop_deletions` says no
+/// deeper level holds the key. An unparsable key is kept, so corruption
+/// is not hidden, and it resets the rule.
+class CompactionDropRule {
+ public:
+  CompactionDropRule(const Comparator* user_comparator,
+                     SequenceNumber smallest_snapshot, bool drop_deletions)
+      : user_comparator_(user_comparator),
+        smallest_snapshot_(smallest_snapshot),
+        drop_deletions_(drop_deletions) {}
+
+  bool ShouldDrop(const Slice& internal_key);
+
+ private:
+  const Comparator* const user_comparator_;
+  const SequenceNumber smallest_snapshot_;
+  const bool drop_deletions_;
+  bool has_user_key_ = false;
+  std::string user_key_;  // The last user key seen, if has_user_key_.
+  SequenceNumber last_sequence_ = kMaxSequenceNumber;  // Its last version.
+};
+
 /// A helper class useful for DB::Get(): holds one allocation with
 /// the memtable lookup key (length-prefixed internal key) and the
 /// internal key.

@@ -7,12 +7,6 @@
 namespace fcae {
 namespace obs {
 
-namespace perf_internal {
-thread_local PerfLevel tls_perf_level = PerfLevel::kDisable;
-thread_local PerfContext tls_perf_context;
-thread_local IOStatsContext tls_io_stats;
-}  // namespace perf_internal
-
 void SetPerfLevel(PerfLevel level) {
   perf_internal::tls_perf_level = level;
 }

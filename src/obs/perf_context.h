@@ -83,10 +83,12 @@ struct IOStatsContext {
 
 namespace perf_internal {
 // Exposed so the tick macros compile to a TLS load + branch with no
-// function call; treat as private to this header.
-extern thread_local PerfLevel tls_perf_level;
-extern thread_local PerfContext tls_perf_context;
-extern thread_local IOStatsContext tls_io_stats;
+// function call; treat as private to this header. Defined inline here
+// rather than declared extern: GCC 12's UBSan reports every load of an
+// extern thread_local as a load of a null pointer.
+inline thread_local PerfLevel tls_perf_level = PerfLevel::kDisable;
+inline thread_local PerfContext tls_perf_context;
+inline thread_local IOStatsContext tls_io_stats;
 }  // namespace perf_internal
 
 inline PerfLevel GetPerfLevel() { return perf_internal::tls_perf_level; }

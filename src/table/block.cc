@@ -253,4 +253,25 @@ Iterator* Block::NewIterator(const Comparator* comparator) {
   return new Iter(comparator, data_, restart_offset_, num_restarts);
 }
 
+namespace {
+
+void DeleteBlock(void* block, void* /*unused*/) {
+  delete static_cast<Block*>(block);
+}
+
+}  // namespace
+
+Iterator* NewImageBlockIterator(const Slice& image, const BlockHandle& handle,
+                                const Comparator* comparator) {
+  BlockContents contents;
+  Status s = ReadImageBlock(image, handle, &contents);
+  if (!s.ok()) {
+    return NewErrorIterator(s);
+  }
+  Block* block = new Block(contents);
+  Iterator* iter = block->NewIterator(comparator);
+  iter->RegisterCleanup(&DeleteBlock, block, nullptr);
+  return iter;
+}
+
 }  // namespace fcae

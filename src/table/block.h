@@ -8,6 +8,7 @@
 
 namespace fcae {
 
+class BlockHandle;
 struct BlockContents;
 class Comparator;
 
@@ -39,6 +40,12 @@ class Block {
   uint32_t restart_offset_;  // Offset in data_ of restart array.
   bool owned_;               // Block owns data_[].
 };
+
+/// Returns an iterator over the stored block `handle` addresses inside
+/// `image`, read with ReadImageBlock. The iterator owns the decoded
+/// block, and a read error becomes its status.
+Iterator* NewImageBlockIterator(const Slice& image, const BlockHandle& handle,
+                                const Comparator* comparator);
 
 }  // namespace fcae
 

@@ -60,6 +60,18 @@ Status Footer::DecodeFrom(Slice* input) {
   return result;
 }
 
+Slice CompressBlock(const Slice& raw, CompressionType* type,
+                    std::string* scratch) {
+  if (*type == kSnappyCompression) {
+    snappy::Compress(raw.data(), raw.size(), scratch);
+    if (scratch->size() < raw.size() - (raw.size() / 8u)) {
+      return *scratch;
+    }
+  }
+  *type = kNoCompression;
+  return raw;
+}
+
 void EncodeBlockTrailer(const Slice& contents, CompressionType type,
                         char* trailer) {
   trailer[0] = static_cast<char>(type);
@@ -78,6 +90,9 @@ Status DecodeBlock(const Slice& stored, bool verify_checksum,
   result->data = Slice();
   result->cachable = false;
   result->heap_allocated = false;
+  if (stored.size() < kBlockTrailerSize) {
+    return Status::Corruption("stored block shorter than its trailer");
+  }
   const char* data = stored.data();
   const size_t n = stored.size() - kBlockTrailerSize;
   if (verify_checksum && !BlockTrailerMatches(data, n)) {
@@ -106,6 +121,18 @@ Status DecodeBlock(const Slice& stored, bool verify_checksum,
     default:
       return Status::Corruption("bad block type");
   }
+}
+
+Status ReadImageBlock(const Slice& image, const BlockHandle& handle,
+                      BlockContents* result) {
+  const uint64_t size = image.size();
+  if (handle.offset() > size || size - handle.offset() < kBlockTrailerSize ||
+      handle.size() > size - handle.offset() - kBlockTrailerSize) {
+    return Status::Corruption("block handle out of bounds");
+  }
+  return DecodeBlock(Slice(image.data() + handle.offset(),
+                           handle.size() + kBlockTrailerSize),
+                     /*verify_checksum=*/true, result);
 }
 
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,

@@ -65,6 +65,13 @@ constexpr uint64_t kTableMagicNumber = 0xfcae57ab1e5eed01ull;
 /// 1 byte CompressionType + 4 byte masked CRC32C of data+type.
 constexpr size_t kBlockTrailerSize = 5;
 
+/// Chooses how the raw block `raw` is stored. With *type
+/// kSnappyCompression it compresses into *scratch and keeps the result
+/// only if that saves at least 1/8 of `raw`; otherwise *type becomes
+/// kNoCompression. Returns the bytes to store.
+Slice CompressBlock(const Slice& raw, CompressionType* type,
+                    std::string* scratch);
+
 /// Writes the trailer of the stored block `contents` into
 /// trailer[0, kBlockTrailerSize).
 void EncodeBlockTrailer(const Slice& contents, CompressionType type,
@@ -87,6 +94,11 @@ struct BlockContents {
 /// into `stored`.
 Status DecodeBlock(const Slice& stored, bool verify_checksum,
                    BlockContents* result);
+
+/// Decodes the stored block `handle` addresses inside `image`, an
+/// in-memory copy of a table's blocks, with its trailer checked.
+Status ReadImageBlock(const Slice& image, const BlockHandle& handle,
+                      BlockContents* result);
 
 /// Reads the block identified by `handle` from `file` and decodes it
 /// with DecodeBlock, checking the trailer when options.verify_checksums

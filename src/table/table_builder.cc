@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "compress/snappy.h"
 #include "table/block_builder.h"
 #include "table/filter_block.h"
 #include "table/format.h"
@@ -117,28 +116,9 @@ void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
   //    crc: uint32
   assert(ok());
   Rep* r = rep_;
-  Slice raw = block->Finish();
-
-  Slice block_contents;
   CompressionType type = r->options.compression;
-  switch (type) {
-    case kNoCompression:
-      block_contents = raw;
-      break;
-
-    case kSnappyCompression: {
-      std::string* compressed = &r->compressed_output;
-      snappy::Compress(raw.data(), raw.size(), compressed);
-      if (compressed->size() < raw.size() - (raw.size() / 8u)) {
-        block_contents = *compressed;
-      } else {
-        // Compression gained little; store uncompressed.
-        block_contents = raw;
-        type = kNoCompression;
-      }
-      break;
-    }
-  }
+  Slice block_contents =
+      CompressBlock(block->Finish(), &type, &r->compressed_output);
   WriteRawBlock(block_contents, type, handle);
   r->compressed_output.clear();
   block->Reset();

@@ -18,14 +18,7 @@ Status BlockWalker::ReadBlock(const BlockHandle& handle,
     options.verify_checksums = true;
     return fcae::ReadBlock(file_, options, handle, contents);
   }
-  const uint64_t size = image_.size();
-  if (handle.offset() > size || size - handle.offset() < kBlockTrailerSize ||
-      handle.size() > size - handle.offset() - kBlockTrailerSize) {
-    return Status::Corruption("block handle out of bounds");
-  }
-  return DecodeBlock(Slice(image_.data() + handle.offset(),
-                           handle.size() + kBlockTrailerSize),
-                     /*verify_checksum=*/true, contents);
+  return ReadImageBlock(image_, handle, contents);
 }
 
 Status BlockWalker::NextBlock(

@@ -1,24 +1,38 @@
-#include "fpga/block_parse.h"
+// Stored blocks read through DecodeBlock and Block: the trailer check,
+// decompression and entry decode the engine's decoder relies on.
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/snappy.h"
 #include "gtest/gtest.h"
+#include "table/block.h"
 #include "table/block_builder.h"
 #include "table/format.h"
 #include "util/coding.h"
 #include "util/comparator.h"
 #include "util/crc32c.h"
 #include "util/options.h"
-#include "util/random.h"
 
 namespace fcae {
-namespace fpga {
 
 namespace {
 
-/// Builds a stored block (contents + trailer) the way TableBuilder does.
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
+/// Contents that point into `raw`, which must outlive the block.
+BlockContents Unowned(const std::string& raw) {
+  BlockContents contents;
+  contents.data = Slice(raw);
+  contents.cachable = false;
+  contents.heap_allocated = false;
+  return contents;
+}
+
+/// Stores `raw` as a block of `type` with its trailer, CRC computed here
+/// rather than by EncodeBlockTrailer.
 std::string StoreBlock(const Slice& raw, CompressionType type) {
   std::string stored;
   if (type == kSnappyCompression) {
@@ -35,9 +49,7 @@ std::string StoreBlock(const Slice& raw, CompressionType type) {
   return stored;
 }
 
-std::string BuildRawBlock(int n, int restart_interval,
-                          std::vector<std::pair<std::string, std::string>>*
-                              expected) {
+std::string BuildRawBlock(int n, int restart_interval, Entries* expected) {
   Options options;
   options.block_restart_interval = restart_interval;
   BlockBuilder builder(&options);
@@ -51,40 +63,56 @@ std::string BuildRawBlock(int n, int restart_interval,
   return builder.Finish().ToString();
 }
 
+/// Reads every entry of the block in `contents`; returns the iterator's
+/// final status.
+Status ReadEntries(const BlockContents& contents, Entries* entries) {
+  Block block(contents);
+  std::unique_ptr<Iterator> iter(block.NewIterator(BytewiseComparator()));
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    entries->emplace_back(iter->key().ToString(), iter->value().ToString());
+  }
+  return iter->status();
+}
+
 }  // namespace
 
 class BlockParseTest : public testing::TestWithParam<CompressionType> {};
 
 TEST_P(BlockParseTest, RoundTrip) {
-  std::vector<std::pair<std::string, std::string>> expected;
-  std::string raw = BuildRawBlock(500, 16, &expected);
-  std::string stored = StoreBlock(raw, GetParam());
+  Entries expected;
+  const std::string raw = BuildRawBlock(500, 16, &expected);
+  const std::string stored = StoreBlock(raw, GetParam());
 
-  std::string contents;
-  ASSERT_TRUE(DecodeStoredBlock(stored, true, &contents).ok());
-  ASSERT_EQ(raw, contents);
-
-  std::vector<ParsedEntry> entries;
-  ASSERT_TRUE(ParseBlockEntries(contents, &entries).ok());
-  ASSERT_EQ(expected.size(), entries.size());
-  for (size_t i = 0; i < expected.size(); i++) {
-    EXPECT_EQ(expected[i].first, entries[i].key);
-    EXPECT_EQ(expected[i].second, entries[i].value);
-  }
+  BlockContents contents;
+  ASSERT_TRUE(DecodeBlock(stored, true, &contents).ok());
+  ASSERT_EQ(raw, contents.data.ToString());
+  Entries entries;
+  ASSERT_TRUE(ReadEntries(contents, &entries).ok());
+  EXPECT_EQ(expected, entries);
 }
 
 TEST_P(BlockParseTest, ChecksumDetectsFlips) {
-  std::vector<std::pair<std::string, std::string>> expected;
-  std::string raw = BuildRawBlock(100, 8, &expected);
-  std::string stored = StoreBlock(raw, GetParam());
-
+  Entries expected;
+  const std::string stored =
+      StoreBlock(BuildRawBlock(100, 8, &expected), GetParam());
   for (size_t pos : {size_t{0}, stored.size() / 2, stored.size() - 6}) {
     std::string corrupt = stored;
     corrupt[pos] ^= 0x01;
-    std::string contents;
-    Status s = DecodeStoredBlock(corrupt, true, &contents);
-    ASSERT_FALSE(s.ok()) << "flip at " << pos;
+    BlockContents contents;
+    EXPECT_FALSE(DecodeBlock(corrupt, true, &contents).ok())
+        << "flip at " << pos;
   }
+}
+
+TEST_P(BlockParseTest, EmptyBlockHasNoEntries) {
+  Options options;
+  BlockBuilder builder(&options);
+  const std::string stored = StoreBlock(builder.Finish(), GetParam());
+  BlockContents contents;
+  ASSERT_TRUE(DecodeBlock(stored, true, &contents).ok());
+  Entries entries;
+  ASSERT_TRUE(ReadEntries(contents, &entries).ok());
+  EXPECT_TRUE(entries.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Compression, BlockParseTest,
@@ -92,46 +120,32 @@ INSTANTIATE_TEST_SUITE_P(Compression, BlockParseTest,
                                          kSnappyCompression));
 
 TEST(BlockParseEdgeTest, TooShortForTrailer) {
-  std::string contents;
-  ASSERT_FALSE(DecodeStoredBlock(Slice("abc"), true, &contents).ok());
+  BlockContents contents;
+  EXPECT_FALSE(DecodeBlock(Slice("abc"), true, &contents).ok());
+  EXPECT_FALSE(DecodeBlock(Slice(), false, &contents).ok());
 }
 
 TEST(BlockParseEdgeTest, BadCompressionType) {
-  std::string stored = "payload";
-  char trailer[kBlockTrailerSize];
-  trailer[0] = 0x7f;  // Unknown type.
-  uint32_t crc = crc32c::Value(stored.data(), stored.size());
-  crc = crc32c::Extend(crc, trailer, 1);
-  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-  stored.append(trailer, kBlockTrailerSize);
-  std::string contents;
-  ASSERT_FALSE(DecodeStoredBlock(stored, true, &contents).ok());
-}
-
-TEST(BlockParseEdgeTest, EmptyBlockHasNoEntries) {
-  Options options;
-  BlockBuilder builder(&options);
-  std::string raw = builder.Finish().ToString();
-  std::vector<ParsedEntry> entries;
-  ASSERT_TRUE(ParseBlockEntries(raw, &entries).ok());
-  ASSERT_TRUE(entries.empty());
+  const std::string stored =
+      StoreBlock("payload", static_cast<CompressionType>(0x7f));
+  BlockContents contents;
+  EXPECT_FALSE(DecodeBlock(stored, true, &contents).ok());
 }
 
 TEST(BlockParseEdgeTest, GarbageEntriesRejected) {
-  // A "block" with a valid restart array but garbage entry bytes.
+  // A valid restart array in front of garbage entry bytes.
   std::string bad(64, '\xee');
   PutFixed32(&bad, 0);  // restart[0] = 0
   PutFixed32(&bad, 1);  // num_restarts = 1
-  std::vector<ParsedEntry> entries;
-  ASSERT_FALSE(ParseBlockEntries(bad, &entries).ok());
+  Entries entries;
+  EXPECT_FALSE(ReadEntries(Unowned(bad), &entries).ok());
 }
 
 TEST(BlockParseEdgeTest, RestartCountOverflowRejected) {
   std::string bad;
   PutFixed32(&bad, 1000000);  // num_restarts way beyond block size.
-  std::vector<ParsedEntry> entries;
-  ASSERT_FALSE(ParseBlockEntries(bad, &entries).ok());
+  Entries entries;
+  EXPECT_FALSE(ReadEntries(Unowned(bad), &entries).ok());
 }
 
-}  // namespace fpga
 }  // namespace fcae

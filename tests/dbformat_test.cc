@@ -1,5 +1,7 @@
 #include "lsm/dbformat.h"
 
+#include <vector>
+
 #include "gtest/gtest.h"
 
 namespace fcae {
@@ -123,6 +125,59 @@ TEST(FormatTest, InternalKeyShortestSuccessor) {
             ShortSuccessor(IKey("foo", 100, kTypeValue)));
   ASSERT_EQ(IKey("\xff\xff", 100, kTypeValue),
             ShortSuccessor(IKey("\xff\xff", 100, kTypeValue)));
+}
+
+// The compaction drop rule as a table: each case feeds its keys in merge
+// order and lists the expected drop decisions.
+TEST(FormatTest, CompactionDropRule) {
+  struct Case {
+    const char* name;
+    SequenceNumber smallest_snapshot;
+    bool drop_deletions;
+    std::vector<std::string> keys;
+    std::vector<bool> drops;
+  };
+  const std::string kBad = "bad";  // Too short for a mark.
+  const std::vector<Case> cases = {
+      {"newest version is kept", 1000, true,
+       {IKey("a", 50, kTypeValue), IKey("b", 20, kTypeValue)},
+       {false, false}},
+      {"older version at the snapshot is dropped", 100, false,
+       {IKey("a", 100, kTypeValue), IKey("a", 90, kTypeValue)},
+       {false, true}},
+      {"older version below the snapshot is dropped", 100, false,
+       {IKey("a", 90, kTypeValue), IKey("a", 80, kTypeValue)},
+       {false, true}},
+      {"older version behind a newer one above the snapshot is kept", 100,
+       false,
+       {IKey("a", 150, kTypeValue), IKey("a", 120, kTypeValue),
+        IKey("a", 90, kTypeValue), IKey("a", 80, kTypeValue)},
+       {false, false, false, true}},
+      {"tombstones at and below the snapshot go with drop_deletions", 100,
+       true,
+       {IKey("a", 100, kTypeDeletion), IKey("b", 90, kTypeDeletion)},
+       {true, true}},
+      {"tombstones at and below the snapshot stay without drop_deletions",
+       100, false,
+       {IKey("a", 100, kTypeDeletion), IKey("b", 90, kTypeDeletion)},
+       {false, false}},
+      {"tombstone above the snapshot is kept", 100, true,
+       {IKey("a", 150, kTypeDeletion)},
+       {false}},
+      {"unparsable key is kept and resets the rule", 100, true,
+       {IKey("a", 90, kTypeValue), kBad, IKey("a", 80, kTypeValue),
+        IKey("a", 70, kTypeValue)},
+       {false, false, false, true}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(c.keys.size(), c.drops.size());
+    CompactionDropRule rule(BytewiseComparator(), c.smallest_snapshot,
+                            c.drop_deletions);
+    for (size_t i = 0; i < c.keys.size(); i++) {
+      EXPECT_EQ(c.drops[i], rule.ShouldDrop(c.keys[i])) << "key " << i;
+    }
+  }
 }
 
 TEST(FormatTest, LookupKey) {

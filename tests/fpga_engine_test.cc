@@ -327,6 +327,16 @@ TEST_F(FpgaEngineTest, CorruptStagedDataSurfacesError) {
   EngineStats stats;
   Status s = RunEngine(kNoSnapshot, true, &output, &stats);
   ASSERT_FALSE(s.ok());
+
+  // The CPU reference reads the same bytes and must fail too.
+  host::CpuCompactorOptions cpu_options;
+  cpu_options.smallest_snapshot = kNoSnapshot;
+  cpu_options.drop_deletions = true;
+  DeviceOutput cpu_out;
+  host::CpuCompactStats cpu_stats;
+  s = host::CpuCompactImages({inputs_[0].get()}, cpu_options, &cpu_out,
+                             &cpu_stats);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 // Value-length sweep: the engine must stay functional across the

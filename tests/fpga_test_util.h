@@ -10,10 +10,11 @@
 #include <string>
 #include <vector>
 
-#include "fpga/block_parse.h"
 #include "fpga/device_memory.h"
 #include "host/sstable_stager.h"
 #include "lsm/dbformat.h"
+#include "table/block.h"
+#include "table/format.h"
 #include "table/table_builder.h"
 #include "util/env.h"
 #include "util/options.h"
@@ -91,20 +92,16 @@ inline Status FlattenOutput(const fpga::DeviceOutput& output,
                                 entries) {
   for (const fpga::DeviceOutputTable& table : output.tables) {
     for (const fpga::OutputIndexEntry& e : table.index_entries) {
-      if (e.offset + e.size + 5 > table.data_memory.size()) {
-        return Status::Corruption("index entry out of range");
+      BlockHandle handle;
+      handle.set_offset(e.offset);
+      handle.set_size(e.size);
+      std::unique_ptr<Iterator> iter(NewImageBlockIterator(
+          table.data_memory, handle, BytewiseComparator()));
+      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+        entries->emplace_back(iter->key().ToString(),
+                              iter->value().ToString());
       }
-      std::string contents;
-      Status s = fpga::DecodeStoredBlock(
-          Slice(table.data_memory.data() + e.offset, e.size + 5),
-          /*verify_checksum=*/true, &contents);
-      if (!s.ok()) return s;
-      std::vector<fpga::ParsedEntry> parsed;
-      s = fpga::ParseBlockEntries(contents, &parsed);
-      if (!s.ok()) return s;
-      for (fpga::ParsedEntry& p : parsed) {
-        entries->emplace_back(std::move(p.key), std::move(p.value));
-      }
+      if (!iter->status().ok()) return iter->status();
     }
   }
   return Status::OK();
