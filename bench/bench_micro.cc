@@ -588,53 +588,6 @@ bool RunOverloadWorkload(OverloadRunResult* result) {
   return true;
 }
 
-// Multi-card offload gate: the same eight staged sub-compaction shards
-// (two interleaved runs each) replayed through a one-card and a
-// two-card DeviceSet with four concurrent workers — the shape a
-// sharded L0->L1 job takes after db_impl splits it. Throughput is the
-// modeled makespan of the busiest card (see DeviceFanoutResult), so
-// the 2-over-1 ratio gates deterministically: the second card must
-// absorb half the kernels, and the four-deep arrival queue must keep
-// the per-card DMA pipeline engaged (nonzero overlap counter).
-bool RunOffloadWorkload(bench::DeviceFanoutResult* c1,
-                        bench::DeviceFanoutResult* c2) {
-  fpga::EngineConfig config;
-  config.num_inputs = 9;
-  config.input_width = 8;
-  config.value_width = 8;
-
-  constexpr int kShards = 8;
-  constexpr int kRunsPerShard = 2;
-  constexpr uint64_t kRecordsPerRun = 4000;
-  bench::StagedInputBuilder builder;
-  std::vector<fpga::DeviceInput> inputs(kShards * kRunsPerShard);
-  std::vector<std::vector<const fpga::DeviceInput*>> shards(kShards);
-  for (int s = 0; s < kShards; s++) {
-    for (int r = 0; r < kRunsPerShard; r++) {
-      fpga::DeviceInput* input = &inputs[s * kRunsPerShard + r];
-      // Runs within a shard interleave (stride 2); shards own disjoint
-      // key ranges, like the bounds-sliced shards of one compaction.
-      if (!builder
-               .Build(s * kRunsPerShard + r, s * 100000 + r, kRecordsPerRun,
-                      kRunsPerShard, 16, 100, input)
-               .ok()) {
-        return false;
-      }
-      shards[s].push_back(input);
-    }
-  }
-
-  {
-    host::DeviceSet one(config, /*num_cards=*/1);
-    *c1 = bench::RunDeviceFanout(&one, shards, /*threads=*/4);
-  }
-  {
-    host::DeviceSet two(config, /*num_cards=*/2);
-    *c2 = bench::RunDeviceFanout(&two, shards, /*threads=*/4);
-  }
-  return c1->ok && c2->ok;
-}
-
 // The CI perf gate: the same workload on one worker vs. four workers
 // with sub-compaction sharding. BENCH_micro_perf.json carries absolute
 // throughputs (trajectory / loose gate) and the t4/t1 ratio (tight
@@ -649,11 +602,6 @@ int RunPerfGate() {
   OverloadRunResult overload;
   if (!RunOverloadWorkload(&overload)) {
     std::fprintf(stderr, "overload workload failed\n");
-    return 1;
-  }
-  bench::DeviceFanoutResult c1, c2;
-  if (!RunOffloadWorkload(&c1, &c2)) {
-    std::fprintf(stderr, "offload workload failed\n");
     return 1;
   }
   // The soak run's metrics export doubles as the overload-protection
@@ -681,15 +629,6 @@ int RunPerfGate() {
   report.Add("perf.overload.delayed_writes", overload.delayed_writes);
   report.Add("perf.overload.delay_micros", overload.delay_micros);
   report.Add("perf.overload.throttled_bytes", overload.throttled_bytes);
-  report.Add("perf.offload.c1_mbps", c1.modeled_mbps);
-  report.Add("perf.offload.c2_mbps", c2.modeled_mbps);
-  report.Add("perf.offload.c2_over_c1",
-             c1.modeled_mbps > 0 ? c2.modeled_mbps / c1.modeled_mbps : 0.0);
-  report.Add("perf.offload.pipeline_overlap_micros",
-             c2.pipeline_overlap_micros);
-  report.Add("perf.offload.pipelined_jobs", c2.pipelined_jobs);
-  report.Add("perf.offload.bus_wait_micros", c2.bus_wait_micros);
-  report.Add("perf.offload.kernels", c2.kernels_launched);
   report.Add("work.user_bytes", t4.user_bytes);
   report.Add("work.t1.stall_micros", t1.stall_micros);
   report.Add("work.t4.stall_micros", t4.stall_micros);
@@ -720,12 +659,6 @@ int RunPerfGate() {
       (unsigned long long)overload.delayed_writes,
       (unsigned long long)overload.hard_stops,
       (unsigned long long)overload.throttled_bytes);
-  std::printf(
-      "offload: 1 card %.1f MB/s, 2 cards %.1f MB/s (ratio %.3f), "
-      "overlap %.0f us, bus wait %.0f us\n",
-      c1.modeled_mbps, c2.modeled_mbps,
-      c1.modeled_mbps > 0 ? c2.modeled_mbps / c1.modeled_mbps : 0.0,
-      c2.pipeline_overlap_micros, c2.bus_wait_micros);
   return 0;
 }
 

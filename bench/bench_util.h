@@ -264,7 +264,10 @@ class JsonReport {
   }
 
   void Add(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, "\"" + Escape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += Escape(value);
+    quoted += '"';
+    entries_.emplace_back(key, std::move(quoted));
   }
   void Add(const std::string& key, const char* value) {
     Add(key, std::string(value));

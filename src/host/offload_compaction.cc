@@ -33,7 +33,7 @@ bool IsRetryableFault(const Status& s) {
 /// the registry.
 ///
 /// fcae-check: declare-metric(gauge): offload.card*.queued_bytes
-/// fcae-check: declare-metric(counter): offload.card*.busy_micros, offload.card*.quarantines
+/// fcae-check: declare-metric(counter): offload.card*.busy_micros
 std::string CardMetricName(int card, const char* field) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "offload.card%d.%s", card, field);
@@ -157,7 +157,6 @@ FcaeCompactionExecutor::FcaeCompactionExecutor(DeviceSet* devices,
   for (int i = 0; i < devices->num_cards(); i++) {
     lanes_.push_back(std::make_unique<CardLane>());
   }
-  published_quarantines_.assign(devices->num_cards(), 0);
 }
 
 int EngineInputsNeeded(const CompactionJob& job) {
@@ -296,8 +295,6 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
     // The shard's key range holds no data: a legitimate empty result.
     stats->offloaded = true;
     stats->micros = env->NowMicros() - start_micros;
-    MutexLock lock(&mutex_);
-    counters_.jobs++;
     return Status::OK();
   }
   const bool tournament =
@@ -435,34 +432,6 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   } else {
     health->RecordJobFailure(sticky);
   }
-  if (job.metrics != nullptr) {
-    // Advance the per-card quarantine counter by however many times
-    // this card's breaker has opened since we last published.
-    const DeviceHealthMonitor::Snapshot snap = health->snapshot();
-    uint64_t quarantine_delta = 0;
-    {
-      MutexLock lock(&mutex_);
-      if (snap.quarantines > published_quarantines_[card]) {
-        quarantine_delta = snap.quarantines - published_quarantines_[card];
-        published_quarantines_[card] = snap.quarantines;
-      }
-    }
-    if (quarantine_delta > 0) {
-      job.metrics->counter(CardMetricName(card, "quarantines"))
-          ->Increment(quarantine_delta);
-    }
-  }
-
-  {
-    MutexLock lock(&mutex_);
-    counters_.jobs++;
-    counters_.attempts += attempts;
-    counters_.retries += attempts > 0 ? attempts - 1 : 0;
-    counters_.faults += faults;
-    counters_.verify_failures += verify_failures;
-    counters_.backoff_micros += backoff_micros;
-    if (!s.ok()) counters_.jobs_failed++;
-  }
 
   stats->device_attempts = attempts;
   stats->device_retries = attempts > 0 ? attempts - 1 : 0;
@@ -520,11 +489,6 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   // crash here must leave only orphans that reopen reclaims.
   FCAE_CRASH_POINT("offload:after_device_write");
 
-  for (int which = 0; which < 2; which++) {
-    for (int i = 0; i < c->num_input_files(which); i++) {
-      stats->bytes_read += c->input(which, i)->file_size;
-    }
-  }
   // Records the bounds filter discarded belong to other shards, not to
   // this job — exclude them so the stats match the CPU shard path,
   // whose bounded iterator never surfaces them at all.
@@ -570,31 +534,12 @@ void FcaeCompactionExecutor::ReleaseDeviceTicket(
 }
 
 std::string FcaeCompactionExecutor::HealthString() const {
-  RobustnessCounters counters = robustness_counters();
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "executor{jobs=%llu failed=%llu attempts=%llu retries=%llu "
-      "faults=%llu verify-rejects=%llu backoff-us=%llu}",
-      (unsigned long long)counters.jobs,
-      (unsigned long long)counters.jobs_failed,
-      (unsigned long long)counters.attempts,
-      (unsigned long long)counters.retries,
-      (unsigned long long)counters.faults,
-      (unsigned long long)counters.verify_failures,
-      (unsigned long long)counters.backoff_micros);
-  std::string result(buf);
+  std::string result;
   for (int i = 0; i < devices_->num_cards(); i++) {
-    result += " ";
+    if (i > 0) result += " ";
     result += devices_->monitor(i)->ToString();
   }
   return result;
-}
-
-FcaeCompactionExecutor::RobustnessCounters
-FcaeCompactionExecutor::robustness_counters() const {
-  MutexLock lock(&mutex_);
-  return counters_;
 }
 
 }  // namespace host

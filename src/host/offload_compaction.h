@@ -70,19 +70,9 @@ class FcaeCompactionExecutor : public CompactionExecutor {
                  std::vector<CompactionOutput>* outputs,
                  CompactionExecStats* stats) override;
 
+  /// One breaker dump per card. Attempt, retry and fault totals are
+  /// the `host.*` instruments and the DB's `fcae.device-health` line.
   std::string HealthString() const override;
-
-  /// Lifetime robustness counters (all jobs through this executor).
-  struct RobustnessCounters {
-    uint64_t jobs = 0;
-    uint64_t jobs_failed = 0;
-    uint64_t attempts = 0;
-    uint64_t retries = 0;
-    uint64_t faults = 0;
-    uint64_t verify_failures = 0;
-    uint64_t backoff_micros = 0;
-  };
-  RobustnessCounters robustness_counters() const EXCLUDES(mutex_);
 
  private:
   /// Per-card device admission queue: one kernel runs at a time on each
@@ -106,16 +96,6 @@ class FcaeCompactionExecutor : public CompactionExecutor {
 
   DeviceSet* const devices_;  // Borrowed.
   const FcaeExecutorOptions options_;
-
-  // mutex_ guards only the counters. Multiple compaction workers may be
-  // inside Execute() concurrently (the DB's parallel scheduler), and
-  // counter readers (GetProperty, tests) arrive from any thread. Leaf
-  // lock: nothing else is acquired while it is held.
-  mutable Mutex mutex_;
-  RobustnessCounters counters_ GUARDED_BY(mutex_);
-  // Per-card breaker-open totals last pushed to offload.card<N>.
-  // quarantines, so the counter advances by the delta each job.
-  std::vector<uint64_t> published_quarantines_ GUARDED_BY(mutex_);
 
   std::vector<std::unique_ptr<CardLane>> lanes_;  // 1 entry per card.
 };

@@ -95,13 +95,18 @@ struct CompactionOutput {
   bool has_file_checksum = false;
 };
 
-/// Statistics reported by an executor for one compaction.
+/// The one record of a compaction job. Executors fill it per shard, the
+/// DB sums the shards and sets `bytes_read` once from the job's input
+/// files, and every other view of the job (per-level stats, the
+/// db.compaction.* instruments, span args, CompactionJobInfo) is read
+/// from the summed record.
 struct CompactionExecStats {
   double micros = 0;           // Wall-clock kernel time.
-  int64_t bytes_read = 0;      // Input bytes.
+  int64_t bytes_read = 0;      // Input table bytes, set by the DB.
   int64_t bytes_written = 0;   // Output bytes.
   uint64_t entries_in = 0;     // Input key-value pairs.
   uint64_t entries_dropped = 0;
+  bool fell_back = false;  // A device attempt failed; CPU rerun happened.
 
   // Device-path extras (zero for CPU execution).
   bool offloaded = false;
@@ -123,6 +128,8 @@ struct CompactionExecStats {
     bytes_written += other.bytes_written;
     entries_in += other.entries_in;
     entries_dropped += other.entries_dropped;
+    fell_back = fell_back || other.fell_back;
+    offloaded = offloaded || other.offloaded;
     device_cycles += other.device_cycles;
     device_micros += other.device_micros;
     pcie_micros += other.pcie_micros;

@@ -120,11 +120,6 @@ class CpuCompactionExecutor : public CompactionExecutor {
       status = input->status();
     }
 
-    for (int which = 0; which < 2; which++) {
-      for (int i = 0; i < job.compaction->num_input_files(which); i++) {
-        stats->bytes_read += job.compaction->input(which, i)->file_size;
-      }
-    }
     merge_span.AddArg("entries_in", std::to_string(stats->entries_in));
     merge_span.AddArg("entries_dropped",
                       std::to_string(stats->entries_dropped));

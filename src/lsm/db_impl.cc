@@ -191,9 +191,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       manual_compaction_(nullptr),
       versions_(new VersionSet(dbname_, &options_, table_cache_.get(),
                                &internal_comparator_)),
-      compactions_offloaded_(0),
-      compactions_on_cpu_(0),
-      compactions_fallback_(0),
       write_controller_(WriteControllerConfigFor(options_)),
       owns_rate_limiter_(options_.rate_limiter != raw_options.rate_limiter) {
   trace_.set_sink(options_.trace_sink);
@@ -1570,7 +1567,6 @@ struct DBImpl::CompactionShard {
   std::vector<CompactionOutput> outputs;
   CompactionExecStats stats;
   Status status;
-  bool fell_back = false;
 };
 
 void DBImpl::ShardThreadMain(void* arg) {
@@ -1638,7 +1634,7 @@ void DBImpl::RunCompactionShard(CompactionShard* shard) {
     shard->stats.device_faults += device_stats.device_faults;
     shard->stats.verify_failures += device_stats.verify_failures;
     shard->stats.verify_micros += device_stats.verify_micros;
-    shard->fell_back = true;
+    shard->stats.fell_back = true;
   }
   if (shard->stats.micros == 0) {
     shard->stats.micros = env_->NowMicros() - start_micros;
@@ -1796,12 +1792,12 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
     mutex_.Lock();
   }
 
-  // Aggregate shard results. Shards cover ascending disjoint key ranges
-  // so concatenating their outputs in shard order keeps level+1 sorted.
+  // Sum the shards into the job's one record. Shards cover ascending
+  // disjoint key ranges so concatenating their outputs in shard order
+  // keeps level+1 sorted.
   Status status;
   std::vector<CompactionOutput> outputs;
   CompactionExecStats exec_stats;
-  bool fell_back = false;
   std::vector<uint64_t> allocated_numbers;
   for (const std::unique_ptr<CompactionShard>& shard : shards) {
     if (status.ok() && !shard->status.ok()) {
@@ -1810,8 +1806,6 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
     outputs.insert(outputs.end(), shard->outputs.begin(),
                    shard->outputs.end());
     exec_stats.Add(shard->stats);
-    exec_stats.offloaded = exec_stats.offloaded || shard->stats.offloaded;
-    fell_back = fell_back || shard->fell_back;
     allocated_numbers.insert(allocated_numbers.end(), shard->allocated.begin(),
                              shard->allocated.end());
   }
@@ -1819,28 +1813,26 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
     // Shards overlap in time; charge wall clock, not the per-shard sum.
     exec_stats.micros = static_cast<double>(wall_micros);
   }
+  // Every shard reads the same input tables, so they count once here.
+  for (int which = 0; which < 2; which++) {
+    for (int i = 0; i < c->num_input_files(which); i++) {
+      exec_stats.bytes_read += c->input(which, i)->file_size;
+    }
+  }
 
-  if (exec_stats.offloaded) {
-    compactions_offloaded_++;
-  } else {
-    compactions_on_cpu_++;
-  }
-  if (fell_back) {
-    compactions_fallback_++;
-  }
+  // Every view of the job reads the record: the DB totals, the
+  // per-level table, the instruments, the span and the listener payload.
   exec_stats_.Add(exec_stats);
-
   CompactionStats stats;
   stats.micros = static_cast<int64_t>(exec_stats.micros);
   stats.bytes_read = exec_stats.bytes_read;
   stats.bytes_written = exec_stats.bytes_written;
   stats_[level + 1].Add(stats);
-
   metrics_->counter("db.compaction.count")->Increment();
   metrics_->counter(exec_stats.offloaded ? "db.compaction.offloaded"
                                          : "db.compaction.cpu")
       ->Increment();
-  if (fell_back) {
+  if (exec_stats.fell_back) {
     metrics_->counter("db.compaction.fallbacks")->Increment();
   }
   metrics_->counter("db.compaction.bytes_read")
@@ -1850,6 +1842,13 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
   metrics_->counter("db.compaction.entries_dropped")
       ->Increment(exec_stats.entries_dropped);
   metrics_->histogram("db.compaction.micros")->Observe(exec_stats.micros);
+  compaction_span.AddArg("offloaded", exec_stats.offloaded ? "true" : "false");
+  compaction_span.AddArg("fallback", exec_stats.fell_back ? "true" : "false");
+  job_info.offloaded = exec_stats.offloaded;
+  job_info.fell_back = exec_stats.fell_back;
+  job_info.input_bytes = static_cast<uint64_t>(exec_stats.bytes_read);
+  job_info.output_bytes = static_cast<uint64_t>(exec_stats.bytes_written);
+  job_info.micros = static_cast<uint64_t>(exec_stats.micros);
 
   if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
     status = Status::IOError("Deleting DB during compaction");
@@ -1866,8 +1865,6 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
       FCAE_CRASH_POINT("compaction:after_install");
     }
   }
-  compaction_span.AddArg("offloaded", exec_stats.offloaded ? "true" : "false");
-  compaction_span.AddArg("fallback", fell_back ? "true" : "false");
 
   // Release pending output protection — every number handed out,
   // including ones whose table assembly failed before reaching `outputs`.
@@ -1891,19 +1888,11 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
   }
 
   if (notifier_.active()) {
-    job_info.offloaded = exec_stats.offloaded;
-    job_info.fell_back = fell_back;
-    job_info.input_bytes = static_cast<uint64_t>(exec_stats.bytes_read);
-    job_info.output_bytes = static_cast<uint64_t>(exec_stats.bytes_written);
-    job_info.micros = static_cast<uint64_t>(exec_stats.micros);
     job_info.status = status;
     mutex_.Unlock();
     notifier_.NotifyCompactionCompleted(job_info);
     mutex_.Lock();
   }
-
-  VersionSet::LevelSummaryStorage tmp;
-  (void)tmp;
   return status;
 }
 
@@ -1923,11 +1912,6 @@ Status DBImpl::InstallCompactionResults(
     c->edit()->AddFile(level + 1, f);
   }
   return LogAndApplyLocked(c->edit());
-}
-
-void DBImpl::CleanupCompaction(CompactionState* compact) {
-  // Unused in the executor-based design; retained for interface parity.
-  (void)compact;
 }
 
 namespace {
@@ -2417,8 +2401,6 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         }
       }
       allow_delay = false;  // Do not delay a single write more than once.
-      slowdown_count_++;
-      slowdown_micros_ += waited;
       metrics_->counter("db.write.slowdowns")->Increment();
       metrics_->counter("db.write.slowdown_micros")->Increment(waited);
       metrics_->counter("wc.delayed_writes")->Increment();
@@ -2451,7 +2433,6 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         metrics_->counter("wc.memory_stalls")->Increment();
         metrics_->counter("wc.stopped_writes")->Increment();
       }
-      stall_memtable_count_++;
       metrics_->counter("db.write.stall_memtable")->Increment();
       NotifyWriteStall(/*begin=*/true, obs::WriteStallCause::kMemtableFull,
                        0);
@@ -2467,7 +2448,6 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       const uint64_t start = env_->NowMicros();
       background_work_finished_signal_.Wait();
       const uint64_t waited = env_->NowMicros() - start;
-      stall_memtable_micros_ += waited;
       metrics_->counter("db.write.stall_memtable_micros")->Increment(waited);
       if (memory_stop) {
         metrics_->counter("wc.stop_micros")->Increment(waited);
@@ -2483,7 +2463,6 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       // imm in flight and is handled above). Block on the condvar —
       // every install, Resume(), and background-error transition
       // signals it.
-      stall_l0_count_++;
       metrics_->counter("db.write.stall_l0")->Increment();
       metrics_->counter("wc.stopped_writes")->Increment();
       MaybeScheduleCompaction();
@@ -2503,7 +2482,6 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       const uint64_t start = env_->NowMicros();
       background_work_finished_signal_.Wait();
       const uint64_t waited = env_->NowMicros() - start;
-      stall_l0_micros_ += waited;
       metrics_->counter("db.write.stall_l0_micros")->Increment(waited);
       metrics_->counter("wc.stop_micros")->Increment(waited);
       metrics_->histogram("db.write.stall_micros")
@@ -2589,6 +2567,29 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
       return true;
     }
   } else if (in == Slice("stats")) {
+    // Every line below the level table reads the registry. With a
+    // registry shared by several opens, the cumulative lines report its
+    // totals, as the Interval lines report its activity.
+    const obs::MetricsRegistry::Snapshot now = metrics_->TakeSnapshot();
+    const auto total = [&](const char* name) -> unsigned long long {
+      return now.CounterValue(name);
+    };
+    const auto delta = [&](const char* name) -> unsigned long long {
+      const uint64_t cur = now.CounterValue(name);
+      const uint64_t before = stats_window_.CounterValue(name);
+      return cur >= before ? cur - before : 0;
+    };
+    const auto append_pauses = [&](const char* label, const auto& count) {
+      AppendF(value,
+              "%s: slowdowns=%llu (%.1f ms) memtable-waits=%llu (%.1f ms) "
+              "l0-stops=%llu (%.1f ms)\n",
+              label, count("db.write.slowdowns"),
+              count("db.write.slowdown_micros") / 1e3,
+              count("db.write.stall_memtable"),
+              count("db.write.stall_memtable_micros") / 1e3,
+              count("db.write.stall_l0"),
+              count("db.write.stall_l0_micros") / 1e3);
+    };
     value->append(
         "                               Compactions\n"
         "Level  Files Size(MB) Time(sec) Read(MB) Write(MB)\n"
@@ -2604,49 +2605,26 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
       }
     }
     AppendF(value,
-            "Compactions executed: cpu=%lld offloaded=%lld "
-            "fallback=%lld (device %.3f ms kernel, %.3f ms pcie)\n",
-            static_cast<long long>(compactions_on_cpu_),
-            static_cast<long long>(compactions_offloaded_),
-            static_cast<long long>(compactions_fallback_),
+            "Compactions executed: cpu=%llu offloaded=%llu "
+            "fallback=%llu (device %.3f ms kernel, %.3f ms pcie)\n",
+            total("db.compaction.cpu"), total("db.compaction.offloaded"),
+            total("db.compaction.fallbacks"),
             exec_stats_.device_micros / 1e3, exec_stats_.pcie_micros / 1e3);
-    AppendF(value,
-            "Write pauses: slowdowns=%lld (%.1f ms) "
-            "memtable-waits=%lld (%.1f ms) l0-stops=%lld (%.1f ms)\n",
-            static_cast<long long>(slowdown_count_), slowdown_micros_ / 1e3,
-            static_cast<long long>(stall_memtable_count_),
-            stall_memtable_micros_ / 1e3,
-            static_cast<long long>(stall_l0_count_), stall_l0_micros_ / 1e3);
+    append_pauses("Write pauses", total);
     // Interval section: activity since the previous "fcae.stats" read
     // (or since Open for the first one). The stats dumper reads this
     // property each period, so its records show per-window figures
     // without consumers having to diff cumulative dumps themselves.
-    {
-      const obs::MetricsRegistry::Snapshot now = metrics_->TakeSnapshot();
-      const auto delta = [&](const char* name) -> unsigned long long {
-        const uint64_t cur = now.CounterValue(name);
-        const uint64_t before = stats_window_.CounterValue(name);
-        return cur >= before ? cur - before : 0;
-      };
-      AppendF(value,
-              "Interval: flushes=%llu (%.3f MB) compactions=%llu "
-              "(read %.3f MB, wrote %.3f MB)\n",
-              delta("db.flush.count"),
-              delta("db.flush.bytes_written") / 1048576.0,
-              delta("db.compaction.count"),
-              delta("db.compaction.bytes_read") / 1048576.0,
-              delta("db.compaction.bytes_written") / 1048576.0);
-      AppendF(value,
-              "Interval: slowdowns=%llu (%.1f ms) memtable-waits=%llu "
-              "(%.1f ms) l0-stops=%llu (%.1f ms)\n",
-              delta("db.write.slowdowns"),
-              delta("db.write.slowdown_micros") / 1e3,
-              delta("db.write.stall_memtable"),
-              delta("db.write.stall_memtable_micros") / 1e3,
-              delta("db.write.stall_l0"),
-              delta("db.write.stall_l0_micros") / 1e3);
-      stats_window_ = now;
-    }
+    AppendF(value,
+            "Interval: flushes=%llu (%.3f MB) compactions=%llu "
+            "(read %.3f MB, wrote %.3f MB)\n",
+            delta("db.flush.count"),
+            delta("db.flush.bytes_written") / 1048576.0,
+            delta("db.compaction.count"),
+            delta("db.compaction.bytes_read") / 1048576.0,
+            delta("db.compaction.bytes_written") / 1048576.0);
+    append_pauses("Interval", delta);
+    stats_window_ = now;
     return true;
   } else if (in == Slice("metrics")) {
     // JSON snapshot of every registered counter/gauge/histogram; see
@@ -2660,16 +2638,19 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     return true;
   } else if (in == Slice("device-health")) {
     // One line of robustness/fault counters for the offload path: how
-    // compactions were routed, what the device attempts cost, and the
-    // primary executor's own health dump (retry/verify/breaker state).
+    // compactions were routed (the registry's db.compaction.* counters),
+    // what the device attempts cost, and the primary executor's own
+    // health dump (breaker state per card).
+    const obs::MetricsRegistry::Snapshot now = metrics_->TakeSnapshot();
+    const auto total = [&](const char* name) -> unsigned long long {
+      return now.CounterValue(name);
+    };
     AppendF(value,
-            "executor=%s compactions{offloaded=%lld cpu=%lld fallback=%lld} "
+            "executor=%s compactions{offloaded=%llu cpu=%llu fallback=%llu} "
             "device{attempts=%llu retries=%llu faults=%llu "
             "verify-rejects=%llu verify-ms=%.3f}",
-            primary_executor_->Name(),
-            static_cast<long long>(compactions_offloaded_),
-            static_cast<long long>(compactions_on_cpu_),
-            static_cast<long long>(compactions_fallback_),
+            primary_executor_->Name(), total("db.compaction.offloaded"),
+            total("db.compaction.cpu"), total("db.compaction.fallbacks"),
             static_cast<unsigned long long>(exec_stats_.device_attempts),
             static_cast<unsigned long long>(exec_stats_.device_retries),
             static_cast<unsigned long long>(exec_stats_.device_faults),
@@ -2773,8 +2754,8 @@ CompactionExecStats DBImpl::OffloadStats() {
 }
 
 int64_t DBImpl::FallbackCompactions() {
-  MutexLock l(&mutex_);
-  return compactions_fallback_;
+  return static_cast<int64_t>(
+      metrics_->TakeSnapshot().CounterValue("db.compaction.fallbacks"));
 }
 
 DB::~DB() = default;

@@ -92,12 +92,12 @@ class DBImpl : public DB {
   CompactionExecStats OffloadStats();
 
   /// Compactions the primary (device) executor failed and the CPU
-  /// executor completed instead (graceful degradation).
+  /// executor completed instead (graceful degradation): the registry's
+  /// db.compaction.fallbacks.
   int64_t FallbackCompactions();
 
  private:
   friend class DB;
-  struct CompactionState;
   struct Writer;
 
   Iterator* NewInternalIterator(const ReadOptions&,
@@ -246,7 +246,6 @@ class DBImpl : public DB {
   void ContainCompactionCorruption(Compaction* c, const Status& s,
                                    std::vector<uint64_t>* to_repair)
       REQUIRES(mutex_);
-  void CleanupCompaction(CompactionState* compact) REQUIRES(mutex_);
 
   /// True iff a newly dispatched worker could claim a compaction now
   /// (manual or picker) given the levels current jobs occupy.
@@ -398,13 +397,10 @@ class DBImpl : public DB {
   };
   CompactionStats stats_[kNumLevels] GUARDED_BY(mutex_);
 
-  // Aggregate executor statistics (e.g. offloaded compaction count).
+  // The sum of every compaction job's record. It keeps the device, PCIe
+  // and verify times, which no instrument records; job counts by route
+  // are the registry's db.compaction.* counters.
   CompactionExecStats exec_stats_ GUARDED_BY(mutex_);
-  int64_t compactions_offloaded_ GUARDED_BY(mutex_);
-  int64_t compactions_on_cpu_ GUARDED_BY(mutex_);
-  // Jobs the primary (device) executor failed that were rerun — and
-  // completed — on the CPU executor (graceful degradation).
-  int64_t compactions_fallback_ GUARDED_BY(mutex_);
 
   // Overload protection (DESIGN.md §10): the WriteController prices
   // compaction debt into per-write delays and stop states; the
@@ -427,15 +423,6 @@ class DBImpl : public DB {
   // refreshed on every "stats" read, so each read reports activity
   // since the previous one (the windowed view the stats dumper emits).
   obs::MetricsRegistry::Snapshot stats_window_ GUARDED_BY(mutex_);
-
-  // Write-pause accounting (the paper's Section I phenomenon): how
-  // often and for how long MakeRoomForWrite throttled the client.
-  int64_t slowdown_count_ GUARDED_BY(mutex_) = 0;  // Debt delays (L0 >= 8).
-  int64_t slowdown_micros_ GUARDED_BY(mutex_) = 0;
-  int64_t stall_memtable_count_ GUARDED_BY(mutex_) = 0;  // Flush waits.
-  int64_t stall_memtable_micros_ GUARDED_BY(mutex_) = 0;
-  int64_t stall_l0_count_ GUARDED_BY(mutex_) = 0;  // Hard stops (L0 >= 12).
-  int64_t stall_l0_micros_ GUARDED_BY(mutex_) = 0;
 };
 
 /// Sanitizes db options: clips user-supplied values to reasonable ranges

@@ -1075,10 +1075,6 @@ void VersionSet::MarkFileNumberUsed(uint64_t number) {
 }
 
 void VersionSet::Finalize(Version* v) {
-  // Precomputed best level for next compaction.
-  int best_level = -1;
-  double best_score = -1;
-
   for (int level = 0; level < kNumLevels - 1; level++) {
     double score;
     if (level == 0) {
@@ -1102,14 +1098,7 @@ void VersionSet::Finalize(Version* v) {
     }
 
     v->level_scores_[level] = score;
-    if (score > best_score) {
-      best_level = level;
-      best_score = score;
-    }
   }
-
-  v->compaction_level_ = best_level;
-  v->compaction_score_ = best_score;
 }
 
 Status VersionSet::WriteSnapshot(log::Writer* log) {
@@ -1168,18 +1157,6 @@ uint64_t VersionSet::PendingCompactionBytes() const {
     if (over > 0) pending += static_cast<uint64_t>(over);
   }
   return pending;
-}
-
-const char* VersionSet::LevelSummary(LevelSummaryStorage* scratch) const {
-  // Update code if kNumLevels changes.
-  static_assert(kNumLevels == 7, "Summary formatting assumes 7 levels");
-  std::snprintf(
-      scratch->buffer, sizeof(scratch->buffer), "files[ %d %d %d %d %d %d %d ]",
-      int(current_->files_[0].size()), int(current_->files_[1].size()),
-      int(current_->files_[2].size()), int(current_->files_[3].size()),
-      int(current_->files_[4].size()), int(current_->files_[5].size()),
-      int(current_->files_[6].size()));
-  return scratch->buffer;
 }
 
 uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {

@@ -114,9 +114,7 @@ class Version {
         prev_(this),
         refs_(0),
         file_to_compact_(nullptr),
-        file_to_compact_level_(-1),
-        compaction_score_(-1),
-        compaction_level_(-1) {
+        file_to_compact_level_(-1) {
     for (int i = 0; i < kNumLevels; i++) {
       level_scores_[i] = -1;
     }
@@ -146,13 +144,8 @@ class Version {
   FileMetaData* file_to_compact_;
   int file_to_compact_level_;
 
-  // Level that should be compacted next and its compaction score
-  // (>= 1 means a compaction is needed). Computed by Finalize().
-  double compaction_score_;
-  int compaction_level_;
-
-  // Per-level compaction scores (same formula as compaction_score_),
-  // also computed by Finalize(). Lets the parallel scheduler pick a
+  // Per-level compaction scores (>= 1 means a compaction is needed),
+  // computed by Finalize(). Lets the parallel scheduler pick a
   // second-best level when the best one is already being compacted.
   double level_scores_[kNumLevels];
 };
@@ -271,12 +264,6 @@ class VersionSet {
 
   /// Approximate file-space offset of `key` in version `v`.
   uint64_t ApproximateOffsetOf(Version* v, const InternalKey& key);
-
-  /// Per-level summary string for logging.
-  struct LevelSummaryStorage {
-    char buffer[200];
-  };
-  const char* LevelSummary(LevelSummaryStorage* scratch) const;
 
   /// Max bytes allowed at `level` given the configured leveling ratio
   /// (paper Fig. 15d varies this from 4 to 16).

@@ -128,39 +128,9 @@ HistogramMetric* MetricsRegistry::histogram(const std::string& name) {
 }
 
 std::string MetricsRegistry::ToJson() const {
-  MutexLock lock(&mutex_);
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    AppendF(&out, "%s\n    \"%s\": %llu", first ? "" : ",",
-            JsonEscape(name).c_str(),
-            static_cast<unsigned long long>(counter->value()));
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    AppendF(&out, "%s\n    \"%s\": %lld", first ? "" : ",",
-            JsonEscape(name).c_str(),
-            static_cast<long long>(gauge->value()));
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    // snapshot() would self-deadlock pattern-wise only if histogram
-    // shared mutex_ — it has its own leaf lock, safe to take here.
-    Histogram h = histogram->snapshot();
-    AppendF(&out, "%s\n    \"%s\": ", first ? "" : ",",
-            JsonEscape(name).c_str());
-    AppendHistogramJson(&out, h);
-    first = false;
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}";
-  return out;
+  // Against an empty snapshot every counter and histogram reports its
+  // full value.
+  return ToJsonSince(Snapshot());
 }
 
 uint64_t MetricsRegistry::Snapshot::CounterValue(

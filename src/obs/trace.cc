@@ -113,8 +113,10 @@ std::string TraceRecorder::ToJson() const {
       out += ", \"args\": {";
       for (size_t a = 0; a < e.args.size(); a++) {
         if (a > 0) out += ", ";
-        out += "\"" + JsonEscape(e.args[a].first) +
-               "\": " + e.args[a].second;
+        out += '"';
+        out += JsonEscape(e.args[a].first);
+        out += "\": ";
+        out += e.args[a].second;
       }
       out += "}";
     }
@@ -139,7 +141,10 @@ uint64_t TraceRecorder::events_dropped() const {
 }
 
 std::string TraceRecorder::Quote(const std::string& value) {
-  return "\"" + JsonEscape(value) + "\"";
+  std::string out = "\"";
+  out += JsonEscape(value);
+  out += '"';
+  return out;
 }
 
 SpanTimer::SpanTimer(TraceRecorder* recorder, std::string name,

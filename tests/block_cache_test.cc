@@ -10,6 +10,7 @@
 #include "table/table.h"
 #include "table/table_builder.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/cache.h"
 #include "util/env.h"
 #include "util/mem_env.h"
@@ -152,7 +153,7 @@ TEST_F(BlockCacheTest, DbWithCacheMatchesDbWithout) {
 
     Random rnd(5);
     for (int i = 0; i < 2000; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), "k" + std::to_string(rnd.Uniform(500)),
+      ASSERT_TRUE(db->Put(WriteOptions(), test::Cat("k", rnd.Uniform(500)),
                           std::string(200, 'x'))
                       .ok());
     }
@@ -161,7 +162,7 @@ TEST_F(BlockCacheTest, DbWithCacheMatchesDbWithout) {
     std::string value;
     int found = 0;
     for (int i = 0; i < 500; i++) {
-      if (db->Get(ReadOptions(), "k" + std::to_string(i), &value).ok()) {
+      if (db->Get(ReadOptions(), test::Cat("k", i), &value).ok()) {
         found++;
         ASSERT_EQ(200u, value.size());
       }

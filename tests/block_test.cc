@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "table/block_builder.h"
 #include "table/format.h"
+#include "test_util.h"
 #include "util/comparator.h"
 #include "util/options.h"
 #include "util/random.h"
@@ -57,7 +58,7 @@ TEST(BlockTest, ForwardIteration) {
   for (int i = 0; i < 100; i++) {
     char key[16];
     std::snprintf(key, sizeof(key), "key%06d", i);
-    entries[key] = "value" + std::to_string(i);
+    entries[key] = test::Cat("value", i);
   }
   BuiltBlock b = BuildBlock(entries, 16);
   std::unique_ptr<Iterator> iter(b.block->NewIterator(BytewiseComparator()));
@@ -76,7 +77,7 @@ TEST(BlockTest, ForwardIteration) {
 TEST(BlockTest, BackwardIteration) {
   std::map<std::string, std::string> entries;
   for (int i = 0; i < 50; i++) {
-    entries["k" + std::to_string(1000 + i)] = std::to_string(i);
+    entries[test::Cat("k", 1000 + i)] = std::to_string(i);
   }
   BuiltBlock b = BuildBlock(entries, 4);
   std::unique_ptr<Iterator> iter(b.block->NewIterator(BytewiseComparator()));

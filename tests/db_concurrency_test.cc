@@ -12,6 +12,7 @@
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/mem_env.h"
 #include "util/random.h"
 
@@ -68,8 +69,7 @@ TEST_P(DbConcurrencyTest, ParallelWritersAllWritesSurvive) {
     threads.emplace_back([&, t]() {
       WriteOptions wo;
       for (int i = 0; i < kWritesPerThread; i++) {
-        std::string key =
-            "t" + std::to_string(t) + "-k" + std::to_string(i);
+        std::string key = test::Cat("t", t, "-k", i);
         if (!db_->Put(wo, key, MakeValue(t, i)).ok()) {
           failed.store(true);
           return;
@@ -84,7 +84,7 @@ TEST_P(DbConcurrencyTest, ParallelWritersAllWritesSurvive) {
   std::string value;
   for (int t = 0; t < kThreads; t++) {
     for (int i = 0; i < kWritesPerThread; i += 97) {
-      std::string key = "t" + std::to_string(t) + "-k" + std::to_string(i);
+      std::string key = test::Cat("t", t, "-k", i);
       ASSERT_TRUE(db_->Get(ReadOptions(), key, &value).ok()) << key;
       ASSERT_EQ(MakeValue(t, i), value);
     }
@@ -96,7 +96,7 @@ TEST_P(DbConcurrencyTest, ReadersDuringWrites) {
   // Seed every key once so readers always find something.
   for (int k = 0; k < kKeys; k++) {
     ASSERT_TRUE(
-        db_->Put(WriteOptions(), "key" + std::to_string(k), MakeValue(0, 0))
+        db_->Put(WriteOptions(), test::Cat("key", k), MakeValue(0, 0))
             .ok());
   }
 
@@ -106,7 +106,7 @@ TEST_P(DbConcurrencyTest, ReadersDuringWrites) {
     Random rnd(7);
     std::string value;
     while (!stop.load(std::memory_order_acquire)) {
-      std::string key = "key" + std::to_string(rnd.Uniform(kKeys));
+      std::string key = test::Cat("key", rnd.Uniform(kKeys));
       Status s = db_->Get(ReadOptions(), key, &value);
       if (s.ok()) {
         // Values are always "tNN-cNNNNNNNN-" + 100 letter bytes.
@@ -121,7 +121,7 @@ TEST_P(DbConcurrencyTest, ReadersDuringWrites) {
 
   Random rnd(13);
   for (int i = 1; i <= 6000; i++) {
-    std::string key = "key" + std::to_string(rnd.Uniform(kKeys));
+    std::string key = test::Cat("key", rnd.Uniform(kKeys));
     ASSERT_TRUE(db_->Put(WriteOptions(), key, MakeValue(1, i)).ok());
   }
   stop.store(true, std::memory_order_release);
@@ -131,7 +131,7 @@ TEST_P(DbConcurrencyTest, ReadersDuringWrites) {
 
 TEST_P(DbConcurrencyTest, IteratorStableDuringWrites) {
   for (int k = 0; k < 500; k++) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), "stable" + std::to_string(k),
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::Cat("stable", k),
                          MakeValue(0, k))
                     .ok());
   }
@@ -139,7 +139,7 @@ TEST_P(DbConcurrencyTest, IteratorStableDuringWrites) {
 
   // Mutate heavily after creating the iterator.
   for (int k = 0; k < 3000; k++) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), "noise" + std::to_string(k % 100),
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::Cat("noise", k % 100),
                          MakeValue(2, k))
                     .ok());
   }

@@ -9,6 +9,7 @@
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/mem_env.h"
 #include "util/random.h"
 
@@ -59,11 +60,11 @@ TEST_F(DbIterTest, SeekLandsPastDeletedKey) {
 TEST_F(DbIterTest, PrevSkipsDeletedRun) {
   Put("a", "1");
   for (int i = 0; i < 20; i++) {
-    Put("m" + std::to_string(i), "x");
+    Put(test::Cat("m", i), "x");
   }
   Put("z", "26");
   for (int i = 0; i < 20; i++) {
-    Delete("m" + std::to_string(i));
+    Delete(test::Cat("m", i));
   }
 
   auto iter = Iter();
@@ -78,7 +79,7 @@ TEST_F(DbIterTest, PrevSkipsDeletedRun) {
 
 TEST_F(DbIterTest, OverwritesShowNewestOnly) {
   for (int i = 0; i < 10; i++) {
-    Put("key", "v" + std::to_string(i));
+    Put("key", test::Cat("v", i));
   }
   auto iter = Iter();
   int count = 0;
@@ -155,12 +156,12 @@ TEST_F(DbIterTest, RandomizedAgainstModelWithDeletions) {
   Random rnd(77);
   std::map<std::string, std::string> model;
   for (int i = 0; i < 3000; i++) {
-    std::string key = "k" + std::to_string(rnd.Uniform(150));
+    std::string key = test::Cat("k", rnd.Uniform(150));
     if (rnd.OneIn(4)) {
       Delete(key);
       model.erase(key);
     } else {
-      std::string value = "v" + std::to_string(i);
+      std::string value = test::Cat("v", i);
       Put(key, value);
       model[key] = value;
     }
@@ -189,7 +190,7 @@ TEST_F(DbIterTest, RandomizedAgainstModelWithDeletions) {
 
   // Random seeks.
   for (int i = 0; i < 200; i++) {
-    std::string target = "k" + std::to_string(rnd.Uniform(200));
+    std::string target = test::Cat("k", rnd.Uniform(200));
     iter->Seek(target);
     auto lb = model.lower_bound(target);
     if (lb == model.end()) {

@@ -22,6 +22,7 @@
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/mem_env.h"
 #include "util/random.h"
 
@@ -116,8 +117,8 @@ TEST_F(DBParallelCompactionTest, WritersReadersUnderFourWorkersWithFaults) {
       Random rnd(9000 + t);
       WriteOptions wo;
       for (int i = 1; i <= kWritesPerThread; i++) {
-        std::string key = "w" + std::to_string(t) + "-k" +
-                          std::to_string(rnd.Uniform(kKeysPerWriter));
+        std::string key =
+            test::Cat("w", t, "-k", rnd.Uniform(kKeysPerWriter));
         std::string value = MakeValue(t, i);
         if (!db->Put(wo, key, value).ok()) {
           write_failed.store(true);
@@ -135,9 +136,8 @@ TEST_F(DBParallelCompactionTest, WritersReadersUnderFourWorkersWithFaults) {
       Random rnd(500 + r);
       std::string value;
       while (!stop.load()) {
-        std::string key =
-            "w" + std::to_string(rnd.Uniform(kWriterThreads)) + "-k" +
-            std::to_string(rnd.Uniform(kKeysPerWriter));
+        std::string key = test::Cat("w", rnd.Uniform(kWriterThreads), "-k",
+                                    rnd.Uniform(kKeysPerWriter));
         Status s = db->Get(ReadOptions(), key, &value);
         if (s.ok() && !LooksWellFormed(value)) torn.fetch_add(1);
       }
@@ -197,12 +197,12 @@ TEST_F(DBParallelCompactionTest, ParallelContentsMatchSequential) {
     WriteOptions wo;
     for (int round = 0; round < 6; round++) {
       for (int i = 0; i < 2000; i++) {
-        std::string key = "key" + std::to_string(rnd.Uniform(1500));
+        std::string key = test::Cat("key", rnd.Uniform(1500));
         if (rnd.Uniform(10) == 0) {
           ASSERT_TRUE(db->Delete(wo, key).ok());
         } else {
-          std::string value = "v" + std::to_string(round) + "-" + key +
-                              std::string(64, 'x');
+          std::string value =
+              test::Cat("v", round, "-", key, std::string(64, 'x'));
           ASSERT_TRUE(db->Put(wo, key, value).ok());
         }
       }
@@ -248,13 +248,13 @@ TEST_F(DBParallelCompactionTest, QuarantinedCardContentsMatchSingleCard) {
     WriteOptions wo;
     for (int round = 0; round < 5; round++) {
       for (int i = 0; i < 2000; i++) {
-        std::string key = "key" + std::to_string(rnd.Uniform(1200));
+        std::string key = test::Cat("key", rnd.Uniform(1200));
         if (rnd.Uniform(12) == 0) {
           ASSERT_TRUE(db->Delete(wo, key).ok());
         } else {
           ASSERT_TRUE(db->Put(wo, key,
-                              "r" + std::to_string(round) + "-" + key +
-                                  std::string(80, 'z'))
+                              test::Cat("r", round, "-", key,
+                                        std::string(80, 'z')))
                           .ok());
         }
       }
@@ -316,8 +316,8 @@ TEST_F(DBParallelCompactionTest, WritersReadersUnderTwoCardsWithFaults) {
       Random rnd(7000 + t);
       WriteOptions wo;
       for (int i = 1; i <= kWritesPerThread; i++) {
-        std::string key = "w" + std::to_string(t) + "-k" +
-                          std::to_string(rnd.Uniform(kKeysPerWriter));
+        std::string key =
+            test::Cat("w", t, "-k", rnd.Uniform(kKeysPerWriter));
         std::string value = MakeValue(t, i);
         if (!db->Put(wo, key, value).ok()) {
           write_failed.store(true);
@@ -361,7 +361,7 @@ TEST_F(DBParallelCompactionTest, CompactRangeWaitsForAllWorkers) {
   WriteOptions wo;
   Random rnd(333);
   for (int i = 0; i < 8000; i++) {
-    std::string key = "k" + std::to_string(rnd.Uniform(4000));
+    std::string key = test::Cat("k", rnd.Uniform(4000));
     ASSERT_TRUE(db->Put(wo, key, key + std::string(80, 'y')).ok());
   }
   db->CompactRange(nullptr, nullptr);

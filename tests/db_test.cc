@@ -9,6 +9,7 @@
 #include "lsm/dbformat.h"
 #include "lsm/write_batch.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/env.h"
 #include "util/filter_policy.h"
 #include "util/mem_env.h"
@@ -87,7 +88,7 @@ class DBTest : public testing::Test {
   int NumTableFilesAtLevel(int level) {
     std::string property;
     EXPECT_TRUE(db_->GetProperty(
-        "fcae.num-files-at-level" + std::to_string(level), &property));
+        test::Cat("fcae.num-files-at-level", level), &property));
     return std::stoi(property);
   }
 
@@ -116,8 +117,8 @@ class DBTest : public testing::Test {
     std::string result;
     std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
     for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      result += "(" + iter->key().ToString() + "->" +
-                iter->value().ToString() + ")";
+      result += test::Cat("(", iter->key().ToString(), "->",
+                          iter->value().ToString(), ")");
     }
     EXPECT_TRUE(iter->status().ok());
     return result;
@@ -343,7 +344,7 @@ TEST_F(DBTest, MinorCompactionsHappen) {
   int starting_num_tables = TotalTableFiles();
   for (int i = 0; i < N; i++) {
     ASSERT_TRUE(
-        Put("k" + std::to_string(i), std::to_string(i) + std::string(1000, 'v'))
+        Put(test::Cat("k", i), test::Cat(i, std::string(1000, 'v')))
             .ok());
   }
   int ending_num_tables = TotalTableFiles();
@@ -351,13 +352,13 @@ TEST_F(DBTest, MinorCompactionsHappen) {
 
   for (int i = 0; i < N; i++) {
     ASSERT_EQ(std::to_string(i) + std::string(1000, 'v'),
-              Get("k" + std::to_string(i)));
+              Get(test::Cat("k", i)));
   }
 
   Reopen(&options);
   for (int i = 0; i < N; i++) {
     ASSERT_EQ(std::to_string(i) + std::string(1000, 'v'),
-              Get("k" + std::to_string(i)));
+              Get(test::Cat("k", i)));
   }
 }
 
@@ -415,7 +416,7 @@ TEST_F(DBTest, DeletionMarkersAreCompactedAway) {
 
 TEST_F(DBTest, OverwritesAreCollapsedByCompaction) {
   for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(Put("key", "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(Put("key", test::Cat("v", i)).ok());
   }
   CompactAllLevels();
   ASSERT_EQ("v9", Get("key"));
@@ -513,11 +514,11 @@ TEST_F(DBTest, BloomFilterOptionWorks) {
   DestroyAndReopen(&options);
 
   for (int i = 0; i < 1000; i++) {
-    ASSERT_TRUE(Put("key" + std::to_string(i), std::to_string(i)).ok());
+    ASSERT_TRUE(Put(test::Cat("key", i), std::to_string(i)).ok());
   }
   ASSERT_TRUE(dbfull()->TEST_CompactMemTable().ok());
   for (int i = 0; i < 1000; i++) {
-    ASSERT_EQ(std::to_string(i), Get("key" + std::to_string(i)));
+    ASSERT_EQ(std::to_string(i), Get(test::Cat("key", i)));
   }
   ASSERT_EQ("NOT_FOUND", Get("absent-key"));
 
@@ -585,7 +586,7 @@ TEST_F(DBTest, RandomizedAgainstModel) {
     std::map<std::string, std::string> model;
     const int kOps = 2000;
     for (int i = 0; i < kOps; i++) {
-      std::string key = "key" + std::to_string(rnd.Uniform(200));
+      std::string key = test::Cat("key", rnd.Uniform(200));
       switch (rnd.Uniform(4)) {
         case 0:
         case 1: {  // Put

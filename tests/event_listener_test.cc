@@ -2,6 +2,7 @@
 // the offload executor and the device health monitor:
 //  - flush and compaction events arrive in lifecycle order with
 //    populated payloads;
+//  - a sharded compaction counts its input tables once;
 //  - a fault-injected device produces OnOffloadRetry / OnOffloadFallback
 //    and a completed-compaction payload with fell_back=true;
 //  - write stalls produce paired Begin/End events per cause;
@@ -18,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fpga/fault_injector.h"
@@ -27,10 +29,12 @@
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
+#include "lsm/filename.h"
 #include "mini_json.h"
 #include "obs/event_listener.h"
 #include "obs/logger.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 #include "util/mem_env.h"
 #include "util/mutex.h"
 #include "util/random.h"
@@ -169,7 +173,9 @@ class EventListenerTest : public testing::Test {
   EventListenerTest() : env_(NewMemEnv(Env::Default())) {}
 
   std::unique_ptr<DB> OpenDb(Options options) {
-    options.env = options.env != nullptr ? options.env : env_.get();
+    // Options() defaults to the real Env; every test runs on the mem env
+    // unless it brings its own wrapper.
+    if (options.env == Env::Default()) options.env = env_.get();
     options.create_if_missing = true;
     if (options.write_buffer_size == Options().write_buffer_size) {
       options.write_buffer_size = 64 * 1024;
@@ -184,7 +190,7 @@ class EventListenerTest : public testing::Test {
     Random rnd(301);
     WriteOptions wo;
     for (int i = 0; i < writes; i++) {
-      std::string key = "user" + std::to_string(rnd.Uniform(800));
+      std::string key = test::Cat("user", rnd.Uniform(800));
       ASSERT_TRUE(
           db->Put(wo, key, std::string(64 + rnd.Uniform(100), 'v')).ok());
     }
@@ -232,6 +238,85 @@ TEST_F(EventListenerTest, FlushAndCompactionLifecycle) {
     EXPECT_GT(e.compaction.input_files, 0);
     EXPECT_GE(e.compaction.shards, 1);
     EXPECT_GT(e.compaction.input_bytes, 0u);
+  }
+}
+
+/// Records, for each sharded compaction, its reported input bytes and
+/// the table bytes on disk when it began. The DB runs with one
+/// compaction worker, so each completion pairs with the latest begin.
+class ShardedInputListener : public obs::EventListener {
+ public:
+  struct Job {
+    uint64_t input_bytes;
+    uint64_t table_bytes_at_begin;
+  };
+
+  ShardedInputListener(Env* env, std::string dbname)
+      : env_(env), dbname_(std::move(dbname)) {}
+
+  void OnCompactionBegin(const obs::CompactionJobInfo&) override {
+    uint64_t total = 0;
+    std::vector<std::string> children;
+    env_->GetChildren(dbname_, &children).IgnoreError();
+    for (const std::string& child : children) {
+      uint64_t number = 0;
+      uint64_t size = 0;
+      FileType type = FileType::kLogFile;
+      if (ParseFileName(child, &number, &type) &&
+          type == FileType::kTableFile &&
+          env_->GetFileSize(TableFileName(dbname_, number), &size).ok()) {
+        total += size;
+      }
+    }
+    MutexLock lock(&mutex_);
+    table_bytes_at_begin_ = total;
+  }
+
+  void OnCompactionCompleted(const obs::CompactionJobInfo& info) override {
+    if (info.shards <= 1) return;
+    MutexLock lock(&mutex_);
+    jobs_.push_back({info.input_bytes, table_bytes_at_begin_});
+  }
+
+  std::vector<Job> jobs() const {
+    MutexLock lock(&mutex_);
+    return jobs_;
+  }
+
+ private:
+  Env* const env_;
+  const std::string dbname_;
+  mutable Mutex mutex_;
+  uint64_t table_bytes_at_begin_ = 0;
+  std::vector<Job> jobs_;
+};
+
+TEST_F(EventListenerTest, ShardedJobCountsInputsOnce) {
+  // Every shard of a sub-compaction reads the same input tables; the
+  // job's record must count them once, so its input bytes can never
+  // exceed the table bytes that existed when it began.
+  ShardedInputListener sharded(env_.get(), "/listener_db");
+  {
+    Options options;
+    options.max_subcompactions = 4;
+    options.compaction_threads = 1;
+    options.compression = kNoCompression;
+    options.write_buffer_size = 256 * 1024;
+    options.listeners.push_back(&sharded);
+    std::unique_ptr<DB> db = OpenDb(options);
+    Random rnd(17);
+    WriteOptions wo;
+    for (int i = 0; i < 60000; i++) {
+      std::string key = std::to_string(1000000 + rnd.Uniform(1000000));
+      ASSERT_TRUE(db->Put(wo, key, std::string(400, 'a' + i % 26)).ok());
+    }
+  }  // Close the DB so no event is still in flight.
+
+  const std::vector<ShardedInputListener::Job> jobs = sharded.jobs();
+  ASSERT_GT(jobs.size(), 0u) << "no compaction was sharded";
+  for (size_t i = 0; i < jobs.size(); i++) {
+    EXPECT_LE(jobs[i].input_bytes, jobs[i].table_bytes_at_begin)
+        << "sharded job " << i << " of " << jobs.size();
   }
 }
 
@@ -444,7 +529,7 @@ TEST_F(EventListenerTest, BackgroundErrorAndResume) {
   }
   WriteOptions wo;
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(db->Put(wo, "k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(db->Put(wo, test::Cat("k", i), "v").ok());
   }
 
   failing_env.StartFailingWrites();
@@ -533,7 +618,7 @@ TEST_F(EventListenerTest, StatsDumperEmitsThroughInfoLog) {
 
   WriteOptions wo;
   for (int i = 0; i < 500; i++) {
-    ASSERT_TRUE(db->Put(wo, "k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(db->Put(wo, test::Cat("k", i), "v").ok());
   }
   // Two periods with headroom; the dumper wakes in 10ms slices.
   Env::Default()->SleepForMicroseconds(2500 * 1000);

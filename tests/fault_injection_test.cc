@@ -22,6 +22,7 @@
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/env.h"
 #include "util/mem_env.h"
 #include "util/random.h"
@@ -177,7 +178,7 @@ TEST_F(FaultInjectionTest, AcknowledgedWritesSurviveDiskOutage) {
   std::set<std::string> acknowledged;
   WriteOptions wo;
   for (int i = 0; i < 3000; i++) {
-    std::string key = "k" + std::to_string(i);
+    std::string key = test::Cat("k", i);
     Status s = db_->Put(wo, key, std::string(100, 'v'));
     ASSERT_TRUE(s.ok());
     acknowledged.insert(key);
@@ -189,7 +190,7 @@ TEST_F(FaultInjectionTest, AcknowledgedWritesSurviveDiskOutage) {
   env_->StartFailingWrites();
   int failures = 0;
   for (int i = 3000; i < 3200; i++) {
-    if (!db_->Put(wo, "k" + std::to_string(i), "x").ok()) {
+    if (!db_->Put(wo, test::Cat("k", i), "x").ok()) {
       failures++;
     }
   }
@@ -219,7 +220,7 @@ TEST_F(FaultInjectionTest, FlushFailureDoesNotLoseData) {
   WriteOptions wo;
   // Fill most of a memtable.
   for (int i = 0; i < 300; i++) {
-    ASSERT_TRUE(db_->Put(wo, "pre" + std::to_string(i),
+    ASSERT_TRUE(db_->Put(wo, test::Cat("pre", i),
                          std::string(150, 'p'))
                     .ok());
   }
@@ -229,7 +230,7 @@ TEST_F(FaultInjectionTest, FlushFailureDoesNotLoseData) {
   for (int i = 0; i < 500; i++) {
     // Writes are expected to start failing mid-loop; recovery is
     // asserted after reopen.
-    db_->Put(wo, "mid" + std::to_string(i), std::string(150, 'm'))
+    db_->Put(wo, test::Cat("mid", i), std::string(150, 'm'))
         .IgnoreError();
   }
   env_->StopFailingWrites();
@@ -238,7 +239,7 @@ TEST_F(FaultInjectionTest, FlushFailureDoesNotLoseData) {
   ASSERT_TRUE(OpenDb().ok());
   std::string value;
   for (int i = 0; i < 300; i++) {
-    ASSERT_TRUE(db_->Get(ReadOptions(), "pre" + std::to_string(i), &value)
+    ASSERT_TRUE(db_->Get(ReadOptions(), test::Cat("pre", i), &value)
                     .ok())
         << i;
     ASSERT_EQ(std::string(150, 'p'), value);
@@ -272,7 +273,7 @@ class DeviceFaultTest : public testing::Test {
     Random rnd(301);
     WriteOptions wo;
     for (int i = 0; i < 4000; i++) {
-      std::string key = "user" + std::to_string(rnd.Uniform(800));
+      std::string key = test::Cat("user", rnd.Uniform(800));
       if (rnd.Uniform(10) < 8) {
         std::string value(64 + rnd.Uniform(100),
                           static_cast<char>('a' + i % 26));
@@ -430,7 +431,7 @@ TEST_F(DeviceFaultTest, StickyFaultQuarantinesDeviceAndDbCompactsOnCpu) {
   bool readmitted = false;
   for (int round = 0; round < 12 && !readmitted; round++) {
     for (int i = 0; i < 20; i++) {
-      std::string key = "repair" + std::to_string(i);
+      std::string key = test::Cat("repair", i);
       std::string value(512, static_cast<char>('A' + round));
       ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
       model[key] = value;

@@ -12,6 +12,7 @@
 #include "lsm/db_impl.h"
 #include "table/iterator.h"
 #include "table/table.h"
+#include "test_util.h"
 #include "util/mem_env.h"
 #include "util/random.h"
 
@@ -265,7 +266,7 @@ TEST_F(OffloadDbTest, OffloadDbMatchesCpuDb) {
   WriteOptions wo;
   const int kOps = 4000;
   for (int i = 0; i < kOps; i++) {
-    std::string key = "user" + std::to_string(rnd.Uniform(800));
+    std::string key = test::Cat("user", rnd.Uniform(800));
     if (rnd.Uniform(10) < 8) {
       std::string value(64 + rnd.Uniform(192),
                         static_cast<char>('a' + i % 26));
@@ -323,7 +324,7 @@ TEST_F(OffloadDbTest, SchedulerFallsBackWhenInputsExceedN) {
   Random rnd(7);
   WriteOptions wo;
   for (int i = 0; i < 3000; i++) {
-    std::string key = "k" + std::to_string(rnd.Uniform(500));
+    std::string key = test::Cat("k", rnd.Uniform(500));
     ASSERT_TRUE(db->Put(wo, key, std::string(128, 'v')).ok());
   }
   auto* impl = reinterpret_cast<DBImpl*>(db.get());
@@ -335,7 +336,7 @@ TEST_F(OffloadDbTest, SchedulerFallsBackWhenInputsExceedN) {
   std::string value;
   int found = 0;
   for (int i = 0; i < 500; i++) {
-    if (db->Get(ReadOptions(), "k" + std::to_string(i), &value).ok()) {
+    if (db->Get(ReadOptions(), test::Cat("k", i), &value).ok()) {
       found++;
     }
   }

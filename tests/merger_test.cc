@@ -7,6 +7,7 @@
 
 #include "gtest/gtest.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/comparator.h"
 #include "util/random.h"
 
@@ -150,8 +151,7 @@ TEST_P(MergerPropertyTest, MatchesModel) {
     int n = rnd.Uniform(200);
     for (int i = 0; i < n; i++) {
       // Distinct keys per child (suffix c) so the model is exact.
-      std::string key =
-          "k" + std::to_string(rnd.Uniform(10000)) + "_" + std::to_string(c);
+      std::string key = test::Cat("k", rnd.Uniform(10000), "_", c);
       sorted[key] = std::to_string(rnd.Next());
     }
     model.insert(sorted.begin(), sorted.end());

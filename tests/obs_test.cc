@@ -11,6 +11,7 @@
 #include "obs/logger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "test_util.h"
 
 namespace fcae {
 namespace obs {
@@ -193,7 +194,7 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
 TEST(TraceRecorderTest, RingKeepsNewestAndCountsDropped) {
   TraceRecorder recorder(4);
   for (int i = 0; i < 6; i++) {
-    recorder.RecordInstant("e" + std::to_string(i), "db", 100 + i, 0);
+    recorder.RecordInstant(test::Cat("e", i), "db", 100 + i, 0);
   }
   EXPECT_EQ(4u, recorder.size());
   EXPECT_EQ(2u, recorder.events_dropped());
@@ -249,7 +250,7 @@ TEST(TraceRecorderTest, SinkObservesEveryEvent) {
   CollectingSink sink;
   recorder.set_sink(&sink);
   for (int i = 0; i < 5; i++) {
-    recorder.RecordInstant("i" + std::to_string(i), "db", i, 0);
+    recorder.RecordInstant(test::Cat("i", i), "db", i, 0);
   }
   // The sink saw all five even though the ring only retains two.
   ASSERT_EQ(5u, sink.names.size());

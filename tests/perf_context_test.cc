@@ -18,6 +18,7 @@
 #include "lsm/db_impl.h"
 #include "obs/perf_context.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/cache.h"
 #include "util/filter_policy.h"
 #include "util/mem_env.h"
@@ -244,7 +245,7 @@ TEST_F(PerfContextDbTest, IterationAccounting) {
   // step over.
   for (int round = 0; round < 3; round++) {
     for (int i = 0; i < 500; i++) {
-      ASSERT_TRUE(db_->Put(wo, Key(i), "v" + std::to_string(round)).ok());
+      ASSERT_TRUE(db_->Put(wo, Key(i), test::Cat("v", round)).ok());
     }
   }
   for (int i = 0; i < 500; i += 2) {

@@ -7,6 +7,7 @@
 #include "lsm/db_impl.h"
 #include "lsm/filename.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/corruption_env.h"
 #include "util/mem_env.h"
 
@@ -64,8 +65,8 @@ class RepairTest : public testing::Test {
 
 TEST_F(RepairTest, RecoversFlushedDataWithoutManifest) {
   for (int i = 0; i < 2000; i++) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), "key" + std::to_string(i),
-                         "value" + std::to_string(i))
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::Cat("key", i),
+                         test::Cat("value", i))
                     .ok());
   }
   ASSERT_TRUE(
@@ -76,7 +77,7 @@ TEST_F(RepairTest, RecoversFlushedDataWithoutManifest) {
   ASSERT_TRUE(Repair().ok());
   Open();
   for (int i = 0; i < 2000; i += 53) {
-    ASSERT_EQ("value" + std::to_string(i), Get("key" + std::to_string(i)));
+    ASSERT_EQ(test::Cat("value", i), Get(test::Cat("key", i)));
   }
 }
 
@@ -97,13 +98,13 @@ TEST_F(RepairTest, RecoversUnflushedWalDataToo) {
 TEST_F(RepairTest, UnreadableTableIsQuarantinedNotFatal) {
   for (int i = 0; i < 500; i++) {
     ASSERT_TRUE(
-        db_->Put(WriteOptions(), "a" + std::to_string(i), "1").ok());
+        db_->Put(WriteOptions(), test::Cat("a", i), "1").ok());
   }
   ASSERT_TRUE(
       reinterpret_cast<DBImpl*>(db_.get())->TEST_CompactMemTable().ok());
   for (int i = 0; i < 500; i++) {
     ASSERT_TRUE(
-        db_->Put(WriteOptions(), "b" + std::to_string(i), "2").ok());
+        db_->Put(WriteOptions(), test::Cat("b", i), "2").ok());
   }
   ASSERT_TRUE(
       reinterpret_cast<DBImpl*>(db_.get())->TEST_CompactMemTable().ok());
@@ -132,8 +133,8 @@ TEST_F(RepairTest, UnreadableTableIsQuarantinedNotFatal) {
   // One of the two prefixes survived in full.
   int a_found = 0, b_found = 0;
   for (int i = 0; i < 500; i++) {
-    if (Get("a" + std::to_string(i)) == "1") a_found++;
-    if (Get("b" + std::to_string(i)) == "2") b_found++;
+    if (Get(test::Cat("a", i)) == "1") a_found++;
+    if (Get(test::Cat("b", i)) == "2") b_found++;
   }
   EXPECT_TRUE(a_found == 500 || b_found == 500);
 }
@@ -144,12 +145,12 @@ TEST_F(RepairTest, BitRottedTableIsArchivedAndRestSalvaged) {
   // the manifest, and RepairDB. The salvaged key set must be exactly
   // the intact table's keys — never wrong data from the rotten one.
   for (int i = 0; i < 2000; i++) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), "a" + std::to_string(i), "1").ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::Cat("a", i), "1").ok());
   }
   ASSERT_TRUE(
       reinterpret_cast<DBImpl*>(db_.get())->TEST_CompactMemTable().ok());
   for (int i = 0; i < 2000; i++) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), "b" + std::to_string(i), "2").ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::Cat("b", i), "2").ok());
   }
   ASSERT_TRUE(
       reinterpret_cast<DBImpl*>(db_.get())->TEST_CompactMemTable().ok());
@@ -175,8 +176,8 @@ TEST_F(RepairTest, BitRottedTableIsArchivedAndRestSalvaged) {
   Open();
   int a_found = 0, b_found = 0, wrong = 0;
   for (int i = 0; i < 2000; i++) {
-    std::string a = Get("a" + std::to_string(i));
-    std::string b = Get("b" + std::to_string(i));
+    std::string a = Get(test::Cat("a", i));
+    std::string b = Get(test::Cat("b", i));
     if (a == "1") a_found++;
     else if (a != "NOT_FOUND") wrong++;
     if (b == "2") b_found++;
@@ -191,7 +192,7 @@ TEST_F(RepairTest, BitRottedTableIsArchivedAndRestSalvaged) {
 
 TEST_F(RepairTest, RepairedDbKeepsWorking) {
   for (int i = 0; i < 1000; i++) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::Cat("k", i), "v").ok());
   }
   ASSERT_TRUE(
       reinterpret_cast<DBImpl*>(db_.get())->TEST_CompactMemTable().ok());
@@ -202,7 +203,7 @@ TEST_F(RepairTest, RepairedDbKeepsWorking) {
 
   // New writes, compactions and reopens keep functioning.
   for (int i = 1000; i < 2000; i++) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::Cat("k", i), "v").ok());
   }
   ASSERT_TRUE(
       reinterpret_cast<DBImpl*>(db_.get())->TEST_CompactMemTable().ok());
@@ -213,7 +214,7 @@ TEST_F(RepairTest, RepairedDbKeepsWorking) {
   Open();
   int found = 0;
   for (int i = 0; i < 2000; i++) {
-    if (Get("k" + std::to_string(i)) == "v") found++;
+    if (Get(test::Cat("k", i)) == "v") found++;
   }
   ASSERT_EQ(2000, found);
 }

@@ -6,6 +6,7 @@
 // and the global memory budget all run with zero wall-clock sleeps and
 // no scheduling races.
 
+#include "test_util.h"
 #include "util/write_controller.h"
 
 #include <atomic>
@@ -294,7 +295,7 @@ class WriteStallDBTest : public testing::Test {
     std::string value(4000, 'v');
     for (int i = 0; i < 10000; i++) {
       if (NumL0Files(db_.get()) >= files) return true;
-      if (!db_->Put(WriteOptions(), "key" + std::to_string(i % 64), value)
+      if (!db_->Put(WriteOptions(), test::Cat("key", i % 64), value)
                .ok()) {
         return false;
       }
@@ -351,7 +352,7 @@ TEST_F(WriteStallDBTest, StopOnL0BlocksWriterUntilCompactionInstalls) {
     std::string value(4000, 'w');
     for (int i = 0; i < 40 && writer_status.ok(); i++) {
       writer_status =
-          db_->Put(WriteOptions(), "stop" + std::to_string(i), value);
+          db_->Put(WriteOptions(), test::Cat("stop", i), value);
     }
     writer_done.store(true);
   });
@@ -396,7 +397,7 @@ TEST_F(WriteStallDBTest, MemoryBudgetStallsConcurrentWritersUntilFlush) {
       Status s;
       for (int i = 0; i < 16 && s.ok(); i++) {
         s = db_->Put(WriteOptions(),
-                     "w" + std::to_string(t) + "-" + std::to_string(i),
+                     test::Cat("w", t, "-", i),
                      value);
       }
       statuses[t] = s;
