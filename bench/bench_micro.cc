@@ -20,6 +20,7 @@
 
 #include "bench_util.h"
 #include "compress/snappy.h"
+#include "fpga/compaction_engine.h"
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "lsm/dbformat.h"
@@ -588,10 +589,59 @@ bool RunOverloadWorkload(OverloadRunResult* result) {
   return true;
 }
 
+// The card model alone on one 9-input job in the engine shape the
+// perfbench workloads and the perf workload above run (N=9, W_in=8,
+// V=8): 100-byte values, each input as large as one of fill's input
+// files, keys interleaved across the inputs so every selection compares
+// all nine lanes. The cycle count is deterministic; the simulator's wall
+// time per modeled microsecond measures the host it runs on, so it is
+// tracked only.
+struct EngineRunResult {
+  uint64_t kernel_cycles = 0;
+  double sim_over_modeled = 0;  // Wall us of Run() / modeled us.
+};
+
+bool RunEngineWorkload(EngineRunResult* result) {
+  constexpr int kInputs = 9;
+  constexpr uint64_t kInputBytes = 1060 * 1000;
+  constexpr size_t kKeyLen = 16;
+  constexpr size_t kValueLen = 100;
+  const uint64_t records = bench::RecordsFor(kInputBytes, kKeyLen, kValueLen);
+  bench::StagedInputBuilder builder;
+  std::vector<std::unique_ptr<fpga::DeviceInput>> inputs;
+  std::vector<const fpga::DeviceInput*> ptrs;
+  for (int i = 0; i < kInputs; i++) {
+    inputs.push_back(std::make_unique<fpga::DeviceInput>());
+    if (!builder
+             .Build(i, i, records, kInputs, kKeyLen, kValueLen,
+                    inputs.back().get())
+             .ok()) {
+      return false;
+    }
+    ptrs.push_back(inputs.back().get());
+  }
+
+  fpga::EngineConfig config;
+  config.num_inputs = kInputs;
+  config.input_width = 8;
+  config.value_width = 8;
+  fpga::DeviceOutput output;
+  fpga::CompactionEngine engine(config, ptrs, bench::kNoSnapshot,
+                                /*drop_deletions=*/true, &output);
+  Env* clock = Env::Default();
+  const uint64_t start = clock->NowMicros();
+  if (!engine.Run().ok()) return false;
+  const double wall_micros = static_cast<double>(clock->NowMicros() - start);
+  result->kernel_cycles = engine.stats().cycles;
+  result->sim_over_modeled = wall_micros / engine.stats().Micros(config);
+  return true;
+}
+
 // The CI perf gate: the same workload on one worker vs. four workers
-// with sub-compaction sharding. BENCH_micro_perf.json carries absolute
-// throughputs (trajectory / loose gate) and the t4/t1 ratio (tight
-// gate: parallel must not regress below single-thread).
+// with sub-compaction sharding, the overload soak, and the card model
+// alone. BENCH_micro_perf.json carries absolute throughputs (trajectory
+// / loose gate), the t4/t1 ratio (tight gate: parallel must not regress
+// below single-thread) and the engine's cycle count (exact gate).
 int RunPerfGate() {
   PerfRunResult t1, t4;
   if (!RunPerfWorkload(/*threads=*/1, /*subcompactions=*/1, &t1) ||
@@ -602,6 +652,11 @@ int RunPerfGate() {
   OverloadRunResult overload;
   if (!RunOverloadWorkload(&overload)) {
     std::fprintf(stderr, "overload workload failed\n");
+    return 1;
+  }
+  EngineRunResult engine;
+  if (!RunEngineWorkload(&engine)) {
+    std::fprintf(stderr, "engine workload failed\n");
     return 1;
   }
   // The soak run's metrics export doubles as the overload-protection
@@ -629,6 +684,8 @@ int RunPerfGate() {
   report.Add("perf.overload.delayed_writes", overload.delayed_writes);
   report.Add("perf.overload.delay_micros", overload.delay_micros);
   report.Add("perf.overload.throttled_bytes", overload.throttled_bytes);
+  report.Add("perf.engine.kernel_cycles", engine.kernel_cycles);
+  report.Add("perf.engine.sim_over_modeled", engine.sim_over_modeled);
   report.Add("work.user_bytes", t4.user_bytes);
   report.Add("work.t1.stall_micros", t1.stall_micros);
   report.Add("work.t4.stall_micros", t4.stall_micros);
@@ -659,6 +716,9 @@ int RunPerfGate() {
       (unsigned long long)overload.delayed_writes,
       (unsigned long long)overload.hard_stops,
       (unsigned long long)overload.throttled_bytes);
+  std::printf("engine: %llu cycles, simulated at %.2fx the modeled time\n",
+              (unsigned long long)engine.kernel_cycles,
+              engine.sim_over_modeled);
   return 0;
 }
 

@@ -31,41 +31,49 @@ struct CompactionEngine::Pipeline {
         std::make_unique<OutputEncoder>(config, transfer.get(), output);
   }
 
-  /// Advances every module one cycle, downstream to upstream so freed
-  /// space propagates next cycle.
-  void Tick() {
-    encoder->Tick();
-    transfer->Tick();
-    comparer->Tick();
-    for (auto& decoder : decoders) decoder->Tick();
-  }
-
-  /// Cycles in which no module moves a FIFO entry: each module's quiet
-  /// count assumes the others stay put, so the smallest one holds for
-  /// the whole pipeline.
-  uint64_t QuietCycles() const {
-    uint64_t n = encoder->QuietCycles();
-    if (n > 0) n = std::min(n, transfer->QuietCycles());
-    if (n > 0) n = std::min(n, comparer->QuietCycles());
-    for (const auto& decoder : decoders) {
-      if (n == 0) break;
-      n = std::min(n, decoder->QuietCycles());
-    }
-    return n;
-  }
-
-  void SkipQuiet(uint64_t n) {
-    encoder->SkipQuiet(n);
-    transfer->SkipQuiet(n);
-    comparer->SkipQuiet(n);
-    for (auto& decoder : decoders) decoder->SkipQuiet(n);
-  }
-
   std::vector<std::unique_ptr<InputDecoder>> decoders;
   std::unique_ptr<Comparer> comparer;
   std::unique_ptr<KeyValueTransfer> transfer;
   std::unique_ptr<OutputEncoder> encoder;
 };
+
+namespace {
+
+/// One module on its own clock: it has run every cycle through `at`, and
+/// its next Tick() that can move a FIFO entry falls on cycle `next`
+/// (kQuietForever while it waits for a neighbour to move one).
+template <typename Module>
+struct Stepper {
+  Module* module = nullptr;
+  uint64_t at = 0;
+  uint64_t next = 0;
+
+  /// Applies the module's quiet cycles through `cycle`.
+  void CatchUp(uint64_t cycle) {
+    if (cycle > at) {
+      module->SkipQuiet(cycle - at);
+      at = cycle;
+    }
+  }
+
+  /// Catches up through `cycle` and recomputes `next`, after a neighbour
+  /// moved an entry of a FIFO the two share.
+  void Wake(uint64_t cycle) {
+    CatchUp(cycle);
+    const uint64_t quiet = module->QuietCycles();
+    next = quiet == kQuietForever ? kQuietForever : at + quiet + 1;
+  }
+
+  /// Runs cycle `cycle`.
+  void Tick(uint64_t cycle) {
+    CatchUp(cycle - 1);
+    module->Tick();
+    at = cycle;
+    Wake(cycle);
+  }
+};
+
+}  // namespace
 
 CompactionEngine::CompactionEngine(const EngineConfig& config,
                                    std::vector<const DeviceInput*> inputs,
@@ -98,39 +106,101 @@ Status CompactionEngine::Run() {
       1000000 + 400ull * (stats_.input_bytes + 1024) *
                     static_cast<uint64_t>(config_.num_inputs);
 
+  // Each module runs on its own clock (Stepper). On a cycle where some
+  // module is due, the due ones tick in the order encoder, transfer,
+  // comparer, decoders, downstream to upstream so that freed space
+  // propagates next cycle, as when every module ticked on every cycle.
+  // A module's other cycles only count down timers or count stalls, and
+  // SkipQuiet() applies them in one step when it next matters. A tick
+  // that may move an entry of a shared FIFO wakes the module on its
+  // other end: a module earlier in the order is brought through this
+  // cycle (it has had its turn), a later one up to it (its turn, which
+  // must see the change, is still to come), and its next event is
+  // recomputed. The pairs are encoder-transfer, transfer-comparer, and
+  // the transfer and the comparer each with the decoder whose FIFO they
+  // pop. Every SkipQuiet() reads only its own module's state except the
+  // comparer's, whose WaitingForLane() reads the decoders, so the
+  // comparer is brought through this cycle before any decoder ticks
+  // (DESIGN.md §4 item 1).
+  Stepper<OutputEncoder> encoder{p.encoder.get()};
+  Stepper<KeyValueTransfer> transfer{p.transfer.get()};
+  Stepper<Comparer> comparer{p.comparer.get()};
+  std::vector<Stepper<InputDecoder>> decoders;
+  for (auto& d : p.decoders) decoders.push_back({d.get()});
+  encoder.Wake(0);
+  transfer.Wake(0);
+  comparer.Wake(0);
+  for (auto& d : decoders) d.Wake(0);
+
+  // The input whose records_for_transfer() the transfer pops next.
+  auto transfer_lane = [&p]() -> int {
+    const Fifo<Selection>& selections = p.comparer->selections();
+    return selections.CanPop() ? selections.Front().input_no : -1;
+  };
+
   bool upstream_done_notified = false;
-  while (!p.encoder->Done()) {
-    // Jump over quiet cycles, in which every module would only count
-    // down a timer or count a stall, and tick otherwise. The encoder
-    // cannot foresee a pending upstream-done notification, so nothing
-    // is skipped until it has been delivered.
-    uint64_t quiet = 0;
-    if (upstream_done_notified || !p.transfer->Done()) {
-      quiet = std::min(p.QuietCycles(), kCycleBound + 1 - stats_.cycles);
-    }
-    if (quiet > 0) {
-      p.SkipQuiet(quiet);
-      stats_.cycles += quiet;
-    } else {
-      p.Tick();
-      stats_.cycles++;
+  for (;;) {
+    uint64_t cycle = std::min({encoder.next, transfer.next, comparer.next});
+    for (const auto& d : decoders) cycle = std::min(cycle, d.next);
+    if (stats_.cycles == 0 && p.transfer->Done()) {
+      // Upstream was done before the first cycle (no input has a table).
+      // The encoder cannot foresee the notification, so the cycle that
+      // delivers it runs.
+      cycle = 1;
     }
 
-    if (!upstream_done_notified && p.transfer->Done()) {
-      p.encoder->NotifyUpstreamDone();
-      upstream_done_notified = true;
-    }
-
-    for (auto& decoder : p.decoders) {
-      if (!decoder->status().ok()) {
-        return decoder->status();
+    // The run ends on the cycle the encoder turns done. It finalizes only
+    // after the upstream-done notification, and from then on its quiet
+    // cycles stop there.
+    if (upstream_done_notified) {
+      encoder.CatchUp(cycle - 1);
+      if (p.encoder->Done() && cycle - 1 <= kCycleBound) {
+        stats_.cycles = cycle - 1;
+        break;
       }
     }
-    if (stats_.cycles > kCycleBound) {
+    if (cycle > kCycleBound) {
       return Status::Corruption("engine wedged: cycle bound exceeded");
+    }
+
+    if (encoder.next == cycle) {
+      encoder.Tick(cycle);
+      transfer.Wake(cycle - 1);
+    }
+    if (transfer.next == cycle) {
+      const int lane = transfer_lane();
+      transfer.Tick(cycle);
+      encoder.Wake(cycle);
+      comparer.Wake(cycle - 1);
+      if (lane >= 0) decoders[lane].Wake(cycle - 1);
+    }
+    if (comparer.next == cycle) {
+      comparer.Tick(cycle);
+      transfer.Wake(cycle);
+      decoders[p.comparer->last_selected()].Wake(cycle - 1);
+    }
+    for (size_t i = 0; i < decoders.size(); i++) {
+      if (decoders[i].next != cycle) continue;
+      comparer.CatchUp(cycle);
+      decoders[i].Tick(cycle);
+      if (!p.decoders[i]->status().ok()) {
+        return p.decoders[i]->status();
+      }
+      comparer.Wake(cycle);
+      if (transfer_lane() == static_cast<int>(i)) transfer.Wake(cycle);
+    }
+    stats_.cycles = cycle;
+
+    if (!upstream_done_notified && p.transfer->Done()) {
+      encoder.CatchUp(cycle);
+      p.encoder->NotifyUpstreamDone();
+      encoder.Wake(cycle);
+      upstream_done_notified = true;
     }
   }
 
+  // The upstream modules are idle from the notification on, so their
+  // counters are complete without a final catch-up.
   for (auto& decoder : p.decoders) {
     stats_.records_in += decoder->records_decoded();
     stats_.decoder_fetch_stalls += decoder->fetch_stall_cycles();

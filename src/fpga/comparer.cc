@@ -74,11 +74,11 @@ void Comparer::Tick() {
     return;  // Everything exhausted.
   }
 
-  KvRecord record = inputs_[best]->key_stream().Pop();
+  const KeyRef key = inputs_[best]->key_stream().Pop();
   pending_.input_no = best;
-  pending_.key_length = static_cast<uint32_t>(record.key_length());
-  pending_.value_length = static_cast<uint32_t>(record.value_length());
-  pending_.drop = validity_check_.ShouldDrop(record.internal_key);
+  pending_.key_length = static_cast<uint32_t>(key.internal_key.size());
+  pending_.value_length = key.value_length;
+  pending_.drop = validity_check_.ShouldDrop(key.internal_key);
 
   selections_made_++;
   if (pending_.drop) {
@@ -87,9 +87,9 @@ void Comparer::Tick() {
 
   // Table II/III period. Without key-value separation the full record
   // width moves through the compare network.
-  uint64_t unit = record.key_length();
+  uint64_t unit = pending_.key_length;
   if (!config_.KeyValueSeparated()) {
-    unit += record.value_length();
+    unit += pending_.value_length;
   }
   busy_ = (2 + CeilLog2(static_cast<uint64_t>(config_.num_inputs))) * unit;
   if (busy_ == 0) busy_ = 1;

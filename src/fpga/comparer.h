@@ -35,7 +35,9 @@ class Comparer {
 
   void Tick();
 
-  /// Quiet-cycle fast-forward; see InputDecoder::QuietCycles().
+  /// Quiet-cycle fast-forward; see InputDecoder::QuietCycles(). Unlike
+  /// the other modules', SkipQuiet() reads the inputs' state (whether a
+  /// lane is waited for), so it must run before an input's Tick().
   uint64_t QuietCycles() const;
   void SkipQuiet(uint64_t n);
 
@@ -44,6 +46,10 @@ class Comparer {
 
   Fifo<Selection>& selections() { return selection_fifo_; }
   const Fifo<Selection>& selections() const { return selection_fifo_; }
+
+  /// The input whose key stream the latest selection popped (0 before
+  /// the first selection).
+  int last_selected() const { return pending_.input_no; }
 
   uint64_t selections_made() const { return selections_made_; }
   uint64_t busy_cycles() const { return busy_cycles_; }

@@ -14,15 +14,33 @@ namespace {
 
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
-// Reads the block `handle` addresses in `image`, trailer checked, and
-// appends its records.
-Status ReadRecords(const Slice& image, const BlockHandle& handle,
-                   std::vector<KvRecord>* records) {
+// Decodes the block `handle` addresses in `image`, trailer checked, into
+// one owned buffer holding each record's key and value back to back, and
+// appends records that point into it.
+Status DecodeRecords(const Slice& image, const BlockHandle& handle,
+                     std::vector<KvRecord>* records) {
   std::unique_ptr<Iterator> iter(
       NewImageBlockIterator(image, handle, BytewiseComparator()));
+  auto bytes = std::make_shared<std::string>();
+  bytes->reserve(handle.size());
+  const size_t first = records->size();
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    records->push_back(
-        KvRecord{iter->key().ToString(), iter->value().ToString()});
+    const Slice key = iter->key();
+    const Slice value = iter->value();
+    bytes->append(key.data(), key.size());
+    bytes->append(value.data(), value.size());
+    // Sizes only: the buffer may still move while it grows.
+    records->push_back(KvRecord{Slice(nullptr, key.size()),
+                                Slice(nullptr, value.size()), nullptr});
+  }
+  const char* p = bytes->data();
+  for (size_t i = first; i < records->size(); i++) {
+    KvRecord& r = (*records)[i];
+    r.internal_key = Slice(p, r.internal_key.size());
+    p += r.internal_key.size();
+    r.value = Slice(p, r.value.size());
+    p += r.value.size();
+    r.block = bytes;
   }
   return iter->status();
 }
@@ -50,23 +68,22 @@ bool InputDecoder::LoadNextIndexBlock() {
     BlockHandle index_handle;
     index_handle.set_offset(desc.index_offset);
     index_handle.set_size(desc.index_size - kBlockTrailerSize);
-    std::vector<KvRecord> entries;
-    Status s = ReadRecords(input_->index_memory, index_handle, &entries);
-    if (!s.ok()) {
-      status_ = s;
-      return false;
-    }
-
+    std::unique_ptr<Iterator> iter(NewImageBlockIterator(
+        input_->index_memory, index_handle, BytewiseComparator()));
     block_handles_.clear();
     next_handle_ = 0;
-    for (const KvRecord& e : entries) {
-      Slice handle_input(e.value);
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      Slice handle_input = iter->value();
       BlockHandle handle;
       if (!handle.DecodeFrom(&handle_input).ok()) {
         status_ = Status::Corruption("bad block handle in index block");
         return false;
       }
       block_handles_.emplace_back(handle.offset(), handle.size());
+    }
+    if (!iter->status().ok()) {
+      status_ = iter->status();
+      return false;
     }
     if (block_handles_.empty()) {
       continue;  // Empty table; move on to the next one.
@@ -135,7 +152,7 @@ void InputDecoder::TickFetcher() {
   handle.set_size(size);
   fetching_block_ = PendingBlock();
   Status s =
-      ReadRecords(input_->data_memory, handle, &fetching_block_.records);
+      DecodeRecords(input_->data_memory, handle, &fetching_block_.records);
   if (!s.ok()) {
     status_ = s;
     return;
@@ -164,10 +181,7 @@ void InputDecoder::TickDecoder() {
   if (record_ready_) {
     // Waiting for space in both output FIFOs (key stream + copy/value).
     if (key_fifo_.CanPush() && transfer_fifo_.CanPush()) {
-      key_fifo_.Push(pending_record_);
-      transfer_fifo_.Push(std::move(pending_record_));
-      record_ready_ = false;
-      records_decoded_++;
+      Publish();
     } else {
       backpressure_cycles_++;
       return;
@@ -182,10 +196,7 @@ void InputDecoder::TickDecoder() {
     // otherwise stall in record_ready_ state.
     record_ready_ = true;
     if (key_fifo_.CanPush() && transfer_fifo_.CanPush()) {
-      key_fifo_.Push(pending_record_);
-      transfer_fifo_.Push(std::move(pending_record_));
-      record_ready_ = false;
-      records_decoded_++;
+      Publish();
     }
     return;
   }
@@ -209,11 +220,19 @@ void InputDecoder::TickDecoder() {
   pending_record_ = std::move(current_records_[next_record_++]);
 
   // Table III: decoding key (1 byte/cycle) + value read (V bytes/cycle).
-  const uint64_t key_cycles = pending_record_.key_length();
-  const uint64_t value_cycles = CeilDiv(pending_record_.value_length(),
+  const uint64_t key_cycles = pending_record_.internal_key.size();
+  const uint64_t value_cycles = CeilDiv(pending_record_.value.size(),
                                         config_.EffectiveValueWidth());
   decode_busy_ = key_cycles + value_cycles;
   if (decode_busy_ == 0) decode_busy_ = 1;
+}
+
+void InputDecoder::Publish() {
+  key_fifo_.Push(KeyRef{pending_record_.internal_key,
+                        static_cast<uint32_t>(pending_record_.value.size())});
+  transfer_fifo_.Push(std::move(pending_record_));
+  record_ready_ = false;
+  records_decoded_++;
 }
 
 void InputDecoder::Tick() {

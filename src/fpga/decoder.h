@@ -2,8 +2,6 @@
 #define FCAE_FPGA_DECODER_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "fpga/config.h"
@@ -30,7 +28,8 @@ namespace fpga {
 ///
 /// Functionally the decoder performs the real work: trailer check,
 /// Snappy decompression and restart-point expansion of every staged
-/// block, yielding exact key-value records.
+/// block, yielding exact key-value records. Each fetched block is decoded
+/// once, into one buffer that its records share (see KvRecord).
 class InputDecoder {
  public:
   /// `input` must outlive the decoder.
@@ -54,11 +53,11 @@ class InputDecoder {
   /// True when every record of every staged SSTable has been pushed.
   bool Exhausted() const;
 
-  /// Decoded records waiting for the Comparer (key stream). The paper
-  /// splits this into an original key stream and a copy; the copy is
-  /// consumed by the Key-Value Transfer from records_for_transfer().
-  Fifo<KvRecord>& key_stream() { return key_fifo_; }
-  const Fifo<KvRecord>& key_stream() const { return key_fifo_; }
+  /// Keys of decoded records waiting for the Comparer (key stream). The
+  /// paper splits this into an original key stream and a copy; the copy
+  /// travels with the value in records_for_transfer().
+  Fifo<KeyRef>& key_stream() { return key_fifo_; }
+  const Fifo<KeyRef>& key_stream() const { return key_fifo_; }
 
   /// Records (key copy + value) waiting for the Key-Value Transfer.
   Fifo<KvRecord>& records_for_transfer() { return transfer_fifo_; }
@@ -90,6 +89,9 @@ class InputDecoder {
 
   /// Consumes fetched blocks and emits records.
   void TickDecoder();
+
+  /// Pushes the decoded record to both output FIFOs.
+  void Publish();
 
   const EngineConfig& config_;
   const DeviceInput* input_;
@@ -123,7 +125,7 @@ class InputDecoder {
   uint64_t fetch_stall_cycles_ = 0;
   uint64_t backpressure_cycles_ = 0;
 
-  Fifo<KvRecord> key_fifo_;
+  Fifo<KeyRef> key_fifo_;
   Fifo<KvRecord> transfer_fifo_;
 };
 

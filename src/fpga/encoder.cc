@@ -161,9 +161,9 @@ void OutputEncoder::Tick() {
   if (transfer_->output().CanPop()) {
     KvRecord record = transfer_->output().Pop();
     records_encoded_++;
-    uint64_t cycles = record.key_length();
+    uint64_t cycles = record.internal_key.size();
     if (!config_.KeyValueSeparated()) {
-      cycles += record.value_length();
+      cycles += record.value.size();
     }
     busy_ = cycles == 0 ? 1 : cycles;
     Charge(writer_.Add(record.internal_key, record.value));

@@ -12,10 +12,10 @@ namespace {
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
 // Internal key = user key + 8-byte mark ((sequence << 8) | type).
-Slice UserKeyOf(const std::string& internal_key) {
+Slice UserKeyOf(const Slice& internal_key) {
   return internal_key.size() >= 8
              ? Slice(internal_key.data(), internal_key.size() - 8)
-             : Slice(internal_key);
+             : internal_key;
 }
 }  // namespace
 

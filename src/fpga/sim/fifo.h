@@ -4,7 +4,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <utility>
+#include <vector>
 
 namespace fcae {
 namespace fpga {
@@ -17,39 +18,44 @@ constexpr uint64_t kQuietForever = ~0ull;
 /// inter-module channels from on-chip FIFOs because "the element in FIFO
 /// can be used only once" and FIFOs "are easier to be synchronized"
 /// (Section V-C); this model provides the same single-consumer,
-/// backpressured semantics with 1-cycle access.
+/// backpressured semantics with 1-cycle access. Like the hardware, it is
+/// a fixed ring of `capacity` slots: pushes and pops never allocate.
 template <typename T>
 class Fifo {
  public:
-  explicit Fifo(size_t capacity) : capacity_(capacity) {}
+  explicit Fifo(size_t capacity) : slots_(capacity) {}
 
   Fifo(const Fifo&) = delete;
   Fifo& operator=(const Fifo&) = delete;
 
-  bool CanPush() const { return items_.size() < capacity_; }
-  bool CanPop() const { return !items_.empty(); }
-  bool Empty() const { return items_.empty(); }
-  bool Full() const { return items_.size() >= capacity_; }
-  size_t size() const { return items_.size(); }
-  size_t capacity() const { return capacity_; }
+  bool CanPush() const { return size_ < slots_.size(); }
+  bool CanPop() const { return size_ > 0; }
+  bool Empty() const { return size_ == 0; }
+  bool Full() const { return size_ >= slots_.size(); }
+  size_t size() const { return size_; }
+  size_t capacity() const { return slots_.size(); }
 
   void Push(T item) {
     assert(CanPush());
-    items_.push_back(std::move(item));
-    if (items_.size() > high_water_) {
-      high_water_ = items_.size();
+    size_t tail = head_ + size_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = std::move(item);
+    size_++;
+    if (size_ > high_water_) {
+      high_water_ = size_;
     }
   }
 
   const T& Front() const {
     assert(CanPop());
-    return items_.front();
+    return slots_[head_];
   }
 
   T Pop() {
     assert(CanPop());
-    T item = std::move(items_.front());
-    items_.pop_front();
+    T item = std::move(slots_[head_]);
+    if (++head_ == slots_.size()) head_ = 0;
+    size_--;
     return item;
   }
 
@@ -58,9 +64,10 @@ class Fifo {
   size_t HighWater() const { return high_water_; }
 
  private:
-  const size_t capacity_;
+  std::vector<T> slots_;
+  size_t head_ = 0;  // Slot of the oldest entry.
+  size_t size_ = 0;
   size_t high_water_ = 0;
-  std::deque<T> items_;
 };
 
 }  // namespace fpga

@@ -7,12 +7,17 @@
 #include <map>
 #include <memory>
 
+#include "fpga/comparer.h"
+#include "fpga/decoder.h"
+#include "fpga/encoder.h"
+#include "fpga/kv_transfer.h"
 #include "fpga_test_util.h"
 #include "gtest/gtest.h"
 #include "host/cpu_compactor.h"
 #include "host/fcae_device.h"
 #include "util/coding.h"
 #include "util/mem_env.h"
+#include "util/random.h"
 
 namespace fcae {
 namespace fpga {
@@ -1082,6 +1087,211 @@ TEST_F(FpgaEngineTest, GoldenStatsMatrix) {
     }
   }
   EXPECT_EQ(std::size(kGoldenRuns), setups.size());
+}
+
+// Differential check of CompactionEngine::Run, which ticks each module
+// only on its own next event, against the engine as the golden rows were
+// recorded: every module ticks on every cycle.
+namespace {
+
+/// Every module ticks on every cycle, downstream to upstream, and the
+/// encoder learns that upstream is done after the cycle in which the
+/// transfer became done. Fills every EngineStats field itself.
+Status RunTickEveryCycle(const EngineConfig& config,
+                         const std::vector<const DeviceInput*>& inputs,
+                         uint64_t snapshot, bool drop_deletions,
+                         const KeyBounds* bounds, DeviceOutput* output,
+                         EngineStats* stats) {
+  std::vector<std::unique_ptr<InputDecoder>> decoders;
+  std::vector<InputDecoder*> lanes;
+  for (size_t i = 0; i < inputs.size(); i++) {
+    decoders.push_back(std::make_unique<InputDecoder>(
+        config, inputs[i], static_cast<int>(i)));
+    lanes.push_back(decoders.back().get());
+  }
+  Comparer comparer(config, lanes, snapshot, drop_deletions);
+  KeyValueTransfer transfer(config, &comparer, lanes, bounds);
+  OutputEncoder encoder(config, &transfer, output);
+
+  *stats = EngineStats();
+  for (const DeviceInput* input : inputs) {
+    stats->input_bytes += input->TotalBytes();
+  }
+  const uint64_t bound = 1000000 + 400ull * (stats->input_bytes + 1024) *
+                                       static_cast<uint64_t>(config.num_inputs);
+  bool notified = false;
+  while (!encoder.Done()) {
+    encoder.Tick();
+    transfer.Tick();
+    comparer.Tick();
+    for (auto& d : decoders) d->Tick();
+    stats->cycles++;
+    if (!notified && transfer.Done()) {
+      encoder.NotifyUpstreamDone();
+      notified = true;
+    }
+    for (auto& d : decoders) {
+      if (!d->status().ok()) return d->status();
+    }
+    if (stats->cycles > bound) return Status::Corruption("wedged");
+  }
+
+  for (auto& d : decoders) {
+    stats->records_in += d->records_decoded();
+    stats->decoder_fetch_stalls += d->fetch_stall_cycles();
+    stats->decoder_backpressure += d->backpressure_cycles();
+    stats->decoder_busy += d->busy_cycles();
+    stats->fifo_key_stream_peak = std::max<uint64_t>(
+        stats->fifo_key_stream_peak, d->key_stream().HighWater());
+    stats->fifo_transfer_peak = std::max<uint64_t>(
+        stats->fifo_transfer_peak, d->records_for_transfer().HighWater());
+  }
+  stats->records_out = transfer.transferred();
+  stats->records_dropped = transfer.dropped();
+  stats->records_bounds_dropped = transfer.bounds_dropped();
+  stats->comparer_waits = comparer.wait_cycles();
+  stats->encoder_write_stalls = encoder.write_stall_cycles();
+  stats->comparer_busy = comparer.busy_cycles();
+  stats->transfer_busy = transfer.busy_cycles();
+  stats->encoder_busy = encoder.busy_cycles();
+  stats->fifo_selection_peak = comparer.selections().HighWater();
+  stats->fifo_output_peak = transfer.output().HighWater();
+  stats->fifo_write_queue_peak = encoder.write_queue_high_water();
+  for (const DeviceOutputTable& t : output->tables) {
+    stats->output_bytes += t.data_memory.size();
+  }
+  return Status::OK();
+}
+
+/// One random engine configuration and its inputs: small sorted runs over
+/// a shared key space, so versions collide across inputs, with
+/// tombstones, runs split into several tables, and inputs that stage no
+/// table or only an empty one.
+struct RandomCase {
+  EngineConfig config;
+  size_t input_block_size = 4096;
+  uint64_t snapshot = kNoSnapshot;
+  bool drop_deletions = true;
+  KeyBounds bounds;
+  std::vector<std::vector<std::vector<fpga_test::TestKv>>> runs;
+};
+
+std::string RandomKey(uint32_t id) {
+  char key[16];
+  std::snprintf(key, sizeof(key), "k%05u", id);
+  return key;
+}
+
+RandomCase MakeRandomCase(Random* rnd) {
+  static const int kWidths[] = {8, 16, 32, 64};
+  RandomCase c;
+  EngineConfig& config = c.config;
+  config.opt_level = static_cast<OptLevel>(rnd->Uniform(4));
+  config.num_inputs = 1 + static_cast<int>(rnd->Uniform(12));
+  config.input_width = kWidths[rnd->Uniform(4)];
+  config.output_width = kWidths[rnd->Uniform(4)];
+  config.value_width = 1 << rnd->Uniform(7);
+  config.dram_read_latency = 1 + static_cast<int>(rnd->Uniform(32));
+  config.record_fifo_depth =
+      rnd->OneIn(4) ? 32 : 1 + static_cast<int>(rnd->Uniform(6));
+  config.block_prefetch_depth = 1 + static_cast<int>(rnd->Uniform(6));
+  config.data_block_threshold = 16u << rnd->Uniform(9);
+  config.sstable_threshold = 512u << rnd->Uniform(8);
+  config.compress_output = rnd->OneIn(2);
+  c.input_block_size = 128u << rnd->Uniform(6);
+  c.drop_deletions = !rnd->OneIn(4);
+
+  const uint32_t key_space = 8 + rnd->Uniform(200);
+  if (rnd->OneIn(4)) {
+    c.bounds.has_lower = rnd->OneIn(2);
+    c.bounds.lower = RandomKey(rnd->Uniform(key_space));
+    c.bounds.has_upper = !c.bounds.has_lower || rnd->OneIn(2);
+    c.bounds.upper = RandomKey(rnd->Uniform(key_space));
+  }
+
+  const int inputs = rnd->OneIn(30)
+                         ? 0
+                         : 1 + static_cast<int>(
+                                   rnd->Uniform(config.num_inputs));
+  const size_t max_value = rnd->OneIn(3) ? 0 : 1 + rnd->Uniform(400);
+  uint64_t sequence = 0;
+  for (int i = 0; i < inputs; i++) {
+    if (rnd->OneIn(8)) {
+      c.runs.emplace_back();  // Stages no table.
+      continue;
+    }
+    const int records = rnd->OneIn(8) ? 0 : static_cast<int>(rnd->Uniform(60));
+    std::vector<fpga_test::TestKv> run;
+    for (int r = 0; r < records; r++) {
+      fpga_test::TestKv kv;
+      kv.user_key = RandomKey(rnd->Uniform(key_space));
+      kv.sequence = ++sequence;
+      kv.type = rnd->OneIn(6) ? kTypeDeletion : kTypeValue;
+      if (kv.type == kTypeValue && max_value > 0) {
+        const size_t len = rnd->Uniform(static_cast<int>(max_value) + 1);
+        if (rnd->OneIn(2)) {
+          kv.value.assign(len, static_cast<char>('a' + rnd->Uniform(26)));
+        } else {
+          for (size_t b = 0; b < len; b++) {
+            kv.value.push_back(static_cast<char>(rnd->Uniform(256)));
+          }
+        }
+      }
+      run.push_back(std::move(kv));
+    }
+    std::sort(run.begin(), run.end(),
+              [](const fpga_test::TestKv& a, const fpga_test::TestKv& b) {
+                return a.user_key != b.user_key ? a.user_key < b.user_key
+                                                : a.sequence > b.sequence;
+              });
+    // One to three tables; an empty run stages one empty table.
+    std::vector<std::vector<fpga_test::TestKv>> tables;
+    const size_t splits = records == 0 ? 1 : 1 + rnd->Uniform(3);
+    for (size_t t = 0; t < splits; t++) {
+      tables.emplace_back(run.begin() + run.size() * t / splits,
+                          run.begin() + run.size() * (t + 1) / splits);
+    }
+    c.runs.push_back(std::move(tables));
+  }
+  c.snapshot = rnd->OneIn(3) ? 1 + rnd->Uniform(static_cast<int>(sequence) + 1)
+                             : kNoSnapshot;
+  return c;
+}
+
+}  // namespace
+
+TEST_F(FpgaEngineTest, MatchesTickEveryCycleOnRandomConfigs) {
+  constexpr int kCases = 400;
+  Random rnd(301);
+  for (int n = 0; n < kCases; n++) {
+    const RandomCase c = MakeRandomCase(&rnd);
+    SCOPED_TRACE("case " + std::to_string(n));
+    config_ = c.config;
+    options_.block_size = c.input_block_size;
+    Stage(c.runs);
+    std::vector<const DeviceInput*> ptrs;
+    for (const auto& in : inputs_) ptrs.push_back(in.get());
+    const KeyBounds* bounds = c.bounds.active() ? &c.bounds : nullptr;
+
+    DeviceOutput expected_output;
+    EngineStats expected;
+    ASSERT_TRUE(RunTickEveryCycle(config_, ptrs, c.snapshot,
+                                  c.drop_deletions, bounds, &expected_output,
+                                  &expected)
+                    .ok());
+    DeviceOutput output;
+    CompactionEngine engine(config_, ptrs, c.snapshot, c.drop_deletions,
+                            &output, bounds);
+    ASSERT_TRUE(engine.Run().ok());
+
+    const auto want = StatsFields(expected);
+    const auto got = StatsFields(engine.stats());
+    for (int f = 0; f < kNumStatsFields; f++) {
+      EXPECT_EQ(want[f], got[f]) << kStatsFieldNames[f];
+    }
+    EXPECT_EQ(TableHashes(expected_output), TableHashes(output));
+    if (HasFailure()) break;
+  }
 }
 
 }  // namespace fpga

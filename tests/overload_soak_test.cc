@@ -14,6 +14,7 @@
 #include "host/offload_compaction.h"
 #include "lsm/db.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 #include "util/env.h"
 #include "util/mem_env.h"
 #include "util/random.h"
@@ -31,48 +32,87 @@ double PercentileMicros(std::vector<uint64_t>* latencies, double pct) {
   return static_cast<double>((*latencies)[idx]);
 }
 
+constexpr int kWrites = 6000;
+
+/// Opens a DB for the soak on `env`: small memtables and the offload
+/// executor draining level 0, with `rate_limit` bytes/s of background
+/// I/O (0 for none).
+std::unique_ptr<DB> OpenSoakDb(Env* env, CompactionExecutor* executor,
+                               obs::MetricsRegistry* metrics,
+                               uint64_t rate_limit) {
+  Options options;
+  options.env = env;
+  options.create_if_missing = true;
+  options.write_buffer_size = 32 * 1024;
+  options.compaction_executor = executor;
+  options.compaction_threads = 2;
+  options.metrics_registry = metrics;
+  options.rate_limit_bytes_per_sec = rate_limit;
+  DB* raw = nullptr;
+  if (!DB::Open(options, "/overload-soak", &raw).ok()) return nullptr;
+  return std::unique_ptr<DB>(raw);
+}
+
+/// Puts the soak's writes as fast as the DB admits them, recording each
+/// Put's latency.
+void WriteFlatOut(DB* db, std::vector<uint64_t>* latencies) {
+  Random rnd(20260808);
+  std::string value(1000, 'v');
+  latencies->reserve(kWrites);
+  Env* clock = Env::Default();
+  for (int i = 0; i < kWrites; i++) {
+    const std::string key = test::Cat("soak-", rnd.Uniform(4 * kWrites));
+    const uint64_t start = clock->NowMicros();
+    ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok()) << i;
+    latencies->push_back(clock->NowMicros() - start);
+  }
+}
+
 }  // namespace
 
 TEST(OverloadSoakTest, SustainedOverloadDegradesGracefully) {
-  std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
-
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 2;
   host::DeviceSet devices(engine_config, /*num_cards=*/1);
   host::FcaeExecutorOptions exec_options;
   exec_options.tournament_scheduling = true;
-  host::FcaeCompactionExecutor executor(&devices, exec_options);
 
-  obs::MetricsRegistry metrics;
-  Options options;
-  options.env = env.get();
-  options.create_if_missing = true;
-  options.write_buffer_size = 32 * 1024;
-  options.compaction_executor = &executor;
-  options.compaction_threads = 2;
-  options.metrics_registry = &metrics;
-  // A deliberately tight background budget: the workload's write
-  // amplification pushes flush+compaction I/O well past it, so the
-  // limiter must throttle and the write controller must shed load.
-  options.rate_limit_bytes_per_sec = 4 * 1024 * 1024;
-
-  DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(options, "/overload-soak", &raw).ok());
-  std::unique_ptr<DB> db(raw);
-
-  constexpr int kWrites = 6000;
-  Random rnd(20260808);
-  std::string value(1000, 'v');
-  std::vector<uint64_t> latencies;
-  latencies.reserve(kWrites);
-  Env* clock = Env::Default();
-  for (int i = 0; i < kWrites; i++) {
-    const std::string key =
-        "soak-" + std::to_string(rnd.Uniform(4 * kWrites));
-    const uint64_t start = clock->NowMicros();
-    ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok()) << i;
-    latencies.push_back(clock->NowMicros() - start);
+  // Probe: the same writes with no budget measure the compaction write
+  // rate this build sustains on the machine running it.
+  double compaction_write_bps = 0;
+  {
+    std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
+    host::FcaeCompactionExecutor executor(&devices, exec_options);
+    obs::MetricsRegistry metrics;
+    std::unique_ptr<DB> db =
+        OpenSoakDb(env.get(), &executor, &metrics, /*rate_limit=*/0);
+    ASSERT_TRUE(db != nullptr);
+    std::vector<uint64_t> latencies;
+    const uint64_t start = Env::Default()->NowMicros();
+    WriteFlatOut(db.get(), &latencies);
+    if (HasFatalFailure()) return;
+    const double secs = (Env::Default()->NowMicros() - start) * 1e-6;
+    ASSERT_GT(secs, 0.0);
+    compaction_write_bps =
+        metrics.counter("db.compaction.bytes_written")->value() / secs;
   }
+
+  // A deliberately tight background budget: half the probe's compaction
+  // writes, so flush+compaction I/O runs well past it however fast this
+  // build compacts, and the limiter must throttle and the write
+  // controller must shed load. The floor keeps a pathologically slow
+  // probe from strangling the soak.
+  std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<DB> db = OpenSoakDb(
+      env.get(), &executor, &metrics,
+      static_cast<uint64_t>(
+          std::max(compaction_write_bps / 2, 1024.0 * 1024)));
+  ASSERT_TRUE(db != nullptr);
+  std::vector<uint64_t> latencies;
+  WriteFlatOut(db.get(), &latencies);
+  if (HasFatalFailure()) return;
 
   const uint64_t delayed = metrics.counter("wc.delayed_writes")->value();
   const uint64_t delay_micros = metrics.counter("wc.delay_micros")->value();
