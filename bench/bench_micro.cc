@@ -410,7 +410,7 @@ bool RunPerfWorkload(int threads, int subcompactions, PerfRunResult* result) {
   result->stall_l0_micros =
       registry.counter("db.write.stall_l0_micros")->value();
   result->slowdown_micros =
-      registry.counter("db.write.slowdown_micros")->value();
+      registry.counter("wc.delay_micros")->value();
   result->stall_micros = result->stall_memtable_micros +
                          result->stall_l0_micros + result->slowdown_micros;
   result->flushes = registry.counter("db.flush.count")->value();

@@ -76,7 +76,7 @@ void CompactionScheduler::WorkerFinished() {
 
 void CompactionScheduler::BeginCompaction(int level) {
   assert(LevelsFree(level));
-  busy_levels_ |= (3u << level);
+  busy_levels_ |= LevelPairMask(level);
   running_compactions_++;
   compactions_started_++;
   if (metrics_ != nullptr) {
@@ -86,9 +86,9 @@ void CompactionScheduler::BeginCompaction(int level) {
 }
 
 void CompactionScheduler::EndCompaction(int level) {
-  assert((busy_levels_ & (3u << level)) == (3u << level));
+  assert((busy_levels_ & LevelPairMask(level)) == LevelPairMask(level));
   assert(running_compactions_ > 0);
-  busy_levels_ &= ~(3u << level);
+  busy_levels_ &= ~LevelPairMask(level);
   running_compactions_--;
   UpdateGauges();
 }

@@ -5,13 +5,13 @@
 #include <string>
 #include <vector>
 
+#include "lsm/dbformat.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace fcae {
 
 class Env;
-class InternalKeyComparator;
 struct FileMetaData;
 
 namespace obs {
@@ -99,7 +99,7 @@ class CompactionScheduler {
 
   /// True iff a compaction merging level -> level+1 may start now.
   bool LevelsFree(int level) const {
-    return (busy_levels_ & (3u << level)) == 0;
+    return (busy_levels_ & LevelPairMask(level)) == 0;
   }
 
   /// Claims {level, level+1} for a compaction. Requires LevelsFree().

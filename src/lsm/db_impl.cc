@@ -141,7 +141,6 @@ Options SanitizeOptions(const std::string& dbname,
 static WriteControllerConfig WriteControllerConfigFor(
     const Options& options) {
   WriteControllerConfig config;
-  config.l0_compaction_trigger = kL0CompactionTrigger;
   config.l0_slowdown_trigger = options.l0_slowdown_writes_trigger;
   config.l0_stop_trigger = options.l0_stop_writes_trigger;
   config.total_write_buffer_size = options.total_write_buffer_size;
@@ -906,17 +905,6 @@ Status DBImpl::Resume() {
     return bg_error_;
   }
   return ResumeLocked();
-}
-
-bool DBImpl::HasClaimableCompaction() {
-  // Requires mutex_ held.
-  const uint32_t busy = scheduler_->busy_levels();
-  if (manual_compaction_ != nullptr && !manual_compaction_->done &&
-      !manual_compaction_->in_progress &&
-      scheduler_->LevelsFree(manual_compaction_->level)) {
-    return true;
-  }
-  return versions_->NeedsCompaction(busy);
 }
 
 void DBImpl::MaybeScheduleCompaction() {
@@ -1973,11 +1961,6 @@ Iterator* DBImpl::TEST_NewInternalIterator() {
   return NewInternalIterator(ReadOptions(), &ignored, &ignored_seed);
 }
 
-int64_t DBImpl::TEST_MaxNextLevelOverlappingBytes() {
-  MutexLock l(&mutex_);
-  return versions_->MaxNextLevelOverlappingBytes();
-}
-
 void DBImpl::TEST_QuarantineFile(uint64_t number) {
   MutexLock l(&mutex_);
   versions_->quarantine()->Add(number);
@@ -2401,8 +2384,6 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         }
       }
       allow_delay = false;  // Do not delay a single write more than once.
-      metrics_->counter("db.write.slowdowns")->Increment();
-      metrics_->counter("db.write.slowdown_micros")->Increment(waited);
       metrics_->counter("wc.delayed_writes")->Increment();
       metrics_->counter("wc.delay_micros")->Increment(waited);
       metrics_->histogram("db.write.delay_micros")
@@ -2583,8 +2564,8 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
       AppendF(value,
               "%s: slowdowns=%llu (%.1f ms) memtable-waits=%llu (%.1f ms) "
               "l0-stops=%llu (%.1f ms)\n",
-              label, count("db.write.slowdowns"),
-              count("db.write.slowdown_micros") / 1e3,
+              label, count("wc.delayed_writes"),
+              count("wc.delay_micros") / 1e3,
               count("db.write.stall_memtable"),
               count("db.write.stall_memtable_micros") / 1e3,
               count("db.write.stall_l0"),

@@ -80,10 +80,6 @@ class DBImpl : public DB {
   void TEST_QuarantineFile(uint64_t number);
   void TEST_UnquarantineFile(uint64_t number);
 
-  /// Returns the maximum overlapping data (in bytes) at next level for
-  /// any file at a level >= 1.
-  int64_t TEST_MaxNextLevelOverlappingBytes();
-
   /// Samples a key read at `key` (an internal key); may schedule a
   /// seek-triggered compaction.
   void RecordReadSample(Slice key);
@@ -246,10 +242,6 @@ class DBImpl : public DB {
   void ContainCompactionCorruption(Compaction* c, const Status& s,
                                    std::vector<uint64_t>* to_repair)
       REQUIRES(mutex_);
-
-  /// True iff a newly dispatched worker could claim a compaction now
-  /// (manual or picker) given the levels current jobs occupy.
-  bool HasClaimableCompaction() REQUIRES(mutex_);
 
   /// Serialized VersionSet::LogAndApply: brackets the call with the
   /// scheduler's manifest lock so concurrent jobs cannot interleave

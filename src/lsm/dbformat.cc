@@ -1,5 +1,6 @@
 #include "lsm/dbformat.h"
 
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -81,6 +82,47 @@ void InternalKeyComparator::FindShortSuccessor(std::string* key) const {
     assert(this->Compare(*key, tmp) < 0);
     key->swap(tmp);
   }
+}
+
+double MaxBytesForLevel(int level, int leveling_ratio) {
+  assert(level >= 1);
+  double result = 10. * 1048576.0;
+  for (int l = 1; l < level; l++) {
+    result *= leveling_ratio;
+  }
+  return result;
+}
+
+void ScoreLevels(int l0_files, const double level_bytes[kNumLevels],
+                 int leveling_ratio, double scores[kNumLevels]) {
+  // Level 0 is bounded by file count instead of bytes for two reasons:
+  //
+  // (1) With larger write-buffer sizes, it is nice not to do too many
+  // level-0 compactions.
+  //
+  // (2) The files in level-0 are merged on every read and therefore we
+  // wish to avoid too many files when the individual file size is small
+  // (perhaps because of a small write-buffer setting, or very high
+  // compression ratios, or lots of overwrites/deletions).
+  scores[0] = l0_files / static_cast<double>(kL0CompactionTrigger);
+  for (int level = 1; level < kNumLevels - 1; level++) {
+    scores[level] =
+        level_bytes[level] / MaxBytesForLevel(level, leveling_ratio);
+  }
+  scores[kNumLevels - 1] = -1;
+}
+
+int PickLevel(const double scores[kNumLevels], uint32_t busy_levels) {
+  int best_level = -1;
+  double best_score = -1;
+  for (int level = 0; level < kNumLevels - 1; level++) {
+    if ((busy_levels & LevelPairMask(level)) != 0) continue;
+    if (scores[level] > best_score) {
+      best_level = level;
+      best_score = scores[level];
+    }
+  }
+  return best_score >= 1 ? best_level : -1;
 }
 
 bool CompactionDropRule::ShouldDrop(const Slice& internal_key) {

@@ -28,6 +28,29 @@ constexpr int kL0StopWritesTrigger = 12;
 /// not create overlap.
 constexpr int kMaxMemCompactLevel = 2;
 
+// The leveled compaction trigger, shared by VersionSet, the
+// CompactionScheduler and syssim's LsmState.
+
+/// The busy-level bits a compaction at `level` claims: it reads `level`
+/// and writes `level + 1`, so concurrent jobs run on disjoint pairs.
+constexpr uint32_t LevelPairMask(int level) { return 3u << level; }
+
+/// Target bytes of `level` (>= 1): 10 MiB at L1, times `leveling_ratio`
+/// per level below (paper Table IV: ratio 10, swept 4..16 in Fig. 15d).
+double MaxBytesForLevel(int level, int leveling_ratio);
+
+/// Fills the compaction score of every level: L0's file count over
+/// kL0CompactionTrigger, each deeper level's bytes over its
+/// MaxBytesForLevel target. A score of at least 1 means the level needs
+/// a compaction. The last level has none below it and scores -1.
+void ScoreLevels(int l0_files, const double level_bytes[kNumLevels],
+                 int leveling_ratio, double scores[kNumLevels]);
+
+/// The level to compact next: the highest score of at least 1 whose
+/// LevelPairMask is free in `busy_levels`, the lowest level on a tie;
+/// -1 when no free pair needs a compaction.
+int PickLevel(const double scores[kNumLevels], uint32_t busy_levels);
+
 /// The value type tag stored in the low 8 bits of the 64-bit mark field.
 enum ValueType : uint8_t {
   kTypeDeletion = 0x0,

@@ -43,22 +43,6 @@ int64_t ExpandedCompactionByteSizeLimit(const Options* options) {
 
 }  // namespace
 
-double VersionSet::MaxBytesForLevel(int level) const {
-  // Level 0 is limited by file count, not bytes. Level 1 gets a fixed
-  // 10 MB budget; deeper levels grow by the configured leveling ratio
-  // (paper Table IV: ratio 10 by default, swept 4..16 in Fig. 15d).
-  assert(level >= 1);
-  double result = 10. * 1048576.0;
-  for (int l = 1; l < level; l++) {
-    result *= options_->leveling_ratio;
-  }
-  return result;
-}
-
-uint64_t VersionSet::MaxFileSizeForLevel(int level) const {
-  return options_->max_file_size;
-}
-
 Version::~Version() {
   assert(refs_ == 0);
 
@@ -1075,30 +1059,29 @@ void VersionSet::MarkFileNumberUsed(uint64_t number) {
 }
 
 void VersionSet::Finalize(Version* v) {
-  for (int level = 0; level < kNumLevels - 1; level++) {
-    double score;
-    if (level == 0) {
-      // We treat level-0 specially by bounding the number of files
-      // instead of number of bytes for two reasons:
-      //
-      // (1) With larger write-buffer sizes, it is nice not to do too
-      // many level-0 compactions.
-      //
-      // (2) The files in level-0 are merged on every read and
-      // therefore we wish to avoid too many files when the individual
-      // file size is small (perhaps because of a small write-buffer
-      // setting, or very high compression ratios, or lots of
-      // overwrites/deletions).
-      score = v->files_[level].size() /
-              static_cast<double>(kL0CompactionTrigger);
-    } else {
-      // Compute the ratio of current size to size limit.
-      const uint64_t level_bytes = TotalFileSize(v->files_[level]);
-      score = static_cast<double>(level_bytes) / MaxBytesForLevel(level);
-    }
-
-    v->level_scores_[level] = score;
+  double level_bytes[kNumLevels];
+  for (int level = 0; level < kNumLevels; level++) {
+    v->level_bytes_[level] = TotalFileSize(v->files_[level]);
+    level_bytes[level] = static_cast<double>(v->level_bytes_[level]);
   }
+  ScoreLevels(v->NumFiles(0), level_bytes, options_->leveling_ratio,
+              v->level_scores_);
+
+  // The compaction debt. L0 is sized by file count, not bytes: charge
+  // the files past the trigger (oldest first is irrelevant, only the
+  // total debt is).
+  uint64_t debt = 0;
+  for (size_t i = kL0CompactionTrigger; i < v->files_[0].size(); i++) {
+    debt += v->files_[0][i]->file_size;
+  }
+  for (int level = 1; level < kNumLevels - 1; level++) {
+    const int64_t over =
+        v->level_bytes_[level] -
+        static_cast<int64_t>(
+            MaxBytesForLevel(level, options_->leveling_ratio));
+    if (over > 0) debt += static_cast<uint64_t>(over);
+  }
+  v->compaction_debt_ = debt;
 }
 
 Status VersionSet::WriteSnapshot(log::Writer* log) {
@@ -1138,25 +1121,11 @@ int VersionSet::NumLevelFiles(int level) const {
 int64_t VersionSet::NumLevelBytes(int level) const {
   assert(level >= 0);
   assert(level < kNumLevels);
-  return TotalFileSize(current_->files_[level]);
+  return current_->level_bytes_[level];
 }
 
 uint64_t VersionSet::PendingCompactionBytes() const {
-  uint64_t pending = 0;
-  const std::vector<FileMetaData*>& l0 = current_->files_[0];
-  if (static_cast<int>(l0.size()) > kL0CompactionTrigger) {
-    // L0 is sized by file count, not bytes: charge the files past the
-    // trigger (oldest first is irrelevant — only the total debt is).
-    for (size_t i = kL0CompactionTrigger; i < l0.size(); i++) {
-      pending += l0[i]->file_size;
-    }
-  }
-  for (int level = 1; level < kNumLevels - 1; level++) {
-    const int64_t over = NumLevelBytes(level) -
-                         static_cast<int64_t>(MaxBytesForLevel(level));
-    if (over > 0) pending += static_cast<uint64_t>(over);
-  }
-  return pending;
+  return current_->compaction_debt_;
 }
 
 uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {
@@ -1201,23 +1170,6 @@ void VersionSet::AddLiveFiles(std::set<uint64_t>* live) {
       }
     }
   }
-}
-
-int64_t VersionSet::MaxNextLevelOverlappingBytes() {
-  int64_t result = 0;
-  std::vector<FileMetaData*> overlaps;
-  for (int level = 1; level < kNumLevels - 1; level++) {
-    for (size_t i = 0; i < current_->files_[level].size(); i++) {
-      const FileMetaData* f = current_->files_[level][i];
-      current_->GetOverlappingInputs(level + 1, &f->smallest, &f->largest,
-                                     &overlaps);
-      const int64_t sum = TotalFileSize(overlaps);
-      if (sum > result) {
-        result = sum;
-      }
-    }
-  }
-  return result;
 }
 
 // Stores the minimal range that covers all entries in inputs in
@@ -1286,27 +1238,17 @@ Iterator* VersionSet::MakeInputIterator(Compaction* c) {
 }
 
 int VersionSet::CountClaimableCompactions(uint32_t busy_levels) const {
-  // Greedy by descending score, claiming each level pair as taken, so
-  // the count matches what successive PickCompaction(mask) calls from
-  // newly dispatched workers would actually claim.
+  // Claims each picked level pair in turn, as successive
+  // PickCompaction(mask) calls from newly dispatched workers would.
   uint32_t mask = busy_levels;
   int jobs = 0;
-  while (true) {
-    int best = -1;
-    double best_score = -1;
-    for (int l = 0; l < kNumLevels - 1; l++) {
-      if ((mask & (3u << l)) != 0) continue;
-      if (current_->level_scores_[l] > best_score) {
-        best = l;
-        best_score = current_->level_scores_[l];
-      }
-    }
-    if (best < 0 || best_score < 1) break;
+  int level;
+  while ((level = PickLevel(current_->level_scores_, mask)) >= 0) {
     jobs++;
-    mask |= (3u << best);
+    mask |= LevelPairMask(level);
   }
   if (current_->file_to_compact_ != nullptr &&
-      (mask & (3u << current_->file_to_compact_level_)) == 0) {
+      (mask & LevelPairMask(current_->file_to_compact_level_)) == 0) {
     jobs++;
   }
   return jobs;
@@ -1314,30 +1256,16 @@ int VersionSet::CountClaimableCompactions(uint32_t busy_levels) const {
 
 Compaction* VersionSet::PickCompaction(uint32_t busy_levels) {
   Compaction* c;
-  int level;
 
   // We prefer compactions triggered by too much data in a level over
-  // the compactions triggered by seeks. Among size-triggered levels,
-  // take the highest-scoring one whose pair {L, L+1} is free.
-  int best_level = -1;
-  double best_score = -1;
-  for (int l = 0; l < kNumLevels - 1; l++) {
-    if ((busy_levels & (3u << l)) != 0) continue;
-    if (current_->level_scores_[l] > best_score) {
-      best_level = l;
-      best_score = current_->level_scores_[l];
-    }
-  }
-  const bool size_compaction = (best_score >= 1);
+  // the compactions triggered by seeks.
+  int level = PickLevel(current_->level_scores_, busy_levels);
   const bool seek_compaction =
       (current_->file_to_compact_ != nullptr &&
-       (busy_levels & (3u << current_->file_to_compact_level_)) == 0);
-  if (size_compaction) {
-    level = best_level;
-    assert(level >= 0);
+       (busy_levels & LevelPairMask(current_->file_to_compact_level_)) == 0);
+  if (level >= 0) {
     assert(level + 1 < kNumLevels);
     c = new Compaction(options_, level);
-    c->max_output_file_size_ = MaxFileSizeForLevel(level + 1);
 
     // Pick the first file that comes after compact_pointer_[level].
     for (size_t i = 0; i < current_->files_[level].size(); i++) {
@@ -1355,7 +1283,6 @@ Compaction* VersionSet::PickCompaction(uint32_t busy_levels) {
   } else if (seek_compaction) {
     level = current_->file_to_compact_level_;
     c = new Compaction(options_, level);
-    c->max_output_file_size_ = MaxFileSizeForLevel(level + 1);
     c->inputs_[0].push_back(current_->file_to_compact_);
   } else {
     return nullptr;
@@ -1470,7 +1397,7 @@ Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,
   // and we must not pick one file and drop another older file if the
   // two files overlap.
   if (level > 0) {
-    const uint64_t limit = MaxFileSizeForLevel(level);
+    const uint64_t limit = options_->max_file_size;
     uint64_t total = 0;
     for (size_t i = 0; i < inputs.size(); i++) {
       uint64_t s = inputs[i]->file_size;
@@ -1483,7 +1410,6 @@ Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,
   }
 
   Compaction* c = new Compaction(options_, level);
-  c->max_output_file_size_ = MaxFileSizeForLevel(level + 1);
   c->input_version_ = current_;
   c->input_version_->Ref();
   c->inputs_[0] = inputs;

@@ -144,10 +144,13 @@ class Version {
   FileMetaData* file_to_compact_;
   int file_to_compact_level_;
 
-  // Per-level compaction scores (>= 1 means a compaction is needed),
-  // computed by Finalize(). Lets the parallel scheduler pick a
-  // second-best level when the best one is already being compacted.
+  // The leveled shape, computed once by VersionSet::Finalize(): bytes
+  // per level, the ScoreLevels() scores (PickLevel() takes the
+  // second-best level when the best pair is already being compacted),
+  // and the compaction debt that PendingCompactionBytes() reports.
+  int64_t level_bytes_[kNumLevels] = {};
   double level_scores_[kNumLevels];
+  uint64_t compaction_debt_ = 0;
 };
 
 /// VersionSet is not internally synchronized: every mutating or
@@ -215,14 +218,10 @@ class VersionSet {
 
   uint64_t LogNumber() const { return log_number_; }
 
-  /// Picks the level and inputs for a new compaction; nullptr if none
-  /// needed. Caller owns the result.
-  Compaction* PickCompaction() { return PickCompaction(0); }
-
-  /// Like PickCompaction() but skips any candidate level L for which
-  /// bit L or bit L+1 of `busy_levels` is set (a compaction at L
-  /// occupies levels L and L+1). Used by the parallel scheduler to run
-  /// compactions on disjoint level pairs concurrently.
+  /// Picks the level and inputs for a new compaction whose level pair
+  /// (LevelPairMask) is free in `busy_levels`; nullptr if none is
+  /// needed. The parallel scheduler runs compactions on disjoint level
+  /// pairs concurrently. Caller owns the result.
   Compaction* PickCompaction(uint32_t busy_levels);
 
   /// Counts how many disjoint compactions successive
@@ -235,41 +234,14 @@ class VersionSet {
   Compaction* CompactRange(int level, const InternalKey* begin,
                            const InternalKey* end);
 
-  /// Maximum overlapping bytes at the next level for any level-(>0) file.
-  int64_t MaxNextLevelOverlappingBytes();
-
   /// Creates an iterator over the entire compaction input set.
   Iterator* MakeInputIterator(Compaction* c);
-
-  /// Returns true iff some level needs a compaction.
-  bool NeedsCompaction() const { return NeedsCompaction(0); }
-
-  /// Returns true iff some level whose pair {L, L+1} is disjoint from
-  /// `busy_levels` needs a compaction.
-  bool NeedsCompaction(uint32_t busy_levels) const {
-    Version* v = current_;
-    for (int level = 0; level < kNumLevels - 1; level++) {
-      if ((busy_levels & (3u << level)) != 0) continue;
-      if (v->level_scores_[level] >= 1) return true;
-    }
-    if (v->file_to_compact_ != nullptr &&
-        (busy_levels & (3u << v->file_to_compact_level_)) == 0) {
-      return true;
-    }
-    return false;
-  }
 
   /// Adds all live file numbers to *live.
   void AddLiveFiles(std::set<uint64_t>* live);
 
   /// Approximate file-space offset of `key` in version `v`.
   uint64_t ApproximateOffsetOf(Version* v, const InternalKey& key);
-
-  /// Max bytes allowed at `level` given the configured leveling ratio
-  /// (paper Fig. 15d varies this from 4 to 16).
-  double MaxBytesForLevel(int level) const;
-
-  uint64_t MaxFileSizeForLevel(int level) const;
 
   const Options* options() const { return options_; }
   const InternalKeyComparator& icmp() const { return icmp_; }

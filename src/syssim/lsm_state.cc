@@ -6,10 +6,6 @@
 namespace fcae {
 namespace syssim {
 
-namespace {
-constexpr int kL0Trigger = 4;
-}  // namespace
-
 LsmState::LsmState(double file_size_bytes, int leveling_ratio,
                    double overlap_files)
     : file_size_(file_size_bytes),
@@ -28,7 +24,7 @@ double LsmState::TotalBytes() const {
 }
 
 int LsmState::DeepestLevel() const {
-  for (int level = kSimLevels - 1; level >= 0; level--) {
+  for (int level = kNumLevels - 1; level >= 0; level--) {
     if (bytes_[level] > 0) return level;
   }
   return -1;
@@ -42,38 +38,17 @@ int LsmState::PopulatedLevels() const {
   return populated;
 }
 
-double LsmState::MaxBytesForLevel(int level) const {
-  assert(level >= 1);
-  double result = 10.0 * 1048576.0;
-  for (int l = 1; l < level; l++) {
-    result *= ratio_;
-  }
-  return result;
-}
-
 bool LsmState::PickCompaction(CompactionWork* work, int max_l0_files,
                               uint32_t busy_levels) const {
-  int best_level = -1;
-  double best_score = 0;
-  for (int level = 0; level < kSimLevels - 1; level++) {
-    if ((busy_levels & (3u << level)) != 0) continue;
-    double score;
-    if (level == 0) {
-      score = static_cast<double>(l0_files_) / kL0Trigger;
-    } else {
-      score = bytes_[level] / MaxBytesForLevel(level);
-    }
-    if (score > best_score) {
-      best_score = score;
-      best_level = level;
-    }
-  }
-  if (best_score < 1.0 || best_level < 0) {
+  double scores[kNumLevels];
+  ScoreLevels(l0_files_, bytes_, ratio_, scores);
+  const int level = PickLevel(scores, busy_levels);
+  if (level < 0) {
     return false;
   }
 
-  work->level = best_level;
-  if (best_level == 0) {
+  work->level = level;
+  if (level == 0) {
     // All L0 files overlap (random keys span the space) and drag in the
     // whole of L1. A capped job takes the oldest files only.
     int consumed = l0_files_;
@@ -87,9 +62,9 @@ bool LsmState::PickCompaction(CompactionWork* work, int max_l0_files,
     work->device_inputs = consumed + (bytes_[1] > 0 ? 1 : 0);
   } else {
     work->l0_files_consumed = 0;
-    work->upper_bytes = std::min(file_size_, bytes_[best_level]);
+    work->upper_bytes = std::min(file_size_, bytes_[level]);
     work->lower_bytes = std::min(
-        bytes_[best_level + 1],
+        bytes_[level + 1],
         std::min<double>(ratio_, overlap_files_) * file_size_);
     work->device_inputs =
         (work->upper_bytes > 0 ? 1 : 0) + (work->lower_bytes > 0 ? 1 : 0);

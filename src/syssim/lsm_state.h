@@ -3,11 +3,10 @@
 
 #include <cstdint>
 
+#include "lsm/dbformat.h"
+
 namespace fcae {
 namespace syssim {
-
-/// Number of levels, as in the storage engine.
-constexpr int kSimLevels = 7;
 
 /// One table-merging compaction in the abstract LSM model.
 struct CompactionWork {
@@ -48,16 +47,14 @@ class LsmState {
   /// Number of populated levels (for the read-cost model).
   int PopulatedLevels() const;
 
-  double MaxBytesForLevel(int level) const;
-
-  /// Picks the highest-score compaction (score >= 1), as
-  /// VersionSet::Finalize does. Returns false when nothing is needed.
+  /// Picks the level the storage engine's trigger would (ScoreLevels and
+  /// PickLevel in lsm/dbformat.h). Returns false when nothing is needed.
   /// `max_l0_files` > 0 caps how many level-0 files one job consumes
   /// (the oldest ones — newer files shadow them, so the subset is
   /// correct); the paper's FPGA-optimized scheduler uses N-1 so level-0
   /// jobs fit the device. `busy_levels` excludes levels claimed by
-  /// in-flight compactions: a job at L occupies bits {L, L+1}, matching
-  /// the storage engine's CompactionScheduler mask.
+  /// in-flight compactions: a job at L occupies LevelPairMask(L), as in
+  /// the storage engine's CompactionScheduler.
   bool PickCompaction(CompactionWork* work, int max_l0_files = 0,
                       uint32_t busy_levels = 0) const;
 
@@ -69,7 +66,7 @@ class LsmState {
   int ratio_;
   double overlap_files_;
   int l0_files_ = 0;
-  double bytes_[kSimLevels] = {0};
+  double bytes_[kNumLevels] = {0};
 
   /// Fraction of merged bytes surviving a compaction (dedup of
   /// overwritten keys; mild for random-key workloads).

@@ -95,7 +95,7 @@ struct Simulator::Engine {
   const int num_cards;
   std::vector<Job*> device_jobs;  // Per card: the job owning its kernel.
   std::vector<Job*> active_runs;  // Step() scratch: runs advancing now.
-  uint32_t busy_levels = 0;    // Level-pair claims, (3u << level) bits.
+  uint32_t busy_levels = 0;    // Level-pair claims, LevelPairMask bits.
 
   // Fault-tolerant offload model (see SimConfig::device_fault_rate).
   Random fault_rng{cfg.fault_seed == 0 ? 1 : cfg.fault_seed};
@@ -277,7 +277,7 @@ struct Simulator::Engine {
     Job* job = owned.get();
     jobs.push_back(std::move(owned));
     job->work = work;
-    busy_levels |= (3u << work.level);
+    busy_levels |= LevelPairMask(work.level);
     result.compactions++;
     result.bytes_compacted_in += work.input_bytes;
     result.bytes_compacted_out += work.output_bytes;
@@ -516,7 +516,7 @@ struct Simulator::Engine {
     }
     Span("compaction", job->compaction_start, job->tid);
     lsm.ApplyCompaction(job->work);
-    busy_levels &= ~(3u << job->work.level);
+    busy_levels &= ~LevelPairMask(job->work.level);
     for (size_t i = 0; i < jobs.size(); i++) {
       if (jobs[i].get() == job) {
         jobs.erase(jobs.begin() + i);
@@ -679,14 +679,14 @@ SimResult Simulator::RunYcsb(workload::YcsbWorkload w, uint64_t record_count,
     // Find the minimal depth whose cumulative capacity holds the data.
     int depth = 1;
     double cumulative = 0;
-    for (int level = 1; level < kSimLevels; level++) {
-      cumulative += engine.lsm.MaxBytesForLevel(level);
+    for (int level = 1; level < kNumLevels; level++) {
+      cumulative += MaxBytesForLevel(level, config_.leveling_ratio);
       depth = level;
       if (cumulative >= remaining) break;
     }
     for (int level = depth; level >= 1 && remaining > 0; level--) {
-      const double put =
-          std::min(engine.lsm.MaxBytesForLevel(level), remaining);
+      const double put = std::min(
+          MaxBytesForLevel(level, config_.leveling_ratio), remaining);
       // Poke the level through a synthetic zero-input compaction.
       CompactionWork work;
       work.level = level - 1;

@@ -11,7 +11,6 @@ namespace fcae {
 /// sanitized Options and syssim from SimConfig, so engine and simulator
 /// share one model.
 struct WriteControllerConfig {
-  int l0_compaction_trigger = 4;
   int l0_slowdown_trigger = 8;
   int l0_stop_trigger = 12;
 

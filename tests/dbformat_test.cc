@@ -180,6 +180,58 @@ TEST(FormatTest, CompactionDropRule) {
   }
 }
 
+// The compaction trigger as a table: each case scores a shape and picks
+// a level with some level pairs already claimed.
+TEST(FormatTest, ScoreLevelsAndPickLevel) {
+  constexpr double kMiB = 1048576.0;
+  struct Case {
+    const char* name;
+    int l0_files;
+    double level_bytes[kNumLevels];
+    int leveling_ratio;
+    uint32_t busy_levels;
+    double scores[kNumLevels];
+    int level;
+  };
+  const std::vector<Case> cases = {
+      {"nothing needed", 3, {0, 5 * kMiB, 50 * kMiB, 0, 0, 0, 0}, 10, 0,
+       {0.75, 0.5, 0.5, 0, 0, 0, -1}, -1},
+      {"L0 at the trigger", 4, {0, 0, 0, 0, 0, 0, 0}, 10, 0,
+       {1, 0, 0, 0, 0, 0, -1}, 0},
+      {"a level exactly at its target", 0, {0, 0, 0, 1000 * kMiB, 0, 0, 0},
+       10, 0, {0, 0, 0, 1, 0, 0, -1}, 3},
+      {"the ratio sets deeper targets", 0, {0, 0, 0, 160 * kMiB, 0, 0, 0}, 4,
+       0, {0, 0, 0, 1, 0, 0, -1}, 3},
+      {"the highest score wins", 5, {0, 30 * kMiB, 200 * kMiB, 0, 0, 0, 0},
+       10, 0, {1.25, 3, 2, 0, 0, 0, -1}, 1},
+      {"a tie picks the lowest level", 8, {0, 20 * kMiB, 0, 0, 0, 0, 0}, 10,
+       0, {2, 2, 0, 0, 0, 0, -1}, 0},
+      {"a busy best pair falls to the second best", 3,
+       {0, 30 * kMiB, 0, 1500 * kMiB, 12000 * kMiB, 0, 0}, 10,
+       LevelPairMask(1), {0.75, 3, 0, 1.5, 1.2, 0, -1}, 3},
+      {"a claimed level blocks both pairs that hold it", 8,
+       {0, 20 * kMiB, 150 * kMiB, 0, 0, 0, 0}, 10, 1u << 1,
+       {2, 2, 1.5, 0, 0, 0, -1}, 2},
+      {"busy pairs leave only scores below 1", 2,
+       {0, 30 * kMiB, 50 * kMiB, 0, 0, 0, 0}, 10, LevelPairMask(1),
+       {0.5, 3, 0.5, 0, 0, 0, -1}, -1},
+      {"all pairs busy gives -1", 8,
+       {0, 20 * kMiB, 200 * kMiB, 2000 * kMiB, 0, 0, 0}, 10, 0x7f,
+       {2, 2, 2, 2, 0, 0, -1}, -1},
+      {"the last level has no pair", 0, {0, 0, 0, 0, 0, 0, 1e15}, 10, 0,
+       {0, 0, 0, 0, 0, 0, -1}, -1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    double scores[kNumLevels];
+    ScoreLevels(c.l0_files, c.level_bytes, c.leveling_ratio, scores);
+    for (int level = 0; level < kNumLevels; level++) {
+      EXPECT_DOUBLE_EQ(c.scores[level], scores[level]) << "level " << level;
+    }
+    EXPECT_EQ(c.level, PickLevel(scores, c.busy_levels));
+  }
+}
+
 TEST(FormatTest, LookupKey) {
   LookupKey lkey("user_key", 42);
   ASSERT_EQ("user_key", lkey.user_key().ToString());

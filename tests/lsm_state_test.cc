@@ -70,12 +70,10 @@ TEST(LsmStateTest, DeepLevelTriggersOnBytes) {
 }
 
 TEST(LsmStateTest, MaxBytesScalesWithLevelingRatio) {
-  LsmState r10(kFileSize, 10);
-  EXPECT_DOUBLE_EQ(10 * kMB * 10, r10.MaxBytesForLevel(1) * 10);
-  EXPECT_DOUBLE_EQ(r10.MaxBytesForLevel(2), r10.MaxBytesForLevel(1) * 10);
+  EXPECT_DOUBLE_EQ(10 * kMB * 10, MaxBytesForLevel(1, 10) * 10);
+  EXPECT_DOUBLE_EQ(MaxBytesForLevel(2, 10), MaxBytesForLevel(1, 10) * 10);
 
-  LsmState r4(kFileSize, 4);
-  EXPECT_DOUBLE_EQ(r4.MaxBytesForLevel(3), r4.MaxBytesForLevel(1) * 16);
+  EXPECT_DOUBLE_EQ(MaxBytesForLevel(3, 4), MaxBytesForLevel(1, 4) * 16);
 }
 
 TEST(LsmStateTest, SnapshotSemanticsAcrossConcurrentFlush) {
@@ -124,7 +122,7 @@ TEST(LsmStateTest, CascadePropagatesToDepth) {
   EXPECT_GE(lsm.DeepestLevel(), 3);
   // Level sizes respect their caps after full compaction.
   for (int level = 1; level < lsm.DeepestLevel(); level++) {
-    EXPECT_LE(lsm.level_bytes(level), lsm.MaxBytesForLevel(level) * 1.01)
+    EXPECT_LE(lsm.level_bytes(level), MaxBytesForLevel(level, 4) * 1.01)
         << level;
   }
 }

@@ -1,8 +1,15 @@
 #include "syssim/simulator.h"
 
+#include <array>
+#include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "test_util.h"
 
 namespace fcae {
 namespace syssim {
@@ -365,6 +372,299 @@ TEST(SimulatorTest, ObsSpansAndCountersMirrorTheResult) {
   if (r.compactions_retried > 0 || r.compactions_fallback > 0) {
     EXPECT_NE(std::string::npos, json.find("\"retry\""));
   }
+}
+
+// Golden rows: every SimResult field of fill and YCSB runs across the
+// inputs of the compaction trigger (leveling ratio, engine inputs, the
+// strict L0 cap, parallel level pairs), recorded before the storage
+// engine and the simulator shared one trigger. A change to when a
+// compaction starts shows here as a changed row; only a deliberate
+// change to the model may re-record one (a mismatch prints the new row).
+namespace {
+
+constexpr int kNumSimCounts = 6;
+constexpr int kNumSimDoubles = 17;
+
+struct GoldenSimCase {
+  std::string name;
+  SimConfig config;
+  double fill_bytes = 0;  // RunFillRandom when > 0, else RunYcsb.
+  workload::YcsbWorkload ycsb = workload::YcsbWorkload::kA;
+};
+
+std::vector<GoldenSimCase> GoldenSimCases() {
+  std::vector<GoldenSimCase> cases;
+  for (bool fcae : {false, true}) {
+    for (int n : {2, 9}) {
+      for (int ratio : {4, 10, 16}) {
+        for (int threads : {1, 2}) {
+          GoldenSimCase c;
+          c.config = fcae ? FcaeConfig(512, n, n == 2 ? 16 : 8)
+                          : CpuConfig(512);
+          c.config.engine.num_inputs = n;
+          c.config.leveling_ratio = ratio;
+          c.config.compaction_threads = threads;
+          c.fill_bytes = threads == 1 ? 3e8 : 1e9;
+          c.name = test::Cat(fcae ? "fcae" : "cpu", n, ".r", ratio, ".t",
+                             threads);
+          cases.push_back(c);
+        }
+      }
+    }
+  }
+  GoldenSimCase strict;
+  strict.config = FcaeConfig(512, 9, 8);
+  strict.config.multipass_offload = false;
+  strict.fill_bytes = 6e8;
+  strict.name = "fcae9.strict";
+  cases.push_back(strict);
+  for (bool fcae : {false, true}) {
+    GoldenSimCase ycsb;
+    ycsb.config = fcae ? FcaeConfig(1024, 9, 8) : CpuConfig(1024);
+    ycsb.name = fcae ? "ycsb.a.fcae9" : "ycsb.a.cpu";
+    cases.push_back(ycsb);
+  }
+  return cases;
+}
+
+std::array<uint64_t, kNumSimCounts> SimCounts(const SimResult& r) {
+  return {r.flushes,
+          r.compactions,
+          r.compactions_offloaded,
+          r.compactions_sw,
+          r.compactions_retried,
+          r.compactions_fallback};
+}
+
+std::array<double, kNumSimDoubles> SimDoubles(const SimResult& r) {
+  return {r.elapsed_seconds,
+          r.throughput_mbps,
+          r.throughput_kops,
+          r.stall_seconds,
+          r.slowdown_seconds,
+          r.pcie_seconds,
+          r.device_seconds,
+          r.cpu_compaction_seconds,
+          r.flush_seconds,
+          r.fault_backoff_seconds,
+          r.fault_wasted_device_seconds,
+          r.device_queue_seconds,
+          r.pipeline_overlap_seconds,
+          r.bus_contention_seconds,
+          r.bytes_compacted_in,
+          r.bytes_compacted_out,
+          r.user_bytes};
+}
+
+struct GoldenSimRow {
+  const char* name;
+  uint64_t counts[kNumSimCounts];
+  double doubles[kNumSimDoubles];
+};
+
+const GoldenSimRow kGoldenSimRows[] = {
+    {"cpu2.r4.t1",
+     {70, 54, 0, 54, 0, 0},
+     {135.49941387890803, 2.2140317172744486, 0, 1.3888865745454564,
+      124.16093699237408, 0, 0, 124.39266017055684, 11.911823360000009, 0, 0, 0,
+      0, 0, 745253580.85582399, 722895973.43014956, 300000000}},
+    {"cpu2.r4.t2",
+     {237, 204, 0, 204, 0, 0},
+     {1050.3786002895506, 0.95203767453405552, 0, 4.2786667054545608,
+      1014.9924769467995, 0, 0, 1037.5641510114299, 39.929774079999788, 0, 0, 0,
+      0, 0, 6300481311.7685623, 6111466872.4154873, 1000000000}},
+    {"cpu2.r10.t1",
+     {70, 54, 0, 54, 0, 0},
+     {156.81476896105673, 1.913085113013187, 0, 1.3888865745454564,
+      145.55149373212902, 0, 0, 146.28135628912369, 11.911823360000009, 0, 0, 0,
+      0, 0, 993071986.72814679, 963279827.12630177, 300000000}},
+    {"cpu2.r10.t2",
+     {237, 179, 0, 179, 0, 0},
+     {1006.1683050087239, 0.99386950972514443, 0, 4.3682722909091067,
+      970.56317763811887, 0, 0, 1001.3664572570257, 39.929774079999788, 0, 0, 0,
+      0, 0, 6288376688.6652031, 6099725388.0052509, 1000000000}},
+    {"cpu2.r16.t1",
+     {70, 54, 0, 54, 0, 0},
+     {156.81476896105673, 1.913085113013187, 0, 1.3888865745454564,
+      145.55149373212902, 0, 0, 146.28135628912369, 11.911823360000009, 0, 0, 0,
+      0, 0, 993071986.72814679, 963279827.12630177, 300000000}},
+    {"cpu2.r16.t2",
+     {237, 198, 0, 198, 0, 0},
+     {851.68609834513575, 1.1741415081719013, 0, 4.4578778763636526,
+      815.45858553075811, 0, 0, 841.60594517777679, 39.929774079999788, 0, 0, 0,
+      0, 0, 5505172157.0491533, 5340016992.3376808, 1000000000}},
+    {"cpu9.r4.t1",
+     {70, 54, 0, 54, 0, 0},
+     {135.49941387890803, 2.2140317172744486, 0, 1.3888865745454564,
+      124.16093699237408, 0, 0, 124.39266017055684, 11.911823360000009, 0, 0, 0,
+      0, 0, 745253580.85582399, 722895973.43014956, 300000000}},
+    {"cpu9.r4.t2",
+     {237, 204, 0, 204, 0, 0},
+     {1050.3786002895506, 0.95203767453405552, 0, 4.2786667054545608,
+      1014.9924769467995, 0, 0, 1037.5641510114299, 39.929774079999788, 0, 0, 0,
+      0, 0, 6300481311.7685623, 6111466872.4154873, 1000000000}},
+    {"cpu9.r10.t1",
+     {70, 54, 0, 54, 0, 0},
+     {156.81476896105673, 1.913085113013187, 0, 1.3888865745454564,
+      145.55149373212902, 0, 0, 146.28135628912369, 11.911823360000009, 0, 0, 0,
+      0, 0, 993071986.72814679, 963279827.12630177, 300000000}},
+    {"cpu9.r10.t2",
+     {237, 179, 0, 179, 0, 0},
+     {1006.1683050087239, 0.99386950972514443, 0, 4.3682722909091067,
+      970.56317763811887, 0, 0, 1001.3664572570257, 39.929774079999788, 0, 0, 0,
+      0, 0, 6288376688.6652031, 6099725388.0052509, 1000000000}},
+    {"cpu9.r16.t1",
+     {70, 54, 0, 54, 0, 0},
+     {156.81476896105673, 1.913085113013187, 0, 1.3888865745454564,
+      145.55149373212902, 0, 0, 146.28135628912369, 11.911823360000009, 0, 0, 0,
+      0, 0, 993071986.72814679, 963279827.12630177, 300000000}},
+    {"cpu9.r16.t2",
+     {237, 198, 0, 198, 0, 0},
+     {851.68609834513575, 1.1741415081719013, 0, 4.4578778763636526,
+      815.45858553075811, 0, 0, 841.60594517777679, 39.929774079999788, 0, 0, 0,
+      0, 0, 5505172157.0491533, 5340016992.3376808, 1000000000}},
+    {"fcae2.r4.t1",
+     {70, 55, 55, 0, 0, 0},
+     {36.485596465317137, 8.2224227932021652, 0, 1.3888865745454564,
+      15.058696870647383, 0.12175450207624017, 2.4641469532017357, 0,
+      11.911823360000009, 0, 0, 0, 0, 0, 752137549.29689443, 729573422.8179878,
+      300000000}},
+    {"fcae2.r4.t2",
+     {237, 264, 264, 0, 0, 0},
+     {146.35112407821453, 6.8328822637916291, 0, 4.7042932363636538,
+      74.513936434463417, 0.64973857213476693, 13.489551494764379, 0,
+      39.929774079999788, 0, 0, 8.4946620773027703, 0.017424619580074675, 0,
+      3957798408.9427438, 3839064456.6744475, 1000000000}},
+    {"fcae2.r10.t1",
+     {70, 54, 54, 0, 0, 0},
+     {39.96702816997589, 7.5061873183097108, 0, 1.3888865745454564,
+      18.609182270470896, 0.16243802370694663, 2.8588250960147987, 0,
+      11.911823360000009, 0, 0, 0, 0, 0, 989470195.16921735, 959786089.31413996,
+      300000000}},
+    {"fcae2.r10.t2",
+     {237, 270, 270, 0, 0, 0},
+     {161.09497253507774, 6.2075183617679581, 0, 4.7042932363636538,
+      89.091731266530758, 0.83388096101489284, 13.427494513492785, 0,
+      39.929774079999788, 0, 0, 4.2850009493360304, 0.018451855348699312, 0,
+      5079477935.1161184, 4927093597.0626469, 1000000000}},
+    {"fcae2.r16.t1",
+     {70, 54, 54, 0, 0, 0},
+     {39.96702816997589, 7.5061873183097108, 0, 1.3888865745454564,
+      18.609182270470896, 0.16243802370694663, 2.8588250960147987, 0,
+      11.911823360000009, 0, 0, 0, 0, 0, 989470195.16921735, 959786089.31413996,
+      300000000}},
+    {"fcae2.r16.t2",
+     {237, 263, 263, 0, 0, 0},
+     {159.96130692344173, 6.2515118139076282, 0, 4.7042932363636538,
+      88.118014705935323, 0.8103454087182741, 13.075314954106037, 0,
+      39.929774079999788, 0, 0, 3.2420310578925324, 0.012859450015365981, 0,
+      4936114164.7813835, 4788030739.8379498, 1000000000}},
+    {"fcae9.r4.t1",
+     {70, 54, 54, 0, 0, 0},
+     {37.246727734679673, 8.0543988222803282, 0, 1.3888865745454564,
+      15.926842776988963, 0.12175450207624017, 3.1756801033971183, 0,
+      11.911823360000009, 0, 0, 0, 0, 0, 741651789.29689443, 719402235.61798775,
+      300000000}},
+    {"fcae9.r4.t2",
+     {237, 264, 264, 0, 0, 0},
+     {149.59613142836005, 6.6846648402728857, 0, 4.7042932363636538,
+      78.106122654183238, 0.64973857213476693, 17.406140471583132, 0,
+      39.929774079999788, 0, 0, 8.5258005927900875, 0.017424619580074675, 0,
+      3957798408.9427438, 3839064456.6744475, 1000000000}},
+    {"fcae9.r10.t1",
+     {70, 54, 54, 0, 0, 0},
+     {41.067555486626198, 7.3050366997786398, 0, 1.3888865745454564,
+      19.805111257840856, 0.16243802370694663, 3.9678624576224872, 0,
+      11.911823360000009, 0, 0, 0, 0, 0, 989470195.16921735, 959786089.31413996,
+      300000000}},
+    {"fcae9.r10.t2",
+     {237, 270, 270, 0, 0, 0},
+     {166.40892760953184, 6.0092929770356882, 0, 4.7042932363636538,
+      94.552107881856799, 0.83388096101489284, 19.755013100813368, 0,
+      39.929774079999788, 0, 0, 4.302413546192362, 0.018451855348699312, 0,
+      5079477935.1161184, 4927093597.0626469, 1000000000}},
+    {"fcae9.r16.t1",
+     {70, 54, 54, 0, 0, 0},
+     {41.067555486626198, 7.3050366997786398, 0, 1.3888865745454564,
+      19.805111257840856, 0.16243802370694663, 3.9678624576224872, 0,
+      11.911823360000009, 0, 0, 0, 0, 0, 989470195.16921735, 959786089.31413996,
+      300000000}},
+    {"fcae9.r16.t2",
+     {237, 263, 263, 0, 0, 0},
+     {165.4379928480692, 6.0445607613140888, 0, 4.7042932363636538,
+      93.797948951235611, 0.8103454087182741, 19.213866060345811, 0,
+      39.929774079999788, 0, 0, 3.2548979199735584, 0.012859450015365981, 0,
+      4936114164.7813835, 4788030739.8379498, 1000000000}},
+    {"fcae9.strict",
+     {142, 141, 141, 0, 0, 0},
+     {93.398229451809755, 6.4241046486815812, 0, 2.7777731490909168,
+      50.965637020202429, 0.43948178056032999, 8.5575116806178908, 0,
+      23.991418879999937, 0, 0, 0, 0, 0, 2677046379.0477009, 2596734987.6762676,
+      600000000}},
+    {"ycsb.a.cpu",
+     {12, 4, 0, 4, 0, 0},
+     {7.2657168499806799, 7.1202554501057334, 13.76326686887969, 0,
+      1.5858493161344689, 0, 0, 10.794944826567844, 2.0132659199999998, 0, 0, 0,
+      0, 0, 69901927.936000019, 67804870.09792003, 51733760}},
+    {"ycsb.a.fcae9",
+     {12, 18, 18, 0, 0, 0},
+     {6.3695909723999868, 8.1219909134145425, 15.699595222567513, 0, 0,
+      0.040495384541360945, 0.64705198542945996, 0, 2.0132659199999998, 0, 0, 0,
+      0, 0, 246672393.14534587, 239272221.35098547, 51733760}},
+};
+
+std::string GoldenSimRowText(const std::string& name, const SimResult& r) {
+  std::string row = test::Cat("{\"", name, "\",\n {");
+  const auto counts = SimCounts(r);
+  for (int f = 0; f < kNumSimCounts; f++) {
+    row += test::Cat(f > 0 ? ", " : "", counts[f]);
+  }
+  row += "},\n {";
+  const auto doubles = SimDoubles(r);
+  for (int f = 0; f < kNumSimDoubles; f++) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", doubles[f]);
+    row += (f > 0 ? ", " : "");
+    row += buf;
+  }
+  return row + "}},";
+}
+
+}  // namespace
+
+TEST(SimulatorTest, GoldenRowsAcrossTheCompactionTrigger) {
+  const std::vector<GoldenSimCase> cases = GoldenSimCases();
+  for (size_t row = 0; row < cases.size(); row++) {
+    const GoldenSimCase& c = cases[row];
+    SCOPED_TRACE(c.name);
+    const SimResult r =
+        c.fill_bytes > 0
+            ? Simulator(c.config).RunFillRandom(c.fill_bytes)
+            : Simulator(c.config).RunYcsb(c.ycsb, 200000, 100000);
+    if (row >= std::size(kGoldenSimRows) ||
+        kGoldenSimRows[row].name != c.name) {
+      ADD_FAILURE() << "no golden row; actual:\n"
+                    << GoldenSimRowText(c.name, r);
+      continue;
+    }
+    const GoldenSimRow& golden = kGoldenSimRows[row];
+    const auto counts = SimCounts(r);
+    const auto doubles = SimDoubles(r);
+    bool match = true;
+    for (int f = 0; f < kNumSimCounts; f++) {
+      EXPECT_EQ(golden.counts[f], counts[f]) << "count " << f;
+      match = match && golden.counts[f] == counts[f];
+    }
+    for (int f = 0; f < kNumSimDoubles; f++) {
+      const double tol = 1e-9 * std::fabs(golden.doubles[f]);
+      EXPECT_NEAR(golden.doubles[f], doubles[f], tol) << "double " << f;
+      match = match && std::fabs(golden.doubles[f] - doubles[f]) <= tol;
+    }
+    if (!match) {
+      ADD_FAILURE() << "actual:\n" << GoldenSimRowText(c.name, r);
+    }
+  }
+  EXPECT_EQ(std::size(kGoldenSimRows), cases.size());
 }
 
 }  // namespace syssim
