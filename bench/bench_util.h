@@ -129,6 +129,9 @@ struct DeviceFanoutResult {
 /// scheduler ablation measure the policy the storage engine actually
 /// runs. Every shard is placed, in shard order, before any runs, so the
 /// per-card shard counts do not depend on which kernel finishes first.
+/// Workers call the cards directly: each card's own FIFO job queue
+/// orders them exactly as it orders the executor's attempts, so a shard
+/// that waits for its card is credited the same DMA overlap.
 /// The set must be freshly constructed: per-card makespans are read
 /// from the devices' lifetime counters.
 inline DeviceFanoutResult RunDeviceFanout(

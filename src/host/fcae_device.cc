@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "fpga/output_to_input.h"
+#include "util/env.h"
 #include "util/random.h"
 
 namespace fcae {
@@ -154,7 +155,7 @@ Status FcaeDevice::RunKernel(
   stats->engine.records_dropped += engine.stats().records_dropped;
   stats->engine.records_bounds_dropped +=
       engine.stats().records_bounds_dropped;
-  // Keep the full stats of the most recent pass; Execute* fixes up the
+  // Keep the full stats of the most recent pass; Execute fixes up the
   // accumulated fields afterwards.
   fpga::EngineStats merged = engine.stats();
   merged.records_in = stats->engine.records_in;
@@ -178,54 +179,8 @@ Status FcaeDevice::ExecuteCompaction(
     return Status::InvalidArgument(
         "engine input count exceeds synthesized N");
   }
-
-  // A job that finds another job in flight (or queued) arrived
-  // back-to-back: its transfer-in was double-buffered behind the
-  // predecessor's kernel, so ModelPipeline may credit overlap.
-  const bool back_to_back =
-      pending_jobs_.fetch_add(1, std::memory_order_acq_rel) > 0;
-  struct PendingGuard {
-    std::atomic<int>* pending;
-    ~PendingGuard() { pending->fetch_sub(1, std::memory_order_acq_rel); }
-  } pending_guard{&pending_jobs_};
-
-  MutexLock lock(&mutex_);
-  struct BusGuard {
-    fpga::PcieBus* bus;
-    int card;
-    ~BusGuard() {
-      if (bus != nullptr) bus->EndJob(card);
-    }
-  } bus_guard{bus_, card_id_};
-  if (bus_ != nullptr) bus_->BeginJob(card_id_);
-
-  *stats = DeviceRunStats();
-  for (const fpga::DeviceInput* input : inputs) {
-    stats->input_bytes += input->TotalBytes();
-  }
-  // The inbound burst goes on the bus before the kernel runs, so a
-  // sibling card starting mid-kernel collides with it.
-  const double in_micros = pcie_.TransferMicros(stats->input_bytes);
-  const double in_wait =
-      bus_ != nullptr ? bus_->ChargeIn(card_id_, in_micros) : 0;
-
-  Status s = RunKernel(inputs, smallest_snapshot, drop_deletions, output,
-                       stats, bounds);
-  if (!s.ok()) {
-    *output = fpga::DeviceOutput();  // Never hand out partial results.
-    return s;
-  }
-
-  stats->kernel_micros = config_.CyclesToMicros(stats->kernel_cycles);
-  stats->output_bytes = output->TotalBytes();
-  stats->pcie_micros +=
-      pcie_.RoundTripMicros(stats->input_bytes, stats->output_bytes);
-  ModelPipeline(back_to_back, in_micros, in_wait, stats->output_bytes,
-                stats->kernel_micros, stats);
-
-  MutexLock stats_lock(&stats_mutex_);
-  total_pcie_micros_ += stats->pcie_micros;
-  return Status::OK();
+  return Execute(inputs, smallest_snapshot, drop_deletions, output, stats,
+                 bounds);
 }
 
 Status FcaeDevice::ExecuteTournament(
@@ -233,12 +188,40 @@ Status FcaeDevice::ExecuteTournament(
     uint64_t smallest_snapshot, bool drop_deletions,
     fpga::DeviceOutput* output, DeviceRunStats* stats,
     const fpga::KeyBounds* bounds) {
-  const bool back_to_back =
-      pending_jobs_.fetch_add(1, std::memory_order_acq_rel) > 0;
-  struct PendingGuard {
-    std::atomic<int>* pending;
-    ~PendingGuard() { pending->fetch_sub(1, std::memory_order_acq_rel); }
-  } pending_guard{&pending_jobs_};
+  return Execute(inputs, smallest_snapshot, drop_deletions, output, stats,
+                 bounds);
+}
+
+Status FcaeDevice::Execute(const std::vector<const fpga::DeviceInput*>& inputs,
+                           uint64_t smallest_snapshot, bool drop_deletions,
+                           fpga::DeviceOutput* output, DeviceRunStats* stats,
+                           const fpga::KeyBounds* bounds) {
+  *stats = DeviceRunStats();
+  // Wait for this job's turn in the card's queue. A job that finds an
+  // earlier one queued or running arrived back-to-back: its transfer-in
+  // was double-buffered behind the predecessor's kernel, so
+  // ModelPipeline may credit overlap.
+  {
+    Env* clock = Env::Default();
+    const uint64_t arrival_micros = clock->NowMicros();
+    MutexLock queue_lock(&queue_mutex_);
+    const uint64_t ticket = next_ticket_++;
+    stats->queued = ticket != serving_;
+    while (ticket != serving_) queue_cv_.Wait();
+    if (stats->queued) {
+      stats->queue_wait_micros = clock->NowMicros() - arrival_micros;
+    }
+  }
+  // Hands the card to the next ticket once the run lock below is
+  // released, on every exit path.
+  struct QueueRelease {
+    FcaeDevice* device;
+    ~QueueRelease() {
+      MutexLock queue_lock(&device->queue_mutex_);
+      device->serving_++;
+      device->queue_cv_.SignalAll();
+    }
+  } queue_release{this};
 
   MutexLock lock(&mutex_);
   struct BusGuard {
@@ -250,20 +233,20 @@ Status FcaeDevice::ExecuteTournament(
   } bus_guard{bus_, card_id_};
   if (bus_ != nullptr) bus_->BeginJob(card_id_);
 
-  *stats = DeviceRunStats();
   for (const fpga::DeviceInput* input : inputs) {
     stats->input_bytes += input->TotalBytes();
   }
-  // Only the initial inputs cross the link; the burst is charged up
-  // front so sibling cards contend with it for the whole tournament.
+  // Only the initial inputs cross the link. The inbound burst goes on
+  // the bus before the first kernel runs, so a sibling card starting
+  // mid-job collides with it.
   const double in_micros = pcie_.TransferMicros(stats->input_bytes);
   const double in_wait =
       bus_ != nullptr ? bus_->ChargeIn(card_id_, in_micros) : 0;
 
-  // Rounds of up to N-input merges. `owned` keeps intermediate images
-  // (the card DRAM) alive; `current` always points at this round's runs.
-  // The DRAM gauge is zeroed on every exit path: a failed tournament
-  // frees all its staging.
+  // Rounds of up to N-input merges while more than N runs remain.
+  // `owned` keeps intermediate images (the card DRAM) alive; `current`
+  // always points at this round's runs. The DRAM gauge is zeroed on
+  // every exit path: a failed job frees all its staging.
   std::vector<std::unique_ptr<fpga::DeviceInput>> owned;
   struct DramGuard {
     FcaeDevice* device;
@@ -322,16 +305,15 @@ Status FcaeDevice::ExecuteTournament(
   Status s = RunKernel(current, smallest_snapshot, drop_deletions, output,
                        stats, bounds);
   if (!s.ok()) {
-    *output = fpga::DeviceOutput();
+    *output = fpga::DeviceOutput();  // Never hand out partial results.
     return s;
   }
 
   stats->kernel_micros = config_.CyclesToMicros(stats->kernel_cycles);
   stats->output_bytes = output->TotalBytes();
-  // Only the initial inputs and final outputs cross the PCIe link.
   stats->pcie_micros +=
       pcie_.RoundTripMicros(stats->input_bytes, stats->output_bytes);
-  ModelPipeline(back_to_back, in_micros, in_wait, stats->output_bytes,
+  ModelPipeline(stats->queued, in_micros, in_wait, stats->output_bytes,
                 stats->kernel_micros, stats);
 
   MutexLock stats_lock(&stats_mutex_);

@@ -1,7 +1,6 @@
 #ifndef FCAE_HOST_FCAE_DEVICE_H_
 #define FCAE_HOST_FCAE_DEVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -34,13 +33,18 @@ struct DeviceRunStats {
   /// Modeled micros this job's DMA bursts waited for the shared PCIe
   /// bus because another card was bursting at the same time.
   double bus_wait_micros = 0;
+  /// Whether the job found earlier jobs queued or running on its card,
+  /// and how long it waited for them to leave (Env clock, wall micros).
+  bool queued = false;
+  uint64_t queue_wait_micros = 0;
   fpga::EngineStats engine;
 };
 
 /// FcaeDevice stands in for the PCIe-attached KCU1500 card: it owns the
-/// engine configuration, serializes kernel invocations (one compaction
-/// engine instance on the chip), models the DMA transfers, and runs the
-/// cycle-level engine simulation against the staged images.
+/// engine configuration, owns the card's one FIFO job queue (one
+/// compaction engine instance on the chip runs one job at a time),
+/// models the DMA transfers, and runs the cycle-level engine simulation
+/// against the staged images.
 ///
 /// A DeviceFaultInjector may be attached to model the failure modes of a
 /// real card (see fpga/fault_injector.h). Faults surface as:
@@ -80,33 +84,45 @@ class FcaeDevice {
   }
 
   /// Runs one compaction kernel: DMA the inputs in, execute, DMA the
-  /// outputs back. Blocks while the (simulated) kernel runs; a second
-  /// caller queues on the device mutex like a second job would queue on
-  /// the real card. On failure *output is cleared — a failed kernel
-  /// never hands partial results to the host.
+  /// outputs back. Every caller shares the card's FIFO job queue: the
+  /// call blocks until each job that arrived before it has left the
+  /// card, then while the (simulated) kernel runs. A job that had to
+  /// wait arrived back-to-back, so its transfer-in was double-buffered
+  /// behind the predecessor's kernel (stats->queued, queue_wait_micros
+  /// and dma_overlap_micros). On failure *output is cleared — a failed
+  /// kernel never hands partial results to the host.
   /// `bounds`, when non-null and active, restricts the merge to user
   /// keys in (lower, upper] (sharded offload; the engine's Key-Value
   /// Transfer drops records outside). Borrowed for the duration.
+  /// More than N inputs is InvalidArgument; see ExecuteTournament.
   Status ExecuteCompaction(const std::vector<const fpga::DeviceInput*>& inputs,
                            uint64_t smallest_snapshot, bool drop_deletions,
                            fpga::DeviceOutput* output, DeviceRunStats* stats,
                            const fpga::KeyBounds* bounds = nullptr)
-      EXCLUDES(mutex_, stats_mutex_);
+      EXCLUDES(queue_mutex_, mutex_, stats_mutex_);
 
-  /// Merges an arbitrary number of inputs as a tournament of N-input
-  /// kernel passes; intermediate runs are re-staged inside device DRAM
+  /// ExecuteCompaction for any number of inputs: while more than N runs
+  /// remain, merges them in rounds of N-input kernel passes whose
+  /// intermediate runs are re-staged inside device DRAM
   /// (fpga::ConvertOutputToInput), so the PCIe cost covers only the
   /// initial inputs and the final outputs. Intermediate passes never
   /// drop deletion markers (a marker may shadow data in another group);
   /// only the final pass applies `drop_deletions`. Each pass is a
   /// separate kernel launch for fault purposes: a fault in any
   /// intermediate pass fails the whole job, frees all intermediate DRAM
-  /// staging and clears *output.
+  /// staging and clears *output. With at most N inputs it is exactly
+  /// one ExecuteCompaction pass.
   Status ExecuteTournament(const std::vector<const fpga::DeviceInput*>& inputs,
                            uint64_t smallest_snapshot, bool drop_deletions,
                            fpga::DeviceOutput* output, DeviceRunStats* stats,
                            const fpga::KeyBounds* bounds = nullptr)
-      EXCLUDES(mutex_, stats_mutex_);
+      EXCLUDES(queue_mutex_, mutex_, stats_mutex_);
+
+  /// Jobs queued or running on this card right now.
+  uint64_t queued_jobs() const EXCLUDES(queue_mutex_) {
+    MutexLock lock(&queue_mutex_);
+    return next_ticket_ - serving_;
+  }
 
   /// Totals across the device lifetime.
   uint64_t total_kernel_cycles() const EXCLUDES(stats_mutex_) {
@@ -135,8 +151,8 @@ class FcaeDevice {
     return total_bus_wait_micros_;
   }
 
-  /// Jobs that arrived while the card was already busy and were
-  /// therefore eligible for DMA/compute overlap.
+  /// Jobs that found the card's queue non-empty and were therefore
+  /// eligible for DMA/compute overlap.
   uint64_t pipelined_jobs() const EXCLUDES(stats_mutex_) {
     MutexLock lock(&stats_mutex_);
     return pipelined_jobs_;
@@ -162,6 +178,15 @@ class FcaeDevice {
   }
 
  private:
+  /// The one body of ExecuteCompaction and ExecuteTournament: waits for
+  /// the job's turn in the queue, then runs tournament rounds while
+  /// more than N runs remain and a final pass over the rest.
+  Status Execute(const std::vector<const fpga::DeviceInput*>& inputs,
+                 uint64_t smallest_snapshot, bool drop_deletions,
+                 fpga::DeviceOutput* output, DeviceRunStats* stats,
+                 const fpga::KeyBounds* bounds)
+      EXCLUDES(queue_mutex_, mutex_, stats_mutex_);
+
   /// One kernel launch: consults the fault injector, runs the engine,
   /// enforces the cycle deadline and applies silent corruption.
   Status RunKernel(const std::vector<const fpga::DeviceInput*>& inputs,
@@ -171,8 +196,8 @@ class FcaeDevice {
 
   /// Advances the double-buffered DMA pipeline timeline for one
   /// completed job and fills stats->dma_overlap_micros /
-  /// bus_wait_micros. `back_to_back` is true when the job arrived while
-  /// the card was still busy — only then can its transfer-in overlap
+  /// bus_wait_micros. `back_to_back` is true when the job queued behind
+  /// an earlier one — only then can its transfer-in overlap
   /// the predecessor's kernel and its kernel overlap the predecessor's
   /// transfer-out (two staging slots, so at most one job ahead).
   /// `in_micros`/`in_wait` are the inbound burst and its bus-contention
@@ -186,12 +211,19 @@ class FcaeDevice {
   const fpga::PcieModel pcie_;
   fpga::PcieBus* const bus_;  // Borrowed shared bus; null = standalone.
   const int card_id_;
+
+  // The card's job queue: FIFO tickets, one job on the card at a time.
+  // A leaf lock, taken before the run lock (to wait for a turn) and
+  // again after it is released (to hand the card on), never while the
+  // run lock is held.
+  mutable Mutex queue_mutex_ ACQUIRED_BEFORE(mutex_);
+  CondVar queue_cv_{&queue_mutex_};
+  uint64_t next_ticket_ GUARDED_BY(queue_mutex_) = 0;
+  uint64_t serving_ GUARDED_BY(queue_mutex_) = 0;
+
+  // The run lock: held by the admitted job for its whole run.
   Mutex mutex_;
   fpga::DeviceFaultInjector* fault_injector_ GUARDED_BY(mutex_) = nullptr;
-
-  /// Jobs in flight or queued on mutex_. A job that sees a nonzero
-  /// count at entry arrived back-to-back and runs pipelined.
-  std::atomic<int> pending_jobs_{0};
 
   // Modeled pipeline timeline (event times in modeled micros since the
   // card powered on). Two staging slots implement the double buffer: a

@@ -22,10 +22,35 @@ namespace host {
 
 namespace {
 
+/// Kernel attempts per job. Transient faults (device-busy, kernel
+/// timeout, corruption caught by verification) are retried up to this
+/// many total attempts; sticky faults (card dropped) abort at once.
+constexpr int kMaxDeviceAttempts = 3;
+
+/// Backoff before retry attempt k (k >= 2) is
+/// `kBackoffBaseMicros << (k - 2)`: 100 then 200 micros.
+constexpr uint64_t kBackoffBaseMicros = 100;
+
 /// Transient faults are worth another kernel attempt; anything else
 /// (sticky card drop, staging/argument errors) is not.
 bool IsRetryableFault(const Status& s) {
   return s.IsBusy() || s.IsIOError() || s.IsCorruption();
+}
+
+/// The sorted runs a compaction feeds the engine, one engine input
+/// each: every level-0 file alone (their key ranges overlap), and the
+/// files of any other participating level concatenated into one run
+/// (paper Section IV step 2).
+std::vector<std::vector<const FileMetaData*>> EngineRuns(const Compaction* c) {
+  std::vector<std::vector<const FileMetaData*>> runs;
+  for (int which = 0; which < 2; which++) {
+    const bool level0 = c->level() + which == 0;
+    for (int i = 0; i < c->num_input_files(which); i++) {
+      if (i == 0 || level0) runs.emplace_back();
+      runs.back().push_back(c->input(which, i));
+    }
+  }
+  return runs;
 }
 
 /// Per-card instrument name, e.g. "offload.card2.busy_micros". Built
@@ -153,25 +178,10 @@ void RecordDeviceSpans(obs::TraceRecorder* trace, uint64_t tid, int card,
 
 FcaeCompactionExecutor::FcaeCompactionExecutor(DeviceSet* devices,
                                                FcaeExecutorOptions options)
-    : devices_(devices), options_(options) {
-  for (int i = 0; i < devices->num_cards(); i++) {
-    lanes_.push_back(std::make_unique<CardLane>());
-  }
-}
+    : devices_(devices), options_(options) {}
 
 int EngineInputsNeeded(const CompactionJob& job) {
-  const Compaction* c = job.compaction;
-  int inputs = 0;
-  if (c->level() == 0) {
-    // Level-0 tables may overlap: one engine input per table.
-    inputs += c->num_input_files(0);
-  } else if (c->num_input_files(0) > 0) {
-    inputs += 1;  // A sorted run concatenates into one input.
-  }
-  if (c->num_input_files(1) > 0) {
-    inputs += 1;
-  }
-  return inputs;
+  return static_cast<int>(EngineRuns(job.compaction).size());
 }
 
 bool FcaeCompactionExecutor::CanExecute(const CompactionJob& job) const {
@@ -209,11 +219,10 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   }
   FcaeDevice* device = devices_->device(card);
   DeviceHealthMonitor* health = devices_->monitor(card);
+  const std::vector<std::vector<const FileMetaData*>> runs = EngineRuns(c);
   uint64_t queued_estimate = 0;
-  for (int which = 0; which < 2; which++) {
-    for (int i = 0; i < c->num_input_files(which); i++) {
-      queued_estimate += c->input(which, i)->file_size;
-    }
+  for (const std::vector<const FileMetaData*>& run : runs) {
+    for (const FileMetaData* file : run) queued_estimate += file->file_size;
   }
   devices_->AddQueued(card, queued_estimate);
   if (job.metrics != nullptr) {
@@ -253,41 +262,20 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
                                   job.trace_tid);
   SstableStager stager(env);
   std::vector<std::unique_ptr<fpga::DeviceInput>> staged;
-  Status s;
-  if (c->level() == 0) {
-    for (int i = 0; i < c->num_input_files(0); i++) {
-      auto input = std::make_unique<fpga::DeviceInput>();
-      s = stager.AddTable(TableFileName(job.dbname, c->input(0, i)->number),
-                          input.get(), bounds);
-      if (!s.ok()) return s;
-      staged.push_back(std::move(input));
-    }
-  } else if (c->num_input_files(0) > 0) {
-    auto input = std::make_unique<fpga::DeviceInput>();
-    for (int i = 0; i < c->num_input_files(0); i++) {
-      s = stager.AddTable(TableFileName(job.dbname, c->input(0, i)->number),
-                          input.get(), bounds);
-      if (!s.ok()) return s;
-    }
-    staged.push_back(std::move(input));
-  }
-  if (c->num_input_files(1) > 0) {
-    auto input = std::make_unique<fpga::DeviceInput>();
-    for (int i = 0; i < c->num_input_files(1); i++) {
-      s = stager.AddTable(TableFileName(job.dbname, c->input(1, i)->number),
-                          input.get(), bounds);
-      if (!s.ok()) return s;
-    }
-    staged.push_back(std::move(input));
-  }
-
   std::vector<const fpga::DeviceInput*> input_ptrs;
-  for (const auto& input : staged) {
+  Status s;
+  for (const std::vector<const FileMetaData*>& run : runs) {
+    staged.push_back(std::make_unique<fpga::DeviceInput>());
+    for (const FileMetaData* file : run) {
+      s = stager.AddTable(TableFileName(job.dbname, file->number),
+                          staged.back().get(), bounds);
+      if (!s.ok()) return s;
+    }
     // Bounded staging may leave an input with no tables at all (every
     // block of every file outside the shard); the engine has nothing to
     // decode there, so the input is dropped from the merge.
-    if (bounds != nullptr && input->sstables.empty()) continue;
-    input_ptrs.push_back(input.get());
+    if (bounds != nullptr && staged.back()->sstables.empty()) continue;
+    input_ptrs.push_back(staged.back().get());
   }
   input_build_span.AddArg("inputs", std::to_string(input_ptrs.size()));
   input_build_span.Finish();
@@ -297,14 +285,11 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
     stats->micros = env->NowMicros() - start_micros;
     return Status::OK();
   }
-  const bool tournament =
-      static_cast<int>(input_ptrs.size()) > device->max_inputs();
 
   // 2./3. DMA + kernel (steps 4-7 of the paper's workflow), with bounded
   //       retry. Transient faults (busy, timeout, corruption the host
   //       verifier catches) back off and retry; a sticky card drop or
   //       exhausted attempts give up so DBImpl can rerun on the CPU.
-  const int max_attempts = std::max(1, options_.max_attempts);
   fpga::DeviceOutput device_output;
   DeviceRunStats run_stats;            // From the successful attempt.
   uint64_t attempts = 0;
@@ -316,15 +301,11 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   double wasted_pcie_micros = 0;
   bool sticky = false;
 
-  for (int attempt = 1; attempt <= max_attempts; attempt++) {
+  for (int attempt = 1; attempt <= kMaxDeviceAttempts; attempt++) {
     if (attempt > 1) {
-      if (options_.backoff_base_micros > 0) {
-        const uint64_t wait = options_.backoff_base_micros
-                              << (attempt - 2 > 62 ? 62 : attempt - 2);
-        env->SleepForMicroseconds(static_cast<int>(
-            std::min<uint64_t>(wait, 1000000)));
-        backoff_micros += wait;
-      }
+      const uint64_t wait = kBackoffBaseMicros << (attempt - 2);
+      env->SleepForMicroseconds(static_cast<int>(wait));
+      backoff_micros += wait;
       if (job.trace != nullptr) {
         job.trace->RecordInstant(
             "retry", "host", obs::TraceNowMicros(), job.trace_tid,
@@ -344,37 +325,40 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
                                 job.trace_tid);
     attempt_span.AddArg("attempt", std::to_string(attempt));
 
-    // Wait for the card: concurrent compaction workers queue FIFO per
-    // attempt. The wait is surfaced so device contention is visible.
-    const uint64_t queue_start_micros = env->NowMicros();
-    AcquireDeviceTicket(card, job.metrics);
-    const uint64_t queue_micros = env->NowMicros() - queue_start_micros;
-    if (queue_micros > 0) {
-      attempt_span.AddArg("queue_us", std::to_string(queue_micros));
-    }
-    if (job.metrics != nullptr) {
-      job.metrics->counter("host.device.queue_wait_micros")
-          ->Increment(queue_micros);
-    }
-    FCAE_PERF_TIME(offload_queue_wait_micros, queue_micros);
-    FCAE_PERF_COUNT(offload_device_attempts, 1);
-
-    const uint64_t run_start_micros = obs::TraceNowMicros();
+    // The attempt waits its turn in the card's queue, which every caller
+    // of the card shares; no turn is held across a backoff sleep. At
+    // most N runs make one kernel pass; more reach here only under
+    // tournament scheduling (CanExecute).
+    const uint64_t call_micros = obs::TraceNowMicros();
     device_output = fpga::DeviceOutput();
-    run_stats = DeviceRunStats();
-    if (tournament) {
-      s = device->ExecuteTournament(input_ptrs, job.smallest_snapshot,
-                                    job.no_deeper_data, &device_output,
-                                    &run_stats, bounds);
-    } else {
-      s = device->ExecuteCompaction(input_ptrs, job.smallest_snapshot,
-                                    job.no_deeper_data, &device_output,
-                                    &run_stats, bounds);
+    s = device->ExecuteTournament(input_ptrs, job.smallest_snapshot,
+                                  job.no_deeper_data, &device_output,
+                                  &run_stats, bounds);
+    // Device time and the modeled spans start when the card admitted
+    // the job, once its queue wait was over.
+    const uint64_t call_end_micros = obs::TraceNowMicros();
+    const uint64_t run_start_micros = std::min(
+        call_end_micros, call_micros + run_stats.queue_wait_micros);
+    if (run_stats.queue_wait_micros > 0) {
+      attempt_span.AddArg("queue_us",
+                          std::to_string(run_stats.queue_wait_micros));
     }
-    ReleaseDeviceTicket(card, job.metrics);
-    FCAE_PERF_TIME(offload_device_micros,
-                   obs::TraceNowMicros() - run_start_micros);
+    FCAE_PERF_TIME(offload_queue_wait_micros, run_stats.queue_wait_micros);
+    FCAE_PERF_TIME(offload_device_micros, call_end_micros - run_start_micros);
+    FCAE_PERF_COUNT(offload_device_attempts, 1);
     if (job.metrics != nullptr) {
+      // Jobs queued or running, summed over the set's cards.
+      uint64_t depth = 0;
+      for (int i = 0; i < devices_->num_cards(); i++) {
+        depth += devices_->device(i)->queued_jobs();
+      }
+      job.metrics->gauge("host.device.queue_depth")
+          ->Set(static_cast<int64_t>(depth));
+      if (run_stats.queued) {
+        job.metrics->counter("host.device.queue_waits")->Increment();
+      }
+      job.metrics->counter("host.device.queue_wait_micros")
+          ->Increment(run_stats.queue_wait_micros);
       // Modeled device occupancy, failed attempts included — a card
       // burning cycles on a doomed kernel is still busy.
       job.metrics->counter(CardMetricName(card, "busy_micros"))
@@ -502,35 +486,6 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   stats->pcie_micros = run_stats.pcie_micros + wasted_pcie_micros;
   stats->micros = env->NowMicros() - start_micros;
   return Status::OK();
-}
-
-void FcaeCompactionExecutor::AcquireDeviceTicket(
-    int card, obs::MetricsRegistry* metrics) {
-  CardLane& lane = *lanes_[card];
-  MutexLock lock(&lane.mutex);
-  const uint64_t ticket = lane.next_ticket++;
-  if (metrics != nullptr) {
-    metrics->gauge("host.device.queue_depth")
-        ->Set(static_cast<int64_t>(lane.next_ticket - lane.serving));
-    if (ticket != lane.serving) {
-      metrics->counter("host.device.queue_waits")->Increment();
-    }
-  }
-  while (ticket != lane.serving) {
-    lane.cv.Wait();
-  }
-}
-
-void FcaeCompactionExecutor::ReleaseDeviceTicket(
-    int card, obs::MetricsRegistry* metrics) {
-  CardLane& lane = *lanes_[card];
-  MutexLock lock(&lane.mutex);
-  lane.serving++;
-  if (metrics != nullptr) {
-    metrics->gauge("host.device.queue_depth")
-        ->Set(static_cast<int64_t>(lane.next_ticket - lane.serving));
-  }
-  lane.cv.SignalAll();
 }
 
 std::string FcaeCompactionExecutor::HealthString() const {

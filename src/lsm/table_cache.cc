@@ -38,15 +38,14 @@ TableCache::TableCache(const std::string& dbname, const Options& options,
       cache_(NewLRUCache(entries)) {}
 
 void TableCache::SetMetricsRegistry(obs::MetricsRegistry* registry) {
-  metrics_ = registry;
-  if (metrics_ != nullptr) {
-    metrics_->gauge("db.table_cache.capacity")->Set(capacity_);
-    metrics_->gauge("db.table_cache.open_tables")
-        ->Set(static_cast<int64_t>(OpenTableCount()));
-    // Pre-register so snapshots carry zeros before the first read.
-    metrics_->counter("db.table_cache.hits");
-    metrics_->counter("db.table_cache.misses");
-  }
+  if (registry == nullptr) return;
+  // Bound once here: registering also makes snapshots carry zeros
+  // before the first read.
+  registry->gauge("db.table_cache.capacity")->Set(capacity_);
+  hits_ = registry->counter("db.table_cache.hits");
+  misses_ = registry->counter("db.table_cache.misses");
+  open_tables_ = registry->gauge("db.table_cache.open_tables");
+  open_tables_->Set(static_cast<int64_t>(OpenTableCount()));
 }
 
 Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
@@ -58,15 +57,11 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
   *handle = cache_->Lookup(key);
   if (*handle != nullptr) {
     FCAE_PERF_COUNT(table_cache_hits, 1);
-    if (metrics_ != nullptr) {
-      metrics_->counter("db.table_cache.hits")->Increment();
-    }
+    if (hits_ != nullptr) hits_->Increment();
   }
   if (*handle == nullptr) {
     FCAE_PERF_COUNT(table_cache_misses, 1);
-    if (metrics_ != nullptr) {
-      metrics_->counter("db.table_cache.misses")->Increment();
-    }
+    if (misses_ != nullptr) misses_->Increment();
     std::string fname = TableFileName(dbname_, file_number);
     RandomAccessFile* file = nullptr;
     Table* table = nullptr;
@@ -85,11 +80,10 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
       tf->file = file;
       tf->table = table;
       *handle = cache_->Insert(key, tf, 1, &DeleteEntry);
-      if (metrics_ != nullptr) {
+      if (open_tables_ != nullptr) {
         // The insert may have evicted (and closed) the LRU victim: the
         // gauge tracks descriptors actually held, never past capacity_.
-        metrics_->gauge("db.table_cache.open_tables")
-            ->Set(static_cast<int64_t>(OpenTableCount()));
+        open_tables_->Set(static_cast<int64_t>(OpenTableCount()));
       }
     }
   }
@@ -136,9 +130,8 @@ void TableCache::Evict(uint64_t file_number) {
   char buf[sizeof(file_number)];
   EncodeFixed64(buf, file_number);
   cache_->Erase(Slice(buf, sizeof(buf)));
-  if (metrics_ != nullptr) {
-    metrics_->gauge("db.table_cache.open_tables")
-        ->Set(static_cast<int64_t>(OpenTableCount()));
+  if (open_tables_ != nullptr) {
+    open_tables_->Set(static_cast<int64_t>(OpenTableCount()));
   }
 }
 

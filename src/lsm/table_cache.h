@@ -13,6 +13,8 @@
 namespace fcae {
 
 namespace obs {
+class Counter;
+class Gauge;
 class MetricsRegistry;
 }  // namespace obs
 
@@ -66,7 +68,10 @@ class TableCache {
   const Options& options_;
   const int capacity_;
   std::unique_ptr<Cache> cache_;
-  obs::MetricsRegistry* metrics_ = nullptr;  // Borrowed; may be null.
+  // Bound by SetMetricsRegistry (owned by the registry); null without one.
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Gauge* open_tables_ = nullptr;
 };
 
 }  // namespace fcae

@@ -53,8 +53,9 @@ class CostModel {
   double KernelInvokeMicros() const { return kernel_invoke_micros_; }
 
   /// Host backoff before device retry `attempt` (1-based), microseconds.
-  /// Mirrors FcaeExecutorOptions::backoff_base_micros's exponential
-  /// schedule so simulated fault runs charge what the host path would.
+  /// Mirrors the offload executor's exponential schedule from
+  /// kBackoffBaseMicros (host/offload_compaction.cc) so simulated fault
+  /// runs charge what the host path would.
   double RetryBackoffMicros(int attempt) const {
     int shift = attempt - 1;
     if (shift < 0) shift = 0;

@@ -403,8 +403,8 @@ struct Simulator::Engine {
     }
 
     // Place the shard on the least-loaded card, then run now if that
-    // card is free, else line up FIFO in its lane (the host executor's
-    // per-card ticket queues).
+    // card is free, else line up FIFO in its lane (each FcaeDevice's
+    // own job queue).
     job->card = PickCard();
     const double backlog = CardBacklog(job->card);
     if (cfg.pipelined_dma && !job->fallback_pending && pcie_in > 0 &&

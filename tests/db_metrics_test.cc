@@ -149,25 +149,23 @@ TEST_F(DbMetricsTest, TracePropertyIsValidChromeTracing) {
   }
 }
 
-// The golden trace: arm kernel timeouts on the first two launches with
-// max_attempts=2, so the first offloaded compaction retries once, fails,
-// and reruns on the CPU. Its track must contain the full nested
-// lifecycle.
+// The golden trace: arm kernel timeouts on the first three launches,
+// one per attempt the executor makes, so the first offloaded compaction
+// retries twice, fails, and reruns on the CPU. Its track must contain
+// the full nested lifecycle.
 TEST_F(DbMetricsTest, GoldenTraceRetryThenCpuFallback) {
   fpga::DeviceFaultConfig fault_config;
   fpga::DeviceFaultInjector injector(fault_config);
   injector.ArmOneShot(fpga::DeviceFaultClass::kKernelTimeout, 1);
   injector.ArmOneShot(fpga::DeviceFaultClass::kKernelTimeout, 2);
+  injector.ArmOneShot(fpga::DeviceFaultClass::kKernelTimeout, 3);
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 9;
   host::DeviceSet devices(engine_config, /*num_cards=*/1);
   devices.device(0)->set_fault_injector(&injector);
 
-  host::FcaeExecutorOptions exec_options;
-  exec_options.max_attempts = 2;
-  exec_options.backoff_base_micros = 10;
-  host::FcaeCompactionExecutor executor(&devices, exec_options);
+  host::FcaeCompactionExecutor executor(&devices);
 
   std::unique_ptr<DB> db = OpenDb(&executor);
   RunWorkload(db.get());
@@ -207,11 +205,13 @@ TEST_F(DbMetricsTest, GoldenTraceRetryThenCpuFallback) {
   const double c_begin = compaction["ts"].number;
   const double c_end = c_begin + compaction["dur"].number;
 
-  // Both device attempts, one retry instant, the CPU merge rerun and
-  // the manifest install are all present on the track.
-  EXPECT_EQ(2u, track["device_attempt"].size());
-  ASSERT_EQ(1u, track["retry"].size());
+  // All three device attempts, a retry instant before attempts 2 and
+  // 3, the CPU merge rerun and the manifest install are all present on
+  // the track.
+  EXPECT_EQ(3u, track["device_attempt"].size());
+  ASSERT_EQ(2u, track["retry"].size());
   EXPECT_EQ(2.0, (*track["retry"][0])["args"]["attempt"].number);
+  EXPECT_EQ(3.0, (*track["retry"][1])["args"]["attempt"].number);
   ASSERT_EQ(1u, track["input_build"].size());
   ASSERT_EQ(1u, track["merge"].size());
   EXPECT_EQ("cpu", (*track["merge"][0])["cat"].str);

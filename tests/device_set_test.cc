@@ -5,6 +5,7 @@
 // that must degrade gracefully when one card is quarantined.
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,7 +20,9 @@
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
 #include "mini_json.h"
+#include "obs/metrics.h"
 #include "table/iterator.h"
+#include "test_util.h"
 #include "util/mem_env.h"
 #include "util/random.h"
 
@@ -216,9 +219,9 @@ TEST_F(DevicePipelineTest, BackToBackJobsOverlapDmaWithCompute) {
   config.num_inputs = 2;
   FcaeDevice device(config);
 
-  // Four submitters hammer one card; all but the first arrivals queue
-  // on the device mutex and therefore run pipelined: their transfer-in
-  // overlaps the predecessor's kernel.
+  // Four submitters hammer one card; all but the first arrivals wait in
+  // the card's FIFO job queue and therefore run pipelined: their
+  // transfer-in overlaps the predecessor's kernel.
   constexpr int kThreads = 4;
   constexpr int kJobsPerThread = 3;
   std::vector<std::thread> threads;
@@ -237,6 +240,66 @@ TEST_F(DevicePipelineTest, BackToBackJobsOverlapDmaWithCompute) {
             device.kernels_launched());
   EXPECT_GT(device.pipelined_jobs(), 0u);
   EXPECT_GT(device.total_dma_overlap_micros(), 0.0);
+}
+
+TEST_F(DevicePipelineTest, QueuedCallersRunInArrivalOrder) {
+  fpga::EngineConfig config;
+  config.num_inputs = 2;
+  FcaeDevice device(config);
+  // Each job is long enough to hold the card while the test starts the
+  // next caller, and while the caller that just left records its finish.
+  std::vector<std::unique_ptr<fpga::DeviceInput>> job;
+  for (int i = 0; i < 2; i++) {
+    job.push_back(std::make_unique<fpga::DeviceInput>());
+    auto run = MakeRun("key", i, 20000, 2, 100000 * (i + 1), 96);
+    ASSERT_TRUE(BuildDeviceInput(env_.get(), options_, {run}, i,
+                                 job.back().get())
+                    .ok());
+  }
+
+  // Three callers on one card, each started only once the card's queue
+  // shows every earlier caller, so they arrive in order 0, 1, 2 while
+  // caller 0's kernel still runs.
+  constexpr int kCallers = 3;
+  DeviceRunStats stats[kCallers];
+  Status status[kCallers];
+  Mutex mu;
+  std::vector<int> finished;
+  std::vector<std::thread> threads;
+  bool arrived_in_order = true;
+  for (int i = 0; i < kCallers && arrived_in_order; i++) {
+    threads.emplace_back([&, i]() {
+      fpga::DeviceOutput output;
+      status[i] = device.ExecuteCompaction({job[0].get(), job[1].get()},
+                                           kNoSnapshot, true, &output,
+                                           &stats[i]);
+      MutexLock lock(&mu);
+      finished.push_back(i);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (device.queued_jobs() < static_cast<uint64_t>(i + 1)) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        arrived_in_order = false;
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_TRUE(arrived_in_order) << "caller 0 left the card too soon";
+
+  for (int i = 0; i < kCallers; i++) ASSERT_TRUE(status[i].ok()) << i;
+  EXPECT_EQ((std::vector<int>{0, 1, 2}), finished);
+  EXPECT_FALSE(stats[0].queued);
+  EXPECT_EQ(0u, stats[0].queue_wait_micros);
+  for (int i = 1; i < kCallers; i++) {
+    EXPECT_TRUE(stats[i].queued) << i;
+    EXPECT_GT(stats[i].queue_wait_micros, 0u) << i;
+    EXPECT_GT(stats[i].dma_overlap_micros, 0.0) << i;
+  }
+  EXPECT_EQ(2u, device.pipelined_jobs());
+  EXPECT_EQ(0u, device.queued_jobs());
 }
 
 TEST_F(DevicePipelineTest, ConcurrentCardsChargeBusContention) {
@@ -342,6 +405,48 @@ TEST_F(MultiCardDbTest, TwoCardDbMatchesCpuDb) {
   EXPECT_GT(kernels, 0u);
   EXPECT_EQ(0u, devices.queued_bytes(0));
   EXPECT_EQ(0u, devices.queued_bytes(1));
+}
+
+TEST_F(MultiCardDbTest, ShardsThatWaitForTheirCardRunPipelined) {
+  fpga::EngineConfig config;
+  config.num_inputs = 9;
+  config.sstable_threshold = 128 * 1024;
+  DeviceSet devices(config, /*num_cards=*/2);
+  FcaeCompactionExecutor executor(&devices);
+  obs::MetricsRegistry metrics;
+
+  // Small output tables give level 1 a file grid fine enough for
+  // level-0 jobs to split into four shards over the two cards; shards
+  // placed on the same card meet in its queue, and the later one runs
+  // back-to-back.
+  Options options;
+  options.env = env_.get();
+  options.create_if_missing = true;
+  options.write_buffer_size = 64 * 1024;
+  options.max_file_size = 128 * 1024;
+  options.compaction_executor = &executor;
+  options.compaction_threads = 4;
+  options.num_offload_cards = 2;
+  options.max_subcompactions = 4;
+  options.metrics_registry = &metrics;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/mc_pipelined", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  constexpr int kWrites = 60000;
+  Random rnd(7);
+  WriteOptions wo;
+  for (int i = 0; i < kWrites; i++) {
+    const std::string key = test::Cat("user", rnd.Uniform(kWrites));
+    ASSERT_TRUE(db->Put(wo, key, std::string(100, 'v')).ok());
+  }
+  db->CompactRange(nullptr, nullptr);
+  db.reset();  // Closing waits for every background job.
+
+  const uint64_t waits = metrics.counter("host.device.queue_waits")->value();
+  EXPECT_GT(waits, 0u);
+  EXPECT_EQ(waits, devices.device(0)->pipelined_jobs() +
+                       devices.device(1)->pipelined_jobs());
+  EXPECT_GT(metrics.counter("fpga.pipeline.overlap_micros")->value(), 0u);
 }
 
 TEST_F(MultiCardDbTest, QuarantinedCardIsAbsorbedByHealthySibling) {

@@ -321,21 +321,20 @@ TEST_F(EventListenerTest, ShardedJobCountsInputsOnce) {
 }
 
 TEST_F(EventListenerTest, OffloadRetryAndFallback) {
-  // Two armed kernel timeouts with max_attempts=2: the first offloaded
-  // compaction retries once, gives up, and reruns on the CPU.
+  // Three armed kernel timeouts, one per attempt the executor makes:
+  // the first offloaded compaction retries twice, gives up, and reruns
+  // on the CPU.
   fpga::DeviceFaultConfig fault_config;
   fpga::DeviceFaultInjector injector(fault_config);
   injector.ArmOneShot(fpga::DeviceFaultClass::kKernelTimeout, 1);
   injector.ArmOneShot(fpga::DeviceFaultClass::kKernelTimeout, 2);
+  injector.ArmOneShot(fpga::DeviceFaultClass::kKernelTimeout, 3);
 
   fpga::EngineConfig engine_config;
   engine_config.num_inputs = 9;
   host::DeviceSet devices(engine_config, /*num_cards=*/1);
   devices.device(0)->set_fault_injector(&injector);
-  host::FcaeExecutorOptions exec_options;
-  exec_options.max_attempts = 2;
-  exec_options.backoff_base_micros = 10;
-  host::FcaeCompactionExecutor executor(&devices, exec_options);
+  host::FcaeCompactionExecutor executor(&devices);
 
   {
     Options options;

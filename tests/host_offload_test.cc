@@ -10,6 +10,9 @@
 #include "host/sstable_stager.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
+#include "lsm/table_cache.h"
+#include "lsm/version_edit.h"
+#include "lsm/version_set.h"
 #include "table/iterator.h"
 #include "table/table.h"
 #include "test_util.h"
@@ -376,12 +379,77 @@ TEST(CpuCompactorTest, DefaultOptionsKeepNewestVersionOfEachKey) {
   for (const auto& [key, seq] : newest) EXPECT_GE(seq, 5000u) << key;
 }
 
-TEST(EngineInputsNeededTest, CountsRunsNotFiles) {
-  // Build a fake compaction via the version-set-free constructor is not
-  // possible; instead validate the rule indirectly through CanExecute
-  // in the DB tests above. Here we at least pin the level semantics
-  // via documentation-level expectations.
-  SUCCEED();
+/// Picks compactions from a VersionSet recovered on a mem env, whose
+/// files exist only as metadata (no table is opened).
+class EngineInputsNeededTest : public testing::Test {
+ protected:
+  EngineInputsNeededTest() : env_(NewMemEnv(Env::Default())) {
+    options_.env = env_.get();
+    options_.create_if_missing = true;
+    DB* db = nullptr;
+    EXPECT_TRUE(DB::Open(options_, "/runs", &db).ok());
+    delete db;
+    table_cache_ = std::make_unique<TableCache>("/runs", options_, 100);
+    versions_ = std::make_unique<VersionSet>("/runs", &options_,
+                                             table_cache_.get(), &icmp_);
+    bool save_manifest = false;
+    EXPECT_TRUE(versions_->Recover(&save_manifest).ok());
+  }
+
+  /// Adds a file over user keys [smallest, largest] at `level`.
+  void AddFile(VersionEdit* edit, int level, const char* smallest,
+               const char* largest) {
+    edit->AddFile(level, versions_->NewFileNumber(), 1000,
+                  InternalKey(smallest, 1, kTypeValue),
+                  InternalKey(largest, 1, kTypeValue));
+  }
+
+  /// CompactRange(level) over [lo, hi]: its input file counts per side
+  /// and the engine inputs it needs.
+  std::vector<int> Picked(int level, const char* lo, const char* hi) {
+    const InternalKey begin(lo, kMaxSequenceNumber, kValueTypeForSeek);
+    const InternalKey end(hi, 0, kValueTypeForSeek);
+    std::unique_ptr<Compaction> c(versions_->CompactRange(level, &begin, &end));
+    if (c == nullptr) return {};
+    CompactionJob job;
+    job.compaction = c.get();
+    return {c->num_input_files(0), c->num_input_files(1),
+            EngineInputsNeeded(job)};
+  }
+
+  std::unique_ptr<Env> env_;
+  Options options_;
+  const InternalKeyComparator icmp_{BytewiseComparator()};
+  std::unique_ptr<TableCache> table_cache_;
+  std::unique_ptr<VersionSet> versions_;
+};
+
+TEST_F(EngineInputsNeededTest, CountsRunsNotFiles) {
+  VersionEdit edit;
+  AddFile(&edit, 0, "a", "c");  // Three overlapping level-0 files.
+  AddFile(&edit, 0, "b", "d");
+  AddFile(&edit, 0, "c", "e");
+  AddFile(&edit, 0, "m", "n");  // A level-0 file over no level-1 file.
+  AddFile(&edit, 1, "a", "b");
+  AddFile(&edit, 1, "d", "e");
+  AddFile(&edit, 1, "x", "z");
+  AddFile(&edit, 2, "f", "g");
+  AddFile(&edit, 2, "h", "i");
+  AddFile(&edit, 3, "f", "f5");
+  AddFile(&edit, 3, "g", "h");
+  AddFile(&edit, 3, "h5", "i");
+  {
+    Mutex mu;
+    MutexLock lock(&mu);
+    ASSERT_TRUE(versions_->LogAndApply(&edit, &mu).ok());
+  }
+
+  // One input per level-0 file, plus one for the level-1 run.
+  EXPECT_EQ((std::vector<int>{3, 2, 4}), Picked(0, "a", "e"));
+  // A lone level-0 file with nothing below it.
+  EXPECT_EQ((std::vector<int>{1, 0, 1}), Picked(0, "m", "n"));
+  // Sorted levels concatenate: one input per level.
+  EXPECT_EQ((std::vector<int>{2, 3, 2}), Picked(2, "f", "i"));
 }
 
 }  // namespace host
