@@ -6,16 +6,16 @@
 // with the paper's published values so EXPERIMENTS.md can be regenerated
 // by running the binaries.
 
-#include <atomic>
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "fpga/device_memory.h"
+#include "fpga/dma_timeline.h"
 #include "host/device_set.h"
 #include "host/sstable_stager.h"
 #include "lsm/compaction_executor.h"
@@ -106,34 +106,32 @@ inline uint64_t RecordsFor(uint64_t total_bytes, size_t key_len,
 
 /// One multi-card fan-out run (see RunDeviceFanout). Throughput is
 /// computed over the *modeled* makespan — the busiest card's serialized
-/// occupancy, kernel + DMA - pipeline overlap + bus waits — so the
-/// number is deterministic and survives slow or noisy CI hosts; the
-/// wall clock is reported alongside for reference only.
+/// occupancy, kernel + DMA - pipeline overlap + bus waits — so every
+/// number is deterministic on any host.
 struct DeviceFanoutResult {
   bool ok = false;
-  double wall_micros = 0;
   double makespan_micros = 0;  // Busiest card's modeled occupancy.
   double modeled_mbps = 0;     // Input bytes over the modeled makespan.
   uint64_t input_bytes = 0;
   uint64_t kernels_launched = 0;
-  uint64_t pipelined_jobs = 0;          // Back-to-back arrivals.
+  uint64_t pipelined_jobs = 0;          // Arrived while their card was busy.
   double pipeline_overlap_micros = 0;   // DMA hidden behind kernels.
-  double bus_wait_micros = 0;           // Cross-card burst collisions.
-  uint64_t bus_contended_bursts = 0;
+  double bus_wait_micros = 0;           // Bursts waiting for other cards'.
 };
 
 /// Drains `shards` (each one sub-compaction: the staged runs of one
-/// merge job) through a *fresh* DeviceSet with `threads` concurrent
+/// merge job) through a *fresh* DeviceSet with `threads` modeled
 /// workers. Placement uses the executor's own calls — PickCard() plus
-/// the queued-byte accounting — so bench_micro's offload gate and the
-/// scheduler ablation measure the policy the storage engine actually
-/// runs. Every shard is placed, in shard order, before any runs, so the
-/// per-card shard counts do not depend on which kernel finishes first.
-/// Workers call the cards directly: each card's own FIFO job queue
-/// orders them exactly as it orders the executor's attempts, so a shard
-/// that waits for its card is credited the same DMA overlap.
-/// The set must be freshly constructed: per-card makespans are read
-/// from the devices' lifetime counters.
+/// the queued-byte accounting — so the scheduler ablation measures the
+/// policy the storage engine actually runs. Every shard is placed, in
+/// shard order, before any runs. The shards then run in shard order on
+/// the calling thread, and one fpga::DmaTimeline for the set schedules
+/// them: shard i arrives when the earliest of the `threads` workers
+/// frees (each worker holds its shard until the shard leaves its card),
+/// so shards that meet at a card run double-buffered and sibling cards'
+/// bursts share the bus.
+/// The set must be freshly constructed: per-card kernel and DMA times
+/// are read from the devices' lifetime counters.
 inline DeviceFanoutResult RunDeviceFanout(
     host::DeviceSet* devices,
     const std::vector<std::vector<const fpga::DeviceInput*>>& shards,
@@ -148,49 +146,42 @@ inline DeviceFanoutResult RunDeviceFanout(
     devices->AddQueued(cards[i], bytes[i]);
   }
 
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::atomic<uint64_t> input_bytes{0};
-  Env* clock = Env::Default();
-  const uint64_t start = clock->NowMicros();
-  auto worker = [&]() {
-    for (;;) {
-      const size_t i = next.fetch_add(1);
-      if (i >= shards.size() || failed.load()) return;
-      fpga::DeviceOutput output;
-      host::DeviceRunStats stats;
-      const Status s = devices->device(cards[i])->ExecuteCompaction(
-          shards[i], kNoSnapshot, /*drop_deletions=*/true, &output, &stats);
-      devices->SubQueued(cards[i], bytes[i]);
-      if (!s.ok()) {
-        failed.store(true);
-        return;
-      }
-      input_bytes.fetch_add(bytes[i]);
-    }
-  };
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; t++) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
+  const int num_cards = devices->num_cards();
+  fpga::DmaTimeline timeline(num_cards);
+  std::vector<double> worker_free(static_cast<size_t>(std::max(1, threads)),
+                                  0);
+  std::vector<double> overlap(num_cards, 0), bus_wait(num_cards, 0);
+  for (size_t i = 0; i < shards.size(); i++) {
+    host::FcaeDevice* device = devices->device(cards[i]);
+    fpga::DeviceOutput output;
+    host::DeviceRunStats stats;
+    const Status s = device->ExecuteCompaction(
+        shards[i], kNoSnapshot, /*drop_deletions=*/true, &output, &stats);
+    devices->SubQueued(cards[i], bytes[i]);
+    if (!s.ok()) return result;
+    result.input_bytes += bytes[i];
 
-  result.ok = !failed.load();
-  result.wall_micros = static_cast<double>(clock->NowMicros() - start);
-  result.input_bytes = input_bytes.load();
-  for (int card = 0; card < devices->num_cards(); card++) {
+    auto worker = std::min_element(worker_free.begin(), worker_free.end());
+    const fpga::DmaSlot slot = timeline.Schedule(
+        cards[i], *worker, device->pcie().TransferMicros(stats.input_bytes),
+        stats.kernel_micros, device->pcie().TransferMicros(stats.output_bytes));
+    *worker = slot.end;
+    overlap[cards[i]] += slot.overlap;
+    bus_wait[cards[i]] += slot.bus_wait;
+    if (slot.pipelined) result.pipelined_jobs++;
+  }
+
+  result.ok = true;
+  for (int card = 0; card < num_cards; card++) {
     host::FcaeDevice* device = devices->device(card);
     const double occupancy =
         device->config().CyclesToMicros(device->total_kernel_cycles()) +
-        device->total_pcie_micros() - device->total_dma_overlap_micros() +
-        device->total_bus_wait_micros();
-    if (occupancy > result.makespan_micros) {
-      result.makespan_micros = occupancy;
-    }
+        device->total_pcie_micros() - overlap[card] + bus_wait[card];
+    result.makespan_micros = std::max(result.makespan_micros, occupancy);
     result.kernels_launched += device->kernels_launched();
-    result.pipelined_jobs += device->pipelined_jobs();
-    result.pipeline_overlap_micros += device->total_dma_overlap_micros();
-    result.bus_wait_micros += device->total_bus_wait_micros();
+    result.pipeline_overlap_micros += overlap[card];
+    result.bus_wait_micros += bus_wait[card];
   }
-  result.bus_contended_bursts = devices->bus()->contended_bursts();
   if (result.makespan_micros > 0) {
     result.modeled_mbps = static_cast<double>(result.input_bytes) /
                           result.makespan_micros * 1e6 / (1 << 20);

@@ -15,9 +15,8 @@
 //           2 = offload with tournament scheduling.
 //
 // num_offload_cards: with use_fcae > 0, drive M simulated cards behind
-// a DeviceSet (least-queued placement, shared PCIe bus); M > 1 also
-// raises the DB's sub-compaction shard target so the cards see
-// concurrent work.
+// a DeviceSet (least-queued placement); M > 1 also raises the DB's
+// sub-compaction shard target so the cards see concurrent work.
 //
 // metrics_out / metrics_prom_out / trace_out: after the benchmarks
 // finish, write the DB's fcae.metrics JSON (counters/gauges/histograms),
@@ -282,12 +281,11 @@ class Benchmark {
           const fcae::host::FcaeDevice* d = devices_->device(c);
           std::printf(
               "card %d: %llu kernels, %llu cycles, %.2f ms pcie, "
-              "%.2f ms dma-overlap, %.2f ms bus-wait\n",
+              "%.2f ms dma-overlap\n",
               c, (unsigned long long)d->kernels_launched(),
               (unsigned long long)d->total_kernel_cycles(),
               d->total_pcie_micros() / 1e3,
-              d->total_dma_overlap_micros() / 1e3,
-              d->total_bus_wait_micros() / 1e3);
+              d->total_dma_overlap_micros() / 1e3);
         }
       }
       return;

@@ -81,19 +81,6 @@ double TimingModel::PredictMicros(uint64_t num_records, uint64_t key_len,
                                 BottleneckPeriod(key_len, value_len));
 }
 
-double TimingModel::PredictPipelinedMicros(int shards,
-                                           uint64_t records_per_shard,
-                                           uint64_t key_len,
-                                           uint64_t value_len,
-                                           double dma_in_micros,
-                                           double dma_out_micros) const {
-  if (shards <= 0) return 0;
-  const double kernel = PredictMicros(records_per_shard, key_len, value_len);
-  const double fill = dma_in_micros + kernel + dma_out_micros;
-  const double beat = std::max({dma_in_micros, kernel, dma_out_micros});
-  return fill + (shards - 1) * beat;
-}
-
 double TimingModel::PredictSpeedMBps(uint64_t key_len,
                                      uint64_t value_len) const {
   // Bytes of input consumed per record vs. cycles per record.

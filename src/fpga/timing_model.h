@@ -47,21 +47,6 @@ class TimingModel {
   double PredictMicros(uint64_t num_records, uint64_t key_len,
                        uint64_t value_len) const;
 
-  /// Predicted end-to-end time for `shards` equal sub-compaction shards
-  /// streamed through the transfer-in -> kernel -> transfer-out device
-  /// pipeline with double-buffered DMA (the host's
-  /// FcaeDevice::ModelPipeline): the first shard fills the pipeline and
-  /// every further shard adds only the slowest stage,
-  ///   total = d_in + d_kernel + d_out
-  ///         + (shards - 1) * max(d_in, d_kernel, d_out).
-  /// `dma_in_micros` / `dma_out_micros` are the per-shard transfer times
-  /// (see fpga::PcieModel::TransferMicros). With shards == 1 this is the
-  /// plain serial sum — pipelining needs a successor to overlap with.
-  double PredictPipelinedMicros(int shards, uint64_t records_per_shard,
-                                uint64_t key_len, uint64_t value_len,
-                                double dma_in_micros,
-                                double dma_out_micros) const;
-
   /// Predicted compaction speed (input MB/s) for fixed-size records.
   double PredictSpeedMBps(uint64_t key_len, uint64_t value_len) const;
 

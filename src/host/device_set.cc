@@ -12,7 +12,7 @@ DeviceSet::DeviceSet(const fpga::EngineConfig& config, int num_cards,
   cards_.reserve(n);
   for (int i = 0; i < n; i++) {
     auto card = std::make_unique<Card>();
-    card->device = std::make_unique<FcaeDevice>(config, pcie, &bus_, i);
+    card->device = std::make_unique<FcaeDevice>(config, pcie, i);
     card->monitor = std::make_unique<DeviceHealthMonitor>(health, i);
     cards_.push_back(std::move(card));
   }

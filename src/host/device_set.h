@@ -8,7 +8,6 @@
 
 #include "fpga/config.h"
 #include "fpga/fault_injector.h"
-#include "fpga/pcie_bus.h"
 #include "fpga/pcie_model.h"
 #include "host/device_health_monitor.h"
 #include "host/fcae_device.h"
@@ -24,11 +23,15 @@ class TraceRecorder;
 namespace host {
 
 /// DeviceSet owns the M simulated cards of a multi-card deployment:
-/// one FcaeDevice per card (all sharing one PcieBus, so simultaneous
-/// DMA bursts contend like they would behind a real PCIe switch), one
-/// DeviceHealthMonitor per card (per-card quarantine — one dead card
-/// never blacklists its siblings), and optionally one fault injector
-/// per card with a per-card seed.
+/// one FcaeDevice per card (each with its own job queue and its own
+/// one-card DMA timeline), one DeviceHealthMonitor per card (per-card
+/// quarantine — one dead card never blacklists its siblings), and
+/// optionally one fault injector per card with a per-card seed.
+///
+/// The cards share no modeled clock: each card's timeline runs on its
+/// own busy time, so a DB's jobs charge no cross-card bus wait. Where
+/// arrivals are modeled (bench_util.h's RunDeviceFanout, syssim), one
+/// fpga::DmaTimeline for the whole set also charges the shared bus.
 ///
 /// Placement lives here so the offload executor, the benches and the
 /// tests share one policy: PickCard() returns the healthy card with
@@ -53,7 +56,6 @@ class DeviceSet {
   const DeviceHealthMonitor* monitor(int card) const {
     return cards_[card]->monitor.get();
   }
-  fpga::PcieBus* bus() { return &bus_; }
 
   /// Arms every card with its own deterministic fault stream: card i
   /// draws from `base` with seed base.seed + i, so fault histories
@@ -102,7 +104,6 @@ class DeviceSet {
     std::atomic<uint64_t> queued_bytes{0};
   };
 
-  fpga::PcieBus bus_;
   std::vector<std::unique_ptr<Card>> cards_;
 };
 

@@ -34,54 +34,8 @@ void CorruptOutput(uint64_t seed, fpga::DeviceOutput* output) {
 }  // namespace
 
 FcaeDevice::FcaeDevice(const fpga::EngineConfig& config,
-                       const fpga::PcieModel& pcie, fpga::PcieBus* bus,
-                       int card_id)
-    : config_(config), pcie_(pcie), bus_(bus), card_id_(card_id) {}
-
-void FcaeDevice::ModelPipeline(bool back_to_back, double in_micros,
-                               double in_wait, uint64_t out_bytes,
-                               double kernel_micros, DeviceRunStats* stats) {
-  const double out_micros = pcie_.TransferMicros(out_bytes);
-  const double out_wait =
-      bus_ != nullptr ? bus_->ChargeOut(card_id_, out_micros) : 0;
-
-  // A job that found the card idle restarts the timeline serially: its
-  // transfer-in was not staged ahead, so nothing overlaps. A job that
-  // queued behind a running predecessor had its transfer-in issued as
-  // soon as the predecessor's own transfer-in finished (the DMA engine
-  // is free then, and the second staging slot holds the bytes).
-  const double arrival = back_to_back
-                             ? prev_dma_in_end_
-                             : std::max(prev_out_end_, prev_kernel_end_);
-  const double in_start = std::max(arrival, slot_free_[slot_idx_]);
-  const double in_end = in_start + in_micros + in_wait;
-  const double kernel_start = std::max(in_end, prev_kernel_end_);
-  // Transfer-in time hidden behind the predecessor's kernel.
-  const double overlap_in =
-      std::max(0.0, std::min(in_end, prev_kernel_end_) - in_start);
-  const double kernel_end = kernel_start + kernel_micros;
-  const double out_start = std::max(kernel_end, prev_out_end_);
-  const double out_end = out_start + out_micros + out_wait;
-  // Predecessor transfer-out time hidden behind this job's kernel.
-  const double overlap_out =
-      std::max(0.0, std::min(prev_out_end_, kernel_end) - kernel_start);
-
-  // The staging slot this job used frees for reuse two jobs later,
-  // once its bytes have been consumed by the kernel.
-  slot_free_[slot_idx_] = kernel_end;
-  slot_idx_ ^= 1;
-  prev_dma_in_end_ = in_end;
-  prev_kernel_end_ = kernel_end;
-  prev_out_end_ = out_end;
-
-  stats->dma_overlap_micros = overlap_in + overlap_out;
-  stats->bus_wait_micros = in_wait + out_wait;
-
-  MutexLock stats_lock(&stats_mutex_);
-  total_dma_overlap_micros_ += stats->dma_overlap_micros;
-  total_bus_wait_micros_ += stats->bus_wait_micros;
-  if (back_to_back) pipelined_jobs_++;
-}
+                       const fpga::PcieModel& pcie, int card_id)
+    : config_(config), pcie_(pcie), card_id_(card_id) {}
 
 Status FcaeDevice::RunKernel(
     const std::vector<const fpga::DeviceInput*>& inputs,
@@ -199,8 +153,8 @@ Status FcaeDevice::Execute(const std::vector<const fpga::DeviceInput*>& inputs,
   *stats = DeviceRunStats();
   // Wait for this job's turn in the card's queue. A job that finds an
   // earlier one queued or running arrived back-to-back: its transfer-in
-  // was double-buffered behind the predecessor's kernel, so
-  // ModelPipeline may credit overlap.
+  // was double-buffered behind the predecessor's kernel, so the timeline
+  // may credit overlap.
   {
     Env* clock = Env::Default();
     const uint64_t arrival_micros = clock->NowMicros();
@@ -224,24 +178,10 @@ Status FcaeDevice::Execute(const std::vector<const fpga::DeviceInput*>& inputs,
   } queue_release{this};
 
   MutexLock lock(&mutex_);
-  struct BusGuard {
-    fpga::PcieBus* bus;
-    int card;
-    ~BusGuard() {
-      if (bus != nullptr) bus->EndJob(card);
-    }
-  } bus_guard{bus_, card_id_};
-  if (bus_ != nullptr) bus_->BeginJob(card_id_);
-
+  // Only the initial inputs cross the link.
   for (const fpga::DeviceInput* input : inputs) {
     stats->input_bytes += input->TotalBytes();
   }
-  // Only the initial inputs cross the link. The inbound burst goes on
-  // the bus before the first kernel runs, so a sibling card starting
-  // mid-job collides with it.
-  const double in_micros = pcie_.TransferMicros(stats->input_bytes);
-  const double in_wait =
-      bus_ != nullptr ? bus_->ChargeIn(card_id_, in_micros) : 0;
 
   // Rounds of up to N-input merges while more than N runs remain.
   // `owned` keeps intermediate images (the card DRAM) alive; `current`
@@ -313,11 +253,23 @@ Status FcaeDevice::Execute(const std::vector<const fpga::DeviceInput*>& inputs,
   stats->output_bytes = output->TotalBytes();
   stats->pcie_micros +=
       pcie_.RoundTripMicros(stats->input_bytes, stats->output_bytes);
-  ModelPipeline(stats->queued, in_micros, in_wait, stats->output_bytes,
-                stats->kernel_micros, stats);
+  // A queued job's transfer-in was issued as soon as the DMA-in engine
+  // freed (the second staging slot holds its bytes); a job that found
+  // the card empty arrives when the card goes idle.
+  const double arrival = stats->queued ? timeline_.dma_in_free(0)
+                                       : timeline_.idle_at(0);
+  const fpga::DmaSlot slot = timeline_.Schedule(
+      0, arrival, pcie_.TransferMicros(stats->input_bytes),
+      stats->kernel_micros, pcie_.TransferMicros(stats->output_bytes));
+  stats->dma_overlap_micros = slot.overlap;
+  stats->bus_wait_micros = slot.bus_wait;
+  stats->pipelined = slot.pipelined;
 
   MutexLock stats_lock(&stats_mutex_);
   total_pcie_micros_ += stats->pcie_micros;
+  total_dma_overlap_micros_ += stats->dma_overlap_micros;
+  total_bus_wait_micros_ += stats->bus_wait_micros;
+  if (slot.pipelined) pipelined_jobs_++;
   return Status::OK();
 }
 

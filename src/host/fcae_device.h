@@ -7,8 +7,8 @@
 #include "fpga/compaction_engine.h"
 #include "fpga/config.h"
 #include "fpga/device_memory.h"
+#include "fpga/dma_timeline.h"
 #include "fpga/fault_injector.h"
-#include "fpga/pcie_bus.h"
 #include "fpga/pcie_model.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -27,12 +27,16 @@ struct DeviceRunStats {
   uint64_t faults_injected = 0;     // Faults hit during this invocation.
   uint64_t dma_retransfers = 0;     // Link-CRC-detected DMA replays.
   /// Modeled micros of DMA hidden behind kernel compute by the
-  /// double-buffered staging pipeline (zero when the job did not arrive
-  /// back-to-back behind another job on the same card).
+  /// double-buffered staging pipeline (zero unless the job was
+  /// pipelined).
   double dma_overlap_micros = 0;
-  /// Modeled micros this job's DMA bursts waited for the shared PCIe
-  /// bus because another card was bursting at the same time.
+  /// Modeled micros this job's DMA bursts waited for a shared bus. A
+  /// card's own timeline shares no bus, so a device call reads 0; the
+  /// bus is modeled where arrivals are (fpga/dma_timeline.h).
   double bus_wait_micros = 0;
+  /// Whether the job arrived on the card's modeled timeline before the
+  /// previous job left (fpga::DmaSlot::pipelined).
+  bool pipelined = false;
   /// Whether the job found earlier jobs queued or running on its card,
   /// and how long it waited for them to leave (Env clock, wall micros).
   bool queued = false;
@@ -56,18 +60,17 @@ struct DeviceRunStats {
 ///                           bytes; only host-side verification catches it.
 class FcaeDevice {
  public:
-  /// `bus`, when non-null, is the shared multi-card PCIe bus this
-  /// card's DMA bursts contend on (borrowed; must outlive the device).
   /// `card_id` distinguishes cards in a DeviceSet; a standalone device
   /// driven directly (benches, kernel tests) keeps the default 0.
   explicit FcaeDevice(const fpga::EngineConfig& config,
                       const fpga::PcieModel& pcie = fpga::PcieModel(),
-                      fpga::PcieBus* bus = nullptr, int card_id = 0);
+                      int card_id = 0);
 
   FcaeDevice(const FcaeDevice&) = delete;
   FcaeDevice& operator=(const FcaeDevice&) = delete;
 
   const fpga::EngineConfig& config() const { return config_; }
+  const fpga::PcieModel& pcie() const { return pcie_; }
 
   int card_id() const { return card_id_; }
 
@@ -88,9 +91,9 @@ class FcaeDevice {
   /// call blocks until each job that arrived before it has left the
   /// card, then while the (simulated) kernel runs. A job that had to
   /// wait arrived back-to-back, so its transfer-in was double-buffered
-  /// behind the predecessor's kernel (stats->queued, queue_wait_micros
-  /// and dma_overlap_micros). On failure *output is cleared — a failed
-  /// kernel never hands partial results to the host.
+  /// behind the predecessor's kernel (stats->queued, queue_wait_micros,
+  /// pipelined and dma_overlap_micros). On failure *output is cleared —
+  /// a failed kernel never hands partial results to the host.
   /// `bounds`, when non-null and active, restricts the merge to user
   /// keys in (lower, upper] (sharded offload; the engine's Key-Value
   /// Transfer drops records outside). Borrowed for the duration.
@@ -145,14 +148,15 @@ class FcaeDevice {
     return total_dma_overlap_micros_;
   }
 
-  /// Modeled micros of shared-bus contention delay across the lifetime.
+  /// Modeled micros of shared-bus delay across the lifetime: 0, since a
+  /// card's own timeline shares no bus (see DeviceRunStats).
   double total_bus_wait_micros() const EXCLUDES(stats_mutex_) {
     MutexLock lock(&stats_mutex_);
     return total_bus_wait_micros_;
   }
 
-  /// Jobs that found the card's queue non-empty and were therefore
-  /// eligible for DMA/compute overlap.
+  /// Jobs that arrived before the card's previous job left, and so
+  /// were eligible for DMA/compute overlap (DeviceRunStats::pipelined).
   uint64_t pipelined_jobs() const EXCLUDES(stats_mutex_) {
     MutexLock lock(&stats_mutex_);
     return pipelined_jobs_;
@@ -194,22 +198,8 @@ class FcaeDevice {
                    fpga::DeviceOutput* output, DeviceRunStats* stats,
                    const fpga::KeyBounds* bounds) REQUIRES(mutex_);
 
-  /// Advances the double-buffered DMA pipeline timeline for one
-  /// completed job and fills stats->dma_overlap_micros /
-  /// bus_wait_micros. `back_to_back` is true when the job queued behind
-  /// an earlier one — only then can its transfer-in overlap
-  /// the predecessor's kernel and its kernel overlap the predecessor's
-  /// transfer-out (two staging slots, so at most one job ahead).
-  /// `in_micros`/`in_wait` are the inbound burst and its bus-contention
-  /// delay, charged by the caller at job start — the burst must be on
-  /// the bus while the job runs so concurrent cards see it.
-  void ModelPipeline(bool back_to_back, double in_micros, double in_wait,
-                     uint64_t out_bytes, double kernel_micros,
-                     DeviceRunStats* stats) REQUIRES(mutex_);
-
   const fpga::EngineConfig config_;
   const fpga::PcieModel pcie_;
-  fpga::PcieBus* const bus_;  // Borrowed shared bus; null = standalone.
   const int card_id_;
 
   // The card's job queue: FIFO tickets, one job on the card at a time.
@@ -225,15 +215,10 @@ class FcaeDevice {
   Mutex mutex_;
   fpga::DeviceFaultInjector* fault_injector_ GUARDED_BY(mutex_) = nullptr;
 
-  // Modeled pipeline timeline (event times in modeled micros since the
-  // card powered on). Two staging slots implement the double buffer: a
-  // transfer-in may start only once its slot was freed by the
-  // kernel-start two jobs ago.
-  double prev_dma_in_end_ GUARDED_BY(mutex_) = 0;
-  double prev_kernel_end_ GUARDED_BY(mutex_) = 0;
-  double prev_out_end_ GUARDED_BY(mutex_) = 0;
-  double slot_free_[2] GUARDED_BY(mutex_) = {0, 0};
-  int slot_idx_ GUARDED_BY(mutex_) = 0;
+  // The card's modeled DMA timeline (modeled micros since the card
+  // powered on), one card wide: the cards of a DB share no modeled
+  // clock, so no job here waits for a bus.
+  fpga::DmaTimeline timeline_ GUARDED_BY(mutex_){1};
 
   // Counters below are guarded by stats_mutex_ so readers (health
   // probes, tests) need not queue behind a running kernel. Lock order:

@@ -104,15 +104,12 @@ void RecordDeviceMetrics(obs::MetricsRegistry* metrics,
   metrics->counter("fpga.records.bounds_dropped")
       ->Increment(e.records_bounds_dropped);
 
-  // Double-buffered DMA pipeline telemetry (host/fcae_device.h): how
-  // much modeled transfer time hid behind compute, how long the bursts
-  // waited on the shared multi-card bus, and how many jobs ran
-  // back-to-back (i.e. actually pipelined).
+  // Double-buffered DMA pipeline telemetry (fpga/dma_timeline.h): how
+  // much modeled transfer time hid behind compute, and how many jobs
+  // arrived before their card's previous job left (pipelined).
   metrics->counter("fpga.pipeline.overlap_micros")
       ->Increment(static_cast<uint64_t>(run_stats.dma_overlap_micros));
-  metrics->counter("fpga.pipeline.bus_wait_micros")
-      ->Increment(static_cast<uint64_t>(run_stats.bus_wait_micros));
-  if (run_stats.dma_overlap_micros > 0) {
+  if (run_stats.pipelined) {
     metrics->counter("fpga.pipeline.jobs")->Increment();
   }
 

@@ -1,11 +1,11 @@
 #include "syssim/simulator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <vector>
 
+#include "fpga/dma_timeline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/random.h"
@@ -35,9 +35,10 @@ WriteControllerConfig ControllerConfigFor(const SimConfig& cfg) {
 /// host-read -> DMA/kernel/DMA -> host-write. With
 /// SimConfig::compaction_threads > 1, up to that many compactions are
 /// in flight on disjoint level pairs; host-side stages still share the
-/// one background core (earliest job first) and kernels queue FIFO per
-/// card (SimConfig::num_cards, least-queued placement), mirroring the
-/// storage engine's DeviceSet scheduler.
+/// one background core (earliest job first), and each staged job is
+/// placed on the least-backlogged card (SimConfig::num_cards) and
+/// scheduled on the cards' one fpga::DmaTimeline, the model the
+/// storage engine's cards run.
 struct Simulator::Engine {
   explicit Engine(const SimConfig& config)
       : cfg(config),
@@ -45,8 +46,7 @@ struct Simulator::Engine {
         lsm(static_cast<double>(config.file_size), config.leveling_ratio,
             config.overlap_files),
         num_cards(std::max(1, config.num_cards)),
-        device_jobs(static_cast<size_t>(std::max(1, config.num_cards)),
-                    nullptr) {
+        dma(num_cards, config.pipelined_dma) {
     op_bytes = static_cast<double>(cfg.key_length + cfg.value_length);
     frontend_rate = cfg.cost.FrontendMBps(cfg.key_length, cfg.value_length);
   }
@@ -78,12 +78,7 @@ struct Simulator::Engine {
     double host_read_rem = 0;   // Offload: staging reads from disk.
     double host_write_rem = 0;  // Offload: writing outputs to disk.
     double sw_rem = 0;          // Software compaction (read+merge+write).
-    double device_rem = 0;      // Running on the card right now.
-    double device_need = 0;     // Card time computed at staging end.
-    double device_pcie = 0;     // DMA share of device_need (bus model).
-    int card = 0;               // Card the job is placed on.
-    bool device_queued = false;  // Staged, waiting for its card turn.
-    double queue_since = 0;
+    double device_rem = 0;      // Until the job leaves its card.
     // Observability bookkeeping: span starts in simulated seconds.
     double compaction_start = 0;
     double stage_start = 0;
@@ -93,8 +88,8 @@ struct Simulator::Engine {
   // stable across vector growth/erase (handlers hold raw pointers).
   std::vector<std::unique_ptr<Job>> jobs;
   const int num_cards;
-  std::vector<Job*> device_jobs;  // Per card: the job owning its kernel.
-  std::vector<Job*> active_runs;  // Step() scratch: runs advancing now.
+  fpga::DmaTimeline dma;          // Every card's DMA and kernel chain.
+  std::vector<Job*> active_runs;  // Step() scratch: jobs on a card now.
   uint32_t busy_levels = 0;    // Level-pair claims, LevelPairMask bits.
 
   // Fault-tolerant offload model (see SimConfig::device_fault_rate).
@@ -132,36 +127,23 @@ struct Simulator::Engine {
   }
 
   bool DeviceBusy() const {
-    for (const Job* j : device_jobs) {
-      if (j != nullptr && j->device_rem > kEps) return true;
+    for (const auto& j : jobs) {
+      if (j->device_rem > kEps) return true;
     }
     return false;
   }
 
-  /// Outstanding device work bound to `card`: the active run's
-  /// remainder plus every staged job waiting in that card's FIFO lane.
-  double CardBacklog(int card) const {
-    double backlog = 0;
-    if (device_jobs[card] != nullptr) {
-      backlog += device_jobs[card]->device_rem;
-    }
-    for (const auto& j : jobs) {
-      if (j->device_queued && j->card == card) backlog += j->device_need;
-    }
-    return backlog;
+  /// Time until `card`'s last scheduled job leaves it (0 when idle).
+  double Backlog(int card) const {
+    return std::max(0.0, dma.idle_at(card) - now);
   }
 
-  /// Least-queued placement, ties to the lowest card id (the host
+  /// Least-backlog placement, ties to the lowest card id (the host
   /// DeviceSet::PickCard policy).
   int PickCard() const {
     int best = 0;
-    double best_backlog = CardBacklog(0);
     for (int c = 1; c < num_cards; c++) {
-      const double backlog = CardBacklog(c);
-      if (backlog < best_backlog - kEps) {
-        best = c;
-        best_backlog = backlog;
-      }
+      if (Backlog(c) < Backlog(best) - kEps) best = c;
     }
     return best;
   }
@@ -200,13 +182,10 @@ struct Simulator::Engine {
     return ref;
   }
 
-  /// Core share of the client / background thread under the mode's core
-  /// budget.
-  double ClientShare(bool client_running) const {
-    if (cfg.mode == ExecMode::kLevelDbCpu) return 1.0;  // Own core.
-    return (client_running && CpuBusy()) ? 0.5 : 1.0;
-  }
-  double CpuShare(bool client_running) const {
+  /// Core share of the client and of the background thread: FCAE mode
+  /// runs both on one core, halved while both have work; stock LevelDB
+  /// gives each its own core.
+  double CoreShare(bool client_running) const {
     if (cfg.mode == ExecMode::kLevelDbCpu) return 1.0;
     return (client_running && CpuBusy()) ? 0.5 : 1.0;
   }
@@ -329,17 +308,16 @@ struct Simulator::Engine {
     if (!cfg.near_storage) {
       Span("input_build", job->stage_start, job->tid);
     }
-    job->stage_start = now;
     // DMA in, kernel, DMA out all happen on the card side. Near-storage
     // mode reads/writes the drive's internal channels instead of the
     // PCIe link (modeled at the same internal bandwidth the channels
     // give sequential I/O; the interesting difference is that the host
     // core and external bus stay idle).
-    const double pcie_in =
+    double pcie_in =
         cfg.near_storage
             ? 0.0
             : job->work.input_bytes / (cfg.cost.PcieMBps() * kMB);
-    const double pcie_out =
+    double pcie_out =
         cfg.near_storage
             ? 0.0
             : job->work.output_bytes / (cfg.cost.PcieMBps() * kMB);
@@ -353,9 +331,9 @@ struct Simulator::Engine {
       kernel += (job->work.input_bytes + job->work.output_bytes) /
                 (3.0 * cfg.cost.DiskReadMBps() * kMB);
     }
-    job->device_need =
-        pcie + kernel + cfg.cost.KernelInvokeMicros() * 1e-6;
-    job->device_pcie = pcie;
+    // Card time between the transfers: the kernel passes and the
+    // invocation overhead (plus, below, failed attempts and backoff).
+    double card_busy = kernel + cfg.cost.KernelInvokeMicros() * 1e-6;
     result.pcie_seconds += pcie;
     result.device_seconds += kernel;
 
@@ -377,7 +355,7 @@ struct Simulator::Engine {
              attempt++) {
           backoff += cfg.cost.RetryBackoffMicros(attempt) * 1e-6;
         }
-        job->device_need += waste + backoff;
+        card_busy += waste + backoff;
         result.device_seconds += waste;
         result.fault_wasted_device_seconds += waste;
         result.fault_backoff_seconds += backoff;
@@ -385,8 +363,8 @@ struct Simulator::Engine {
           // All attempts burned: the software path takes over after the
           // wasted device time elapses (see OnDeviceDone).
           job->fallback_pending = true;
-          job->device_need -= kernel + pcie;  // The good run never happened.
-          job->device_pcie = 0;
+          card_busy -= kernel;  // The good run never happened.
+          pcie_in = pcie_out = 0;
           result.device_seconds -= kernel;
           result.pcie_seconds -= pcie;
         } else {
@@ -402,75 +380,27 @@ struct Simulator::Engine {
       }
     }
 
-    // Place the shard on the least-loaded card, then run now if that
-    // card is free, else line up FIFO in its lane (each FcaeDevice's
-    // own job queue).
-    job->card = PickCard();
-    const double backlog = CardBacklog(job->card);
-    if (cfg.pipelined_dma && !job->fallback_pending && pcie_in > 0 &&
-        backlog > kEps) {
-      // Double-buffered DMA: the staging slot fills while the
-      // predecessor still owns the card, hiding up to the whole inbound
-      // burst behind its remaining run (FcaeDevice::ModelPipeline). The
-      // bus time is still spent (pcie_seconds keeps it); only the
-      // job's serialized card occupancy shrinks.
-      const double hidden = std::min(pcie_in, backlog);
-      job->device_need -= hidden;
-      result.pipeline_overlap_seconds += hidden;
-    }
-    if (device_jobs[job->card] == nullptr) {
-      StartDeviceRun(job);
-    } else {
-      job->device_queued = true;
-      job->queue_since = now;
+    // Place the job on the least-backlogged card and schedule it there:
+    // it arrives now, and leaves the card at the slot's end. The bus
+    // time is still spent (pcie_seconds keeps it); double-buffered DMA
+    // only shrinks the job's serialized card occupancy.
+    const int card = PickCard();
+    const double queue = Backlog(card);
+    if (queue > kEps) {
+      result.device_queue_seconds += queue;
       Count("syssim.device_queue_waits");
     }
-  }
-
-  void StartDeviceRun(Job* job) {
-    assert(device_jobs[job->card] == nullptr);
-    device_jobs[job->card] = job;
-    job->device_rem = job->device_need;
-    // Shared-bus contention: a sibling card's concurrent run carries a
-    // proportional share of its own DMA; bursts that coincide stretch
-    // this job by the overlapping transfer time (fpga::PcieBus).
-    if (job->device_pcie > kEps) {
-      double wait = 0;
-      for (int c = 0; c < num_cards; c++) {
-        if (c == job->card) continue;
-        const Job* other = device_jobs[c];
-        if (other == nullptr || other->device_rem <= kEps) continue;
-        const double other_dma =
-            other->device_pcie *
-            (other->device_rem / std::max(other->device_need, kEps));
-        wait += std::min(job->device_pcie, other_dma);
-      }
-      if (wait > 0) {
-        job->device_rem += wait;
-        result.bus_contention_seconds += wait;
-      }
-    }
-    if (job->device_queued) {
-      job->device_queued = false;
-      result.device_queue_seconds += now - job->queue_since;
-      job->stage_start = now;  // The queue wait is not device time.
-    }
+    const fpga::DmaSlot slot =
+        dma.Schedule(card, now, pcie_in, card_busy, pcie_out);
+    result.pipeline_overlap_seconds += slot.overlap;
+    result.bus_contention_seconds += slot.bus_wait;
+    job->stage_start = slot.start;
+    job->device_rem = slot.end - now;
   }
 
   void OnDeviceDone(Job* job) {
-    assert(device_jobs[job->card] == job);
-    device_jobs[job->card] = nullptr;
     Span("device_run", job->stage_start, job->tid);
     job->stage_start = now;
-
-    // Hand the card to the next staged job in its lane, FIFO by
-    // arrival.
-    for (auto& j : jobs) {
-      if (j->device_queued && j->card == job->card) {
-        StartDeviceRun(j.get());
-        break;
-      }
-    }
 
     if (job->fallback_pending) {
       // Device attempts exhausted: rerun completely in software, like
@@ -534,28 +464,27 @@ struct Simulator::Engine {
     const double client_rate = client_ingesting ? ClientRate() : 0;
     const bool client_running = client_ingesting && client_rate > 0;
 
-    const double client_share = ClientShare(client_running);
-    const double cpu_share = CpuShare(client_running);
+    const double share = CoreShare(client_running);
 
     double step = dt;
     // Clip at the memtable boundary.
     if (client_running) {
       const double to_fill =
-          (cfg.memtable_bytes - mem_bytes) /
-          (client_rate * kMB * client_share);
+          (cfg.memtable_bytes - mem_bytes) / (client_rate * kMB * share);
       step = std::min(step, to_fill);
     }
     // Clip at the active CPU task boundary.
     CpuTaskRef task = CpuTask();
     if (task.rem != nullptr) {
-      step = std::min(step, *task.rem / cpu_share);
+      step = std::min(step, *task.rem / share);
     }
-    // Clip at device completions. Only runs active at the start of the
-    // step advance (a kernel a handler starts below begins next step).
+    // Clip at jobs leaving their cards. Only jobs on a card at the start
+    // of the step advance (a job a handler schedules below starts its
+    // countdown next step).
     active_runs.clear();
-    for (Job* j : device_jobs) {
-      if (j != nullptr && j->device_rem > kEps) {
-        active_runs.push_back(j);
+    for (const auto& j : jobs) {
+      if (j->device_rem > kEps) {
+        active_runs.push_back(j.get());
         step = std::min(step, j->device_rem);
       }
     }
@@ -564,7 +493,7 @@ struct Simulator::Engine {
     // Advance.
     now += step;
     if (client_running) {
-      const double bytes = client_rate * kMB * client_share * step;
+      const double bytes = client_rate * kMB * share * step;
       mem_bytes += bytes;
       if (ingested != nullptr) *ingested += bytes;
       if (lsm.l0_files() >= cfg.l0_slowdown_trigger) {
@@ -574,7 +503,7 @@ struct Simulator::Engine {
       result.stall_seconds += step;
     }
     if (task.rem != nullptr) {
-      *task.rem -= cpu_share * step;
+      *task.rem -= share * step;
       if (*task.rem < kEps) {
         *task.rem = 0;
         switch (task.kind) {
@@ -595,7 +524,7 @@ struct Simulator::Engine {
       dev->device_rem -= step;
       if (dev->device_rem < kEps) {
         dev->device_rem = 0;
-        OnDeviceDone(dev);  // May start a queued run; it advances next step.
+        OnDeviceDone(dev);
       }
     }
     if (client_running) {
@@ -614,8 +543,7 @@ struct Simulator::Engine {
     double work = service_us * 1e-6;  // Dedicated-core seconds needed.
     int guard = 0;
     while (work > kEps && ++guard < 1000000) {
-      const bool fcae = cfg.mode == ExecMode::kLevelDbFcae;
-      const double share = (fcae && CpuBusy()) ? 0.5 : 1.0;
+      const double share = CoreShare(/*client_running=*/true);
       const double stepped = Step(work / share, false, nullptr);
       if (stepped <= kEps) {
         now += work / share;
@@ -653,7 +581,7 @@ SimResult Simulator::RunFillRandom(double total_user_bytes) {
     }
     const double remaining_bytes = total_user_bytes - ingested;
     const double rate = engine.ClientRate() *
-                        engine.ClientShare(true) * kMB;
+                        engine.CoreShare(true) * kMB;
     const double dt = rate > 0 ? remaining_bytes / rate : 1e9;
     engine.Step(dt, /*client_ingesting=*/true, &ingested);
   }
@@ -750,7 +678,7 @@ SimResult Simulator::RunYcsb(workload::YcsbWorkload w, uint64_t record_count,
         live = engine.WaitWhileStalled(true);
         if (!live) break;
         const double rate =
-            engine.ClientRate() * engine.ClientShare(true) * kMB;
+            engine.ClientRate() * engine.CoreShare(true) * kMB;
         if (rate <= 0) continue;
         double got = 0;
         engine.Step(need / rate, true, &got);

@@ -88,23 +88,26 @@ struct SimConfig {
   /// Background compaction workers (mirrors Options::compaction_threads):
   /// up to this many compactions in flight at once, on disjoint level
   /// pairs. The single background core still runs host-side stages one
-  /// at a time and kernels queue FIFO per card — the win is overlap:
-  /// one job's kernel runs while another stages or writes back.
+  /// at a time and each card runs one kernel at a time — the win is
+  /// overlap: one job's kernel runs while another stages or writes back.
   int compaction_threads = 1;
 
-  /// Offload cards (mirrors Options::num_offload_cards). Each card runs
-  /// one kernel at a time with its own FIFO lane; staged jobs are placed
-  /// on the card with the least outstanding work (the host
-  /// DeviceSet::PickCard policy). Cards share the PCIe bus: concurrent
-  /// runs on sibling cards stretch each other by their overlapping DMA
-  /// share (SimResult::bus_contention_seconds).
+  /// Offload cards (mirrors Options::num_offload_cards). A job arrives
+  /// when its staging ends and is placed on the card whose last job
+  /// leaves first (the host DeviceSet::PickCard policy). All cards run
+  /// on one fpga::DmaTimeline, the model the host's cards run: each
+  /// card chains transfer-in, kernel and transfer-out, and the cards
+  /// share the PCIe bus, so a burst that starts while a sibling card's
+  /// same-direction bursts are on it waits
+  /// (SimResult::bus_contention_seconds).
   int num_cards = 1;
 
-  /// Model the per-card double-buffered DMA engines (the host's
-  /// FcaeDevice::ModelPipeline): a job staged while its card is still
-  /// busy hides its inbound transfer behind the predecessor's kernel,
-  /// up to the card's remaining backlog. Disable for the ablation
-  /// (bench_ablation_scheduler's pipelined-DMA column).
+  /// Double-buffer each card's DMA (fpga::DmaTimeline): a job that
+  /// arrives while its card is busy stages its transfer-in behind the
+  /// predecessor's kernel, and its kernel hides the predecessor's
+  /// transfer-out. False holds every job until its card's previous job
+  /// left, the serial chain (bench_ablation_scheduler's pipelined-DMA
+  /// column).
   bool pipelined_dma = true;
 
   /// Optional observability (obs/): when set, the simulator emits
@@ -136,9 +139,10 @@ struct SimResult {
   uint64_t compactions_fallback = 0;  // Offloads rerun in software.
   double fault_backoff_seconds = 0;   // Host retry backoff time.
   double fault_wasted_device_seconds = 0;  // Kernel time of failed tries.
-  double device_queue_seconds = 0;    // Staged jobs waiting for a card.
-  double pipeline_overlap_seconds = 0;  // Inbound DMA hidden by kernels.
-  double bus_contention_seconds = 0;    // Cross-card PCIe bursts colliding.
+  /// From each job's staging end until its card's previous job left.
+  double device_queue_seconds = 0;
+  double pipeline_overlap_seconds = 0;  // DMA hidden behind kernels.
+  double bus_contention_seconds = 0;    // Bursts waiting for other cards'.
   double bytes_compacted_in = 0;
   double bytes_compacted_out = 0;
   double user_bytes = 0;

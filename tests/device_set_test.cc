@@ -1,17 +1,19 @@
 // Unit and end-to-end tests of the multi-card offload layer: the
-// shared PcieBus contention model, DeviceSet placement (least queued
-// bytes, quarantine skipping, probe fallback), per-card fault seeds,
-// the double-buffered DMA pipeline of FcaeDevice, and a two-card DB
-// that must degrade gracefully when one card is quarantined.
+// modeled DMA timeline (double buffering and shared-bus waits),
+// DeviceSet placement (least queued bytes, quarantine skipping, probe
+// fallback), per-card fault seeds, the double-buffered DMA pipeline of
+// FcaeDevice, and a two-card DB that must degrade gracefully when one
+// card is quarantined.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "fpga/dma_timeline.h"
 #include "fpga/fault_injector.h"
-#include "fpga/pcie_bus.h"
 #include "fpga_test_util.h"
 #include "gtest/gtest.h"
 #include "host/device_set.h"
@@ -33,50 +35,120 @@ using fpga_test::BuildDeviceInput;
 using fpga_test::MakeRun;
 
 // ---------------------------------------------------------------------
-// PcieBus
+// DmaTimeline. Every duration below is a small integer, so each end,
+// overlap and wait is exact.
 // ---------------------------------------------------------------------
 
-TEST(PcieBusTest, LoneCardNeverWaits) {
-  fpga::PcieBus bus;
-  bus.BeginJob(0);
-  EXPECT_EQ(0.0, bus.ChargeIn(0, 100.0));
-  EXPECT_EQ(0.0, bus.ChargeOut(0, 100.0));
-  bus.EndJob(0);
-  EXPECT_EQ(0u, bus.contended_bursts());
-  EXPECT_EQ(0.0, bus.contention_micros());
+TEST(DmaTimelineTest, LoneCardNeverWaits) {
+  // One busy card never contends with itself, whether the timeline is
+  // one card wide or its siblings stay idle.
+  for (int cards : {1, 3}) {
+    fpga::DmaTimeline timeline(cards);
+    for (int j = 0; j < 4; j++) {
+      const fpga::DmaSlot slot = timeline.Schedule(0, 0, 100, 50, 100);
+      EXPECT_EQ(0.0, slot.bus_wait) << cards << " cards, job " << j;
+    }
+  }
 }
 
-TEST(PcieBusTest, ConcurrentCardsContend) {
-  fpga::PcieBus bus;
-  bus.BeginJob(0);
-  bus.BeginJob(1);
-  // Card 0 bursts first; nothing else has charged yet, so it is free.
-  EXPECT_EQ(0.0, bus.ChargeIn(0, 100.0));
-  // Card 1's burst collides with card 0's 100us already on the bus:
-  // wait = min(own 40, others 100) = 40 (worst case 2x slowdown).
-  EXPECT_EQ(40.0, bus.ChargeIn(1, 40.0));
-  // A longer burst is capped at its own duration against the 100us.
-  EXPECT_EQ(100.0, bus.ChargeIn(1, 250.0));
-  // In and out are independent lanes (full duplex): the first outbound
-  // burst sees no outbound history from the other card.
-  EXPECT_EQ(0.0, bus.ChargeOut(1, 50.0));
-  EXPECT_EQ(50.0, bus.ChargeOut(0, 80.0));
-  bus.EndJob(0);
-  bus.EndJob(1);
-  EXPECT_EQ(3u, bus.contended_bursts());
-  EXPECT_EQ(40.0 + 100.0 + 50.0, bus.contention_micros());
+TEST(DmaTimelineTest, OverlappingCardsWaitPerDirection) {
+  fpga::DmaTimeline timeline(2);
+  // Card 0: in [0, 100), kernel [100, 1100), out [1100, 1180).
+  const fpga::DmaSlot first = timeline.Schedule(0, 0, 100, 1000, 80);
+  EXPECT_EQ(0.0, first.bus_wait);
+  EXPECT_EQ(1180.0, first.end);
+
+  // Card 1's transfer-in starts at 0, behind card 0's 100 inbound:
+  // wait min(40, 100) = 40. Its transfer-out starts at 40 + 40 + 1050 =
+  // 1130, after card 0's outbound 80 started at 1100: wait min(50, 80).
+  // Each lane charges only its own direction.
+  const fpga::DmaSlot second = timeline.Schedule(1, 0, 40, 1050, 50);
+  EXPECT_EQ(40.0 + 50.0, second.bus_wait);
+  EXPECT_EQ(1130.0 + 50 + 50, second.end);
+
+  // A burst longer than what the other card charged waits only for
+  // that: card 1's next transfer-in starts at 80, when its DMA-in
+  // engine frees, and waits min(250, 100). Card 1's own earlier
+  // bursts never count.
+  const fpga::DmaSlot third = timeline.Schedule(1, 0, 250, 10, 0);
+  EXPECT_EQ(80.0, third.start);
+  EXPECT_EQ(100.0, third.bus_wait);
+  EXPECT_TRUE(third.pipelined);
 }
 
-TEST(PcieBusTest, IdleCardHistoryResets) {
-  fpga::PcieBus bus;
-  bus.BeginJob(0);
-  EXPECT_EQ(0.0, bus.ChargeIn(0, 500.0));
-  bus.EndJob(0);
-  // Card 0 went idle: its 500us must not inflate a later collision.
-  bus.BeginJob(1);
-  EXPECT_EQ(0.0, bus.ChargeIn(1, 100.0));
-  bus.EndJob(1);
-  EXPECT_EQ(0u, bus.contended_bursts());
+TEST(DmaTimelineTest, SiblingJobThatEndedNeverCharges) {
+  fpga::DmaTimeline timeline(2);
+  const fpga::DmaSlot first = timeline.Schedule(0, 0, 500, 10, 10);
+  ASSERT_EQ(520.0, first.end);
+  // Card 0's job left at 520: its 500 inbound must not delay a burst
+  // card 1 starts at that instant, and card 1's job, gone by 700, must
+  // not delay card 0's next one.
+  EXPECT_EQ(0.0, timeline.Schedule(1, 520, 100, 10, 10).bus_wait);
+  EXPECT_EQ(0.0, timeline.Schedule(0, 700, 100, 10, 10).bus_wait);
+}
+
+TEST(DmaTimelineTest, SerialTimelineKeepsBurstsALaterArrivalMeets) {
+  fpga::DmaTimeline timeline(3, /*double_buffered=*/false);
+  ASSERT_EQ(1110.0, timeline.Schedule(0, 0, 100, 1000, 10).end);
+  ASSERT_EQ(40.0, timeline.Schedule(1, 0, 10, 10, 10).end);
+  // Card 0 is busy, so this job is held until 1110; card 1's job, which
+  // ends at 40, must survive for the next arrival at 30.
+  EXPECT_EQ(1110.0, timeline.Schedule(0, 20, 10, 10, 10).start);
+  // Card 2's inbound at 30 meets card 0's 100 and card 1's 10.
+  EXPECT_EQ(110.0, timeline.Schedule(2, 30, 200, 10, 10).bus_wait);
+}
+
+TEST(DmaTimelineTest, JobArrivingAtAnIdleCardRunsSerially) {
+  fpga::DmaTimeline timeline(1);
+  const fpga::DmaSlot first = timeline.Schedule(0, 0, 10, 100, 20);
+  EXPECT_FALSE(first.pipelined);
+  EXPECT_EQ(130.0, timeline.idle_at(0));
+  EXPECT_EQ(10.0, timeline.dma_in_free(0));
+
+  // Arriving as the card goes idle, or later, hides nothing.
+  for (double arrival : {130.0, 300.0}) {
+    const fpga::DmaSlot slot = timeline.Schedule(0, arrival, 10, 100, 20);
+    EXPECT_FALSE(slot.pipelined) << arrival;
+    EXPECT_EQ(arrival, slot.start);
+    EXPECT_EQ(arrival + 130, slot.end);
+    EXPECT_EQ(0.0, slot.overlap);
+  }
+}
+
+TEST(DmaTimelineTest, EqualJobsPayOnlyTheSlowestStage) {
+  // n equal jobs arriving at 0 on one card: the first fills the chain
+  // and every further one adds only the slowest stage.
+  struct Stages {
+    double in, kernel, out;
+  };
+  const Stages kernel_bound{4, 10, 3};
+  const Stages in_bound{20, 10, 3};
+  const Stages out_bound{4, 10, 20};
+  for (const Stages& st : {kernel_bound, in_bound, out_bound}) {
+    const double beat = std::max({st.in, st.kernel, st.out});
+    for (int n : {1, 2, 4, 8}) {
+      fpga::DmaTimeline timeline(1);
+      fpga::DmaSlot last;
+      int pipelined = 0;
+      for (int j = 0; j < n; j++) {
+        last = timeline.Schedule(0, 0, st.in, st.kernel, st.out);
+        pipelined += last.pipelined ? 1 : 0;
+      }
+      EXPECT_EQ(st.in + st.kernel + st.out + (n - 1) * beat, last.end)
+          << "in " << st.in << " out " << st.out << " n " << n;
+      EXPECT_EQ(n - 1, pipelined);
+    }
+  }
+
+  // Without double buffering the same jobs pay the whole chain each.
+  fpga::DmaTimeline serial(1, /*double_buffered=*/false);
+  fpga::DmaSlot last;
+  for (int j = 0; j < 4; j++) {
+    last = serial.Schedule(0, 0, 4, 10, 3);
+    EXPECT_FALSE(last.pipelined);
+    EXPECT_EQ(0.0, last.overlap);
+  }
+  EXPECT_EQ(4 * 17.0, last.end);
 }
 
 // ---------------------------------------------------------------------
@@ -302,36 +374,6 @@ TEST_F(DevicePipelineTest, QueuedCallersRunInArrivalOrder) {
   EXPECT_EQ(0u, device.queued_jobs());
 }
 
-TEST_F(DevicePipelineTest, ConcurrentCardsChargeBusContention) {
-  BuildInputs();
-  fpga::EngineConfig config;
-  config.num_inputs = 2;
-  DeviceSet devices(config, /*num_cards=*/2);
-
-  // Both cards burst DMA on the shared bus at once; whenever the bursts
-  // coincide the bus model charges contention to one of them.
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int card = 0; card < 2; card++) {
-    threads.emplace_back([&, card]() {
-      for (int j = 0; j < 6; j++) {
-        if (!RunOneJob(devices.device(card)).ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  ASSERT_EQ(0, failures.load());
-  // Contention requires genuine wall-clock concurrency across cards, so
-  // this is expected (not strictly guaranteed) under 6 jobs per card;
-  // the deterministic arithmetic is covered by the PcieBusTest cases.
-  EXPECT_GT(devices.bus()->contended_bursts(), 0u);
-  double waits = devices.device(0)->total_bus_wait_micros() +
-                 devices.device(1)->total_bus_wait_micros();
-  EXPECT_NEAR(waits, devices.bus()->contention_micros(),
-              1e-6 * (1.0 + waits));
-}
-
 // ---------------------------------------------------------------------
 // Two-card DB end to end
 // ---------------------------------------------------------------------
@@ -446,6 +488,9 @@ TEST_F(MultiCardDbTest, ShardsThatWaitForTheirCardRunPipelined) {
   EXPECT_GT(waits, 0u);
   EXPECT_EQ(waits, devices.device(0)->pipelined_jobs() +
                        devices.device(1)->pipelined_jobs());
+  EXPECT_EQ(metrics.counter("fpga.pipeline.jobs")->value(),
+            devices.device(0)->pipelined_jobs() +
+                devices.device(1)->pipelined_jobs());
   EXPECT_GT(metrics.counter("fpga.pipeline.overlap_micros")->value(), 0u);
 }
 

@@ -102,47 +102,6 @@ TEST(TimingModelTest, WiderValuePathIsNeverSlower) {
   }
 }
 
-TEST(TimingModelTest, PipelinedShardsPayOnlyTheSlowestStage) {
-  EngineConfig config;
-  config.num_inputs = 2;
-  config.value_width = 16;
-  TimingModel model(config);
-
-  const uint64_t records = 100000;
-  const uint64_t key_len = 24;
-  const uint64_t value_len = 512;
-  const double kernel = model.PredictMicros(records, key_len, value_len);
-  const double dma_in = 0.4 * kernel;
-  const double dma_out = 0.3 * kernel;
-  const double serial = dma_in + kernel + dma_out;
-
-  // One shard has nothing to overlap with: the plain serial sum.
-  EXPECT_DOUBLE_EQ(serial, model.PredictPipelinedMicros(
-                               1, records, key_len, value_len, dma_in,
-                               dma_out));
-
-  // The kernel dominates here, so each extra shard costs one kernel:
-  // its DMA hides under the neighbours' compute.
-  for (int shards : {2, 4, 8}) {
-    const double pipelined = model.PredictPipelinedMicros(
-        shards, records, key_len, value_len, dma_in, dma_out);
-    EXPECT_DOUBLE_EQ(serial + (shards - 1) * kernel, pipelined) << shards;
-    EXPECT_LT(pipelined, shards * serial) << shards;
-  }
-
-  // When a transfer is the slowest stage it sets the steady-state beat
-  // instead.
-  const double big_in = 2.0 * kernel;
-  EXPECT_DOUBLE_EQ(big_in + kernel + dma_out + 3 * big_in,
-                   model.PredictPipelinedMicros(4, records, key_len,
-                                                value_len, big_in, dma_out));
-
-  // Degenerate shard counts never go negative.
-  EXPECT_DOUBLE_EQ(0.0, model.PredictPipelinedMicros(
-                            0, records, key_len, value_len, dma_in,
-                            dma_out));
-}
-
 // Cross-check: the cycle-level simulator's steady-state rate must agree
 // with the closed-form bottleneck period within pipeline fill/drain and
 // DRAM overheads.

@@ -533,7 +533,7 @@ const GoldenSimRow kGoldenSimRows[] = {
      {237, 264, 264, 0, 0, 0},
      {146.35112407821453, 6.8328822637916291, 0, 4.7042932363636538,
       74.513936434463417, 0.64973857213476693, 13.489551494764379, 0,
-      39.929774079999788, 0, 0, 8.4946620773027703, 0.017424619580074675, 0,
+      39.929774079999788, 0, 0, 8.4946620773027703, 0.1277840005888855, 0,
       3957798408.9427438, 3839064456.6744475, 1000000000}},
     {"fcae2.r10.t1",
      {70, 54, 54, 0, 0, 0},
@@ -545,7 +545,7 @@ const GoldenSimRow kGoldenSimRows[] = {
      {237, 270, 270, 0, 0, 0},
      {161.09497253507774, 6.2075183617679581, 0, 4.7042932363636538,
       89.091731266530758, 0.83388096101489284, 13.427494513492785, 0,
-      39.929774079999788, 0, 0, 4.2850009493360304, 0.018451855348699312, 0,
+      39.929774079999788, 0, 0, 4.2850009493360304, 0.080164605001279199, 0,
       5079477935.1161184, 4927093597.0626469, 1000000000}},
     {"fcae2.r16.t1",
      {70, 54, 54, 0, 0, 0},
@@ -557,7 +557,7 @@ const GoldenSimRow kGoldenSimRows[] = {
      {237, 263, 263, 0, 0, 0},
      {159.96130692344173, 6.2515118139076282, 0, 4.7042932363636538,
       88.118014705935323, 0.8103454087182741, 13.075314954106037, 0,
-      39.929774079999788, 0, 0, 3.2420310578925324, 0.012859450015365981, 0,
+      39.929774079999788, 0, 0, 3.2420310578925324, 0.058461461304389672, 0,
       4936114164.7813835, 4788030739.8379498, 1000000000}},
     {"fcae9.r4.t1",
      {70, 54, 54, 0, 0, 0},
@@ -569,7 +569,7 @@ const GoldenSimRow kGoldenSimRows[] = {
      {237, 264, 264, 0, 0, 0},
      {149.59613142836005, 6.6846648402728857, 0, 4.7042932363636538,
       78.106122654183238, 0.64973857213476693, 17.406140471583132, 0,
-      39.929774079999788, 0, 0, 8.5258005927900875, 0.017424619580074675, 0,
+      39.929774079999788, 0, 0, 8.5258005927900875, 0.1277840005888855, 0,
       3957798408.9427438, 3839064456.6744475, 1000000000}},
     {"fcae9.r10.t1",
      {70, 54, 54, 0, 0, 0},
@@ -581,7 +581,7 @@ const GoldenSimRow kGoldenSimRows[] = {
      {237, 270, 270, 0, 0, 0},
      {166.40892760953184, 6.0092929770356882, 0, 4.7042932363636538,
       94.552107881856799, 0.83388096101489284, 19.755013100813368, 0,
-      39.929774079999788, 0, 0, 4.302413546192362, 0.018451855348699312, 0,
+      39.929774079999788, 0, 0, 4.302413546192362, 0.080164605001279199, 0,
       5079477935.1161184, 4927093597.0626469, 1000000000}},
     {"fcae9.r16.t1",
      {70, 54, 54, 0, 0, 0},
@@ -593,7 +593,7 @@ const GoldenSimRow kGoldenSimRows[] = {
      {237, 263, 263, 0, 0, 0},
      {165.4379928480692, 6.0445607613140888, 0, 4.7042932363636538,
       93.797948951235611, 0.8103454087182741, 19.213866060345811, 0,
-      39.929774079999788, 0, 0, 3.2548979199735584, 0.012859450015365981, 0,
+      39.929774079999788, 0, 0, 3.2548979199735584, 0.058461461304403883, 0,
       4936114164.7813835, 4788030739.8379498, 1000000000}},
     {"fcae9.strict",
      {142, 141, 141, 0, 0, 0},
