@@ -153,17 +153,16 @@ void BM_MemTableInsertWithMetrics(benchmark::State& state) {
   std::string value = MakePayload(state.range(0));
   Random rnd(301);
 
-  obs::MetricsRegistry registry;
-  obs::Counter* ops = registry.counter("bench.memtable.inserts");
-  obs::Counter* bytes = registry.counter("bench.memtable.bytes");
+  obs::Counter ops;
+  obs::Counter bytes;
 
   MemTable* mem = new MemTable(icmp);
   mem->Ref();
   uint64_t seq = 1;
   for (auto _ : state) {
     mem->Add(seq++, kTypeValue, keys.Format(rnd.Next()), value);
-    ops->Increment();
-    bytes->Increment(16 + value.size());
+    ops.Increment();
+    bytes.Increment(16 + value.size());
     if (mem->ApproximateMemoryUsage() > (64 << 20)) {
       state.PauseTiming();
       mem->Unref();
@@ -179,12 +178,11 @@ BENCHMARK(BM_MemTableInsertWithMetrics)->Arg(128)->Arg(1024);
 
 // Raw cost of one relaxed-atomic counter increment, for sizing budgets.
 void BM_MetricsCounterIncrement(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Counter* c = registry.counter("bench.counter");
+  obs::Counter c;
   for (auto _ : state) {
-    c->Increment();
+    c.Increment();
   }
-  benchmark::DoNotOptimize(c->value());
+  benchmark::DoNotOptimize(c.value());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricsCounterIncrement);
@@ -343,6 +341,8 @@ struct PerfRunResult {
   uint64_t flushes = 0;
   uint64_t compactions = 0;
   uint64_t compaction_bytes_written = 0;
+  uint64_t sharded_jobs = 0;  // Compactions split into key-range shards.
+  uint64_t shards_run = 0;
   uint64_t reopen_micros = 0;  // Close + recover over the final state.
 };
 
@@ -405,20 +405,24 @@ bool RunPerfWorkload(int threads, int subcompactions, PerfRunResult* result) {
 
   result->write_p99_micros = PercentileMicros(&latencies, 0.99);
   result->user_bytes = static_cast<uint64_t>(kWrites) * (16 + kValueLen);
-  result->stall_memtable_micros =
-      registry.counter("db.write.stall_memtable_micros")->value();
+  // Memtable waits include the memory-budget stops.
+  result->stall_memtable_micros = static_cast<uint64_t>(
+      registry.db_write_memtable_stop_micros.snapshot().Sum() +
+      registry.db_write_memory_stop_micros.snapshot().Sum());
   result->stall_l0_micros =
-      registry.counter("db.write.stall_l0_micros")->value();
+      static_cast<uint64_t>(registry.db_write_l0_stop_micros.snapshot().Sum());
   result->slowdown_micros =
-      registry.counter("wc.delay_micros")->value();
+      static_cast<uint64_t>(registry.db_write_delay_micros.snapshot().Sum());
   result->stall_micros = result->stall_memtable_micros +
                          result->stall_l0_micros + result->slowdown_micros;
-  result->flushes = registry.counter("db.flush.count")->value();
-  result->compactions = registry.counter("db.compaction.count")->value();
+  result->flushes = registry.db_flush_count.value();
+  result->compactions = registry.db_compaction_count.value();
   result->compaction_bytes_written =
-      registry.counter("db.compaction.bytes_written")->value();
+      registry.db_compaction_bytes_written.value();
+  result->sharded_jobs = registry.scheduler_sharded_jobs.value();
+  result->shards_run = registry.scheduler_shards_run.value();
   const uint64_t compaction_bytes_moved =
-      registry.counter("db.compaction.bytes_read")->value() +
+      registry.db_compaction_bytes_read.value() +
       result->compaction_bytes_written;
   const double write_secs = (write_end - write_start) * 1e-6;
   const double total_secs = (drain_end - write_start) * 1e-6;
@@ -432,15 +436,13 @@ bool RunPerfWorkload(int threads, int subcompactions, PerfRunResult* result) {
   // Close and reopen over the state the workload built: recovery cost =
   // MANIFEST replay + WAL redo. recovery.micros accumulates across every
   // open on this registry, so the reopen alone is the delta.
-  const uint64_t open_micros_before =
-      registry.counter("recovery.micros")->value();
+  const uint64_t open_micros_before = registry.recovery_micros.value();
   db.reset();
   options.create_if_missing = false;
   raw = nullptr;
   if (!DB::Open(options, dbname, &raw).ok()) return false;
   db.reset(raw);
-  result->reopen_micros =
-      registry.counter("recovery.micros")->value() - open_micros_before;
+  result->reopen_micros = registry.recovery_micros.value() - open_micros_before;
   return true;
 }
 
@@ -460,8 +462,8 @@ struct OverloadRunResult {
   double sustainable_mbps = 0;
   double achieved_mbps = 0;     // Ingest under 2x-overload attempts.
   double write_p99_micros = 0;
-  uint64_t hard_stops = 0;      // wc.stopped_writes: must stay 0.
-  uint64_t delayed_writes = 0;  // wc.delayed_writes: must be > 0.
+  uint64_t hard_stops = 0;      // L0 plus memory-budget stops: must stay 0.
+  uint64_t delayed_writes = 0;  // Delay passes: must be > 0.
   uint64_t delay_micros = 0;
   uint64_t throttled_bytes = 0;  // ratelimiter.throttled_bytes.
   std::string metrics_json;      // fcae.metrics export of the soak run.
@@ -521,8 +523,7 @@ bool RunOverloadWorkload(OverloadRunResult* result) {
     if (secs <= 0) return false;
     sustainable_bps = kWrites * op_bytes / secs;
     result->sustainable_mbps = sustainable_bps / (1 << 20);
-    compaction_write_bps =
-        registry.counter("db.compaction.bytes_written")->value() / secs;
+    compaction_write_bps = registry.db_compaction_bytes_written.value() / secs;
   }
 
   // Phase 2: 2x-overload soak under a background-I/O budget. The budget
@@ -579,11 +580,13 @@ bool RunOverloadWorkload(OverloadRunResult* result) {
       result->achieved_mbps = kWrites * op_bytes / secs / (1 << 20);
     }
     result->write_p99_micros = PercentileMicros(&latencies, 0.99);
-    result->hard_stops = registry.counter("wc.stopped_writes")->value();
-    result->delayed_writes = registry.counter("wc.delayed_writes")->value();
-    result->delay_micros = registry.counter("wc.delay_micros")->value();
-    result->throttled_bytes =
-        registry.counter("ratelimiter.throttled_bytes")->value();
+    result->hard_stops =
+        registry.db_write_l0_stop_micros.snapshot().Count() +
+        registry.db_write_memory_stop_micros.snapshot().Count();
+    const Histogram delays = registry.db_write_delay_micros.snapshot();
+    result->delayed_writes = delays.Count();
+    result->delay_micros = static_cast<uint64_t>(delays.Sum());
+    result->throttled_bytes = registry.ratelimiter_throttled_bytes.value();
     if (!db->GetProperty("fcae.metrics", &result->metrics_json)) return false;
   }
   return true;
@@ -661,7 +664,8 @@ int RunPerfGate() {
   }
   // The soak run's metrics export doubles as the overload-protection
   // contract check: CI validates it against bench/metrics_schema.json,
-  // proving the wc.*/ratelimiter.* instruments are live under load.
+  // proving the write-stall and rate-limiter instruments are live
+  // under load.
   if (!bench::WriteTextFile("BENCH_micro_perf_overload_metrics.json",
                             overload.metrics_json)) {
     return 1;
@@ -701,6 +705,10 @@ int RunPerfGate() {
   report.Add("work.t4.flushes", t4.flushes);
   report.Add("work.t4.compactions", t4.compactions);
   report.Add("work.t4.compaction_bytes_written", t4.compaction_bytes_written);
+  report.Add("work.t1.sharded_jobs", t1.sharded_jobs);
+  report.Add("work.t1.shards_run", t1.shards_run);
+  report.Add("work.t4.sharded_jobs", t4.sharded_jobs);
+  report.Add("work.t4.shards_run", t4.shards_run);
   report.Add("recovery.t1.reopen_micros", t1.reopen_micros);
   report.Add("recovery.t4.reopen_micros", t4.reopen_micros);
   if (!report.WriteFile()) return 1;

@@ -7,19 +7,15 @@ Stdlib only (CI runs it without installing anything):
         --schema bench/metrics_schema.json [--trace trace.json]
 
 Checks the structural contract (counters/gauges/histograms objects with
-numeric values), that every exported instrument is known to the schema
-with the matching kind, the schema's required/nonzero flags, and — when
---trace is given — that the trace export is loadable chrome://tracing
-JSON with well-formed events. A required glob entry
-('health.card*.quarantined') needs at least one matching instrument.
-
-Understands both schema formats: the current dict sections
-(counters/gauges/histograms mapping name -> {description, required,
-nonzero}) and the legacy required_*/known_*/nonzero_counters lists.
+numeric values, every histogram carrying the schema's histogram_fields),
+that the schema's nonzero instruments moved (a counter > 0, a histogram
+with samples), and — when --trace is given — that the trace export is
+loadable chrome://tracing JSON with well-formed events. The instrument
+names need no check here: the registry exports exactly the list in
+src/obs/instruments.def.
 """
 
 import argparse
-import fnmatch
 import json
 import numbers
 import sys
@@ -31,105 +27,49 @@ def fail(msg):
     errors.append(msg)
 
 
-def load_schema_section(schema, kind):
-    """Returns (known, required, nonzero) name sets for one instrument
-    kind ('counter' | 'gauge' | 'histogram')."""
-    known, required, nonzero = set(), set(), set()
-    section = schema.get(kind + "s")
-    if isinstance(section, dict):
-        for name, info in section.items():
-            known.add(name)
-            if isinstance(info, dict):
-                if info.get("required"):
-                    required.add(name)
-                if info.get("nonzero"):
-                    nonzero.add(name)
-    for name in schema.get(f"required_{kind}s", []):
-        known.add(name)
-        required.add(name)
-    known.update(schema.get(f"known_{kind}s", []))
-    if kind == "counter":
-        nonzero.update(schema.get("nonzero_counters", []))
-    return known, required, nonzero
+def is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def matching(name, exported):
-    """Exported names a schema entry covers: the name itself, or every
-    match when the entry is an fnmatch glob ('.' is no glob character,
-    so a plain dotted name matches only itself)."""
-    return [n for n in exported if fnmatch.fnmatchcase(n, name)]
-
-
-def require_numeric_object(root, section):
+def require_object(root, section):
     obj = root.get(section)
     if not isinstance(obj, dict):
         fail(f"top-level '{section}' missing or not an object")
         return {}
-    for name, value in obj.items():
-        if section == "histograms":
-            if not isinstance(value, dict):
-                fail(f"histogram '{name}' is not an object")
-        elif not isinstance(value, numbers.Real) or isinstance(value, bool):
-            fail(f"{section[:-1]} '{name}' has non-numeric value {value!r}")
     return obj
 
 
 def validate_metrics(metrics, schema):
-    counters = require_numeric_object(metrics, "counters")
-    gauges = require_numeric_object(metrics, "gauges")
-    histograms = require_numeric_object(metrics, "histograms")
+    counters = require_object(metrics, "counters")
+    gauges = require_object(metrics, "gauges")
+    histograms = require_object(metrics, "histograms")
 
-    known_c, required_c, nonzero_c = load_schema_section(schema, "counter")
-    known_g, required_g, _ = load_schema_section(schema, "gauge")
-    known_h, required_h, _ = load_schema_section(schema, "histogram")
-
-    # Every exported instrument must be a schema-known name of the same
-    # kind: an unknown name here means code and schema drifted (or a
-    # metric was renamed without updating the contract). Schema names
-    # may be fnmatch globs ('health.card*.probes') covering families of
-    # runtime-parameterized instruments (per offload card).
-    for exported, known, kind in ((counters, known_c, "counter"),
-                                  (gauges, known_g, "gauge"),
-                                  (histograms, known_h, "histogram")):
-        globs = [g for g in known if "*" in g or "?" in g or "[" in g]
-        for name in exported:
-            if name in known:
-                continue
-            if any(fnmatch.fnmatchcase(name, g) for g in globs):
-                continue
-            fail(f"exported {kind} '{name}' is not in the schema — "
-                 f"add it to bench/metrics_schema.json")
-
-    for name in sorted(required_c):
-        found = matching(name, counters)
-        if not found:
-            fail(f"missing required counter '{name}'")
-        for n in found:
-            if counters[n] < 0:
-                fail(f"counter '{n}' is negative: {counters[n]}")
-    for name in sorted(nonzero_c):
-        if counters.get(name, 0) == 0:
-            fail(f"counter '{name}' is zero; the workload did not exercise it")
-    for name in sorted(required_g):
-        if not matching(name, gauges):
-            fail(f"missing required gauge '{name}'")
-
+    for section, obj in (("counter", counters), ("gauge", gauges)):
+        for name, value in obj.items():
+            if not is_number(value):
+                fail(f"{section} '{name}' has non-numeric value {value!r}")
+    for name, value in counters.items():
+        if is_number(value) and value < 0:
+            fail(f"counter '{name}' is negative: {value}")
     fields = schema.get("histogram_fields", [])
-    for name in sorted(required_h):
-        found = matching(name, histograms)
-        if not found:
-            fail(f"missing required histogram '{name}'")
-        for n in found:
-            hist = histograms[n]
-            for field in fields:
-                value = hist.get(field)
-                if (not isinstance(value, numbers.Real)
-                        or isinstance(value, bool)):
-                    fail(f"histogram '{n}' field '{field}' "
-                         f"missing/non-numeric")
-            if (isinstance(hist.get("count"), numbers.Real)
-                    and hist["count"] == 0):
-                fail(f"histogram '{n}' recorded no samples")
+    for name, hist in histograms.items():
+        if not isinstance(hist, dict):
+            fail(f"histogram '{name}' is not an object")
+            continue
+        for field in fields:
+            if not is_number(hist.get(field)):
+                fail(f"histogram '{name}' field '{field}' missing/non-numeric")
+
+    for name in schema.get("nonzero", []):
+        if name in counters:
+            if counters[name] == 0:
+                fail(f"counter '{name}' is zero; the workload did not "
+                     f"exercise it")
+        elif name in histograms:
+            if histograms[name].get("count") == 0:
+                fail(f"histogram '{name}' recorded no samples")
+        else:
+            fail(f"nonzero instrument '{name}' is not exported")
 
 
 def validate_trace(trace):

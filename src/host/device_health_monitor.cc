@@ -14,16 +14,13 @@ DeviceHealthMonitor::DeviceHealthMonitor(DeviceHealthOptions options,
                                          int card_id)
     : options_(options), card_id_(card_id) {}
 
-std::string DeviceHealthMonitor::GaugeName(const char* field) const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "health.card%d.%s", card_id_, field);
-  return std::string(buf);
-}
-
 void DeviceHealthMonitor::AttachObservability(obs::MetricsRegistry* metrics,
                                               obs::TraceRecorder* trace) {
   MutexLock lock(&mutex_);
-  metrics_ = metrics;
+  // Fetched on every attach, never cached across attaches: a set that
+  // outlives one DB may next serve a registry built at the same address.
+  // The registry's lock is a leaf below mutex_.
+  gauges_ = metrics != nullptr ? metrics->card(card_id_) : nullptr;
   trace_ = trace;
   PublishLocked();
 }
@@ -34,32 +31,19 @@ void DeviceHealthMonitor::AttachNotifier(const obs::EventNotifier* notifier) {
 }
 
 void DeviceHealthMonitor::PublishLocked() {
-  if (metrics_ == nullptr) return;
+  if (gauges_ == nullptr) return;
   // Gauges mirror the snapshot so one fcae.metrics read shows breaker
-  // state without a second property. The registry lock is a leaf below
-  // mutex_. Per-card names keep the M breakers of a DeviceSet from
-  // aliasing in the registry.
-  //
-  // fcae-check: declare-metric(gauge): health.card*.quarantined, health.card*.consecutive_failures
-  // fcae-check: declare-metric(gauge): health.card*.jobs_succeeded, health.card*.jobs_failed
-  // fcae-check: declare-metric(gauge): health.card*.sticky_failures, health.card*.quarantines
-  // fcae-check: declare-metric(gauge): health.card*.probes, health.card*.readmissions, health.card*.jobs_denied
-  metrics_->gauge(GaugeName("quarantined"))->Set(quarantined_ ? 1 : 0);
-  metrics_->gauge(GaugeName("consecutive_failures"))
-      ->Set(consecutive_failures_);
-  metrics_->gauge(GaugeName("jobs_succeeded"))
-      ->Set(static_cast<int64_t>(jobs_succeeded_));
-  metrics_->gauge(GaugeName("jobs_failed"))
-      ->Set(static_cast<int64_t>(jobs_failed_));
-  metrics_->gauge(GaugeName("sticky_failures"))
-      ->Set(static_cast<int64_t>(sticky_failures_));
-  metrics_->gauge(GaugeName("quarantines"))
-      ->Set(static_cast<int64_t>(quarantines_));
-  metrics_->gauge(GaugeName("probes"))->Set(static_cast<int64_t>(probes_));
-  metrics_->gauge(GaugeName("readmissions"))
-      ->Set(static_cast<int64_t>(readmissions_));
-  metrics_->gauge(GaugeName("jobs_denied"))
-      ->Set(static_cast<int64_t>(jobs_denied_));
+  // state without a second property. The card's own block keeps the M
+  // breakers of a DeviceSet from aliasing in the registry.
+  gauges_->quarantined.Set(quarantined_ ? 1 : 0);
+  gauges_->consecutive_failures.Set(consecutive_failures_);
+  gauges_->jobs_succeeded.Set(static_cast<int64_t>(jobs_succeeded_));
+  gauges_->jobs_failed.Set(static_cast<int64_t>(jobs_failed_));
+  gauges_->sticky_failures.Set(static_cast<int64_t>(sticky_failures_));
+  gauges_->quarantines.Set(static_cast<int64_t>(quarantines_));
+  gauges_->probes.Set(static_cast<int64_t>(probes_));
+  gauges_->readmissions.Set(static_cast<int64_t>(readmissions_));
+  gauges_->jobs_denied.Set(static_cast<int64_t>(jobs_denied_));
 }
 
 bool DeviceHealthMonitor::Admit() {

@@ -10,6 +10,7 @@
 namespace fcae {
 
 namespace obs {
+struct CardInstruments;
 class EventNotifier;
 class MetricsRegistry;
 class TraceRecorder;
@@ -43,9 +44,9 @@ struct DeviceHealthOptions {
 /// gracefully instead of stalling.
 class DeviceHealthMonitor {
  public:
-  /// `card_id` is the card's index in its DeviceSet: gauges publish
-  /// under `health.card<N>.*` and OnDeviceHealthChange events carry the
-  /// id, so per-card breakers never alias.
+  /// `card_id` is the card's index in its DeviceSet: gauges publish in
+  /// the registry's block for that card and OnDeviceHealthChange events
+  /// carry the id, so per-card breakers never alias.
   DeviceHealthMonitor(DeviceHealthOptions options, int card_id);
 
   DeviceHealthMonitor(const DeviceHealthMonitor&) = delete;
@@ -85,12 +86,14 @@ class DeviceHealthMonitor {
   /// which is what keeps the property readable mid-quarantine.
   std::string ToString() const EXCLUDES(mutex_);
 
-  /// Publishes breaker state to obs: gauges named `health.card<N>.*`
-  /// are set on every state change, and breaker transitions (quarantine/
-  /// readmission) are recorded as trace instants. Either pointer may be
-  /// null; both are borrowed and must outlive the monitor. Idempotent —
-  /// the offload executor calls this once per job with the handles the
-  /// DB put on the CompactionJob.
+  /// Publishes breaker state to obs: the health gauges of the card's
+  /// block (MetricsRegistry::card) are set on every state change, and
+  /// breaker transitions (quarantine/readmission) are recorded as trace
+  /// instants. Either pointer may be null; both are borrowed and must
+  /// stay valid until the next attach. Idempotent — the offload
+  /// executor calls this once per job with the handles the DB put on
+  /// the CompactionJob; each call fetches the card's block and
+  /// republishes the gauges.
   void AttachObservability(obs::MetricsRegistry* metrics,
                            obs::TraceRecorder* trace) EXCLUDES(mutex_);
 
@@ -102,11 +105,8 @@ class DeviceHealthMonitor {
 
  private:
   /// Pushes the current counters to the attached gauges. Caller holds
-  /// mutex_; the registry's own lock is a leaf below it.
+  /// mutex_.
   void PublishLocked() REQUIRES(mutex_);
-
-  /// Gauge name for `field`: "health.card<N>.<field>".
-  std::string GaugeName(const char* field) const;
 
   const DeviceHealthOptions options_;
   const int card_id_;
@@ -123,7 +123,7 @@ class DeviceHealthMonitor {
   uint64_t readmissions_ GUARDED_BY(mutex_) = 0;
   uint64_t jobs_denied_ GUARDED_BY(mutex_) = 0;
 
-  obs::MetricsRegistry* metrics_ GUARDED_BY(mutex_) = nullptr;
+  obs::CardInstruments* gauges_ GUARDED_BY(mutex_) = nullptr;
   obs::TraceRecorder* trace_ GUARDED_BY(mutex_) = nullptr;
   const obs::EventNotifier* notifier_ GUARDED_BY(mutex_) = nullptr;
 };

@@ -1,7 +1,6 @@
 #include "host/offload_compaction.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 #include "host/output_verifier.h"
@@ -53,18 +52,6 @@ std::vector<std::vector<const FileMetaData*>> EngineRuns(const Compaction* c) {
   return runs;
 }
 
-/// Per-card instrument name, e.g. "offload.card2.busy_micros". Built
-/// with a format string so only the declared glob shapes below reach
-/// the registry.
-///
-/// fcae-check: declare-metric(gauge): offload.card*.queued_bytes
-/// fcae-check: declare-metric(counter): offload.card*.busy_micros
-std::string CardMetricName(int card, const char* field) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "offload.card%d.%s", card, field);
-  return std::string(buf);
-}
-
 /// Publishes one successful kernel run's pipeline telemetry: per-module
 /// busy/stall/backpressure counters, FIFO peaks, DMA volume, and the
 /// derived bottleneck attribution (as a gauge in percent so one
@@ -73,68 +60,60 @@ void RecordDeviceMetrics(obs::MetricsRegistry* metrics,
                          const DeviceRunStats& run_stats, int num_lanes) {
   if (metrics == nullptr) return;
   const fpga::EngineStats& e = run_stats.engine;
-  metrics->counter("fpga.kernel.launches")->Increment();
-  metrics->counter("fpga.kernel.cycles")->Increment(run_stats.kernel_cycles);
-  metrics->counter("fpga.kernel.micros")
-      ->Increment(static_cast<uint64_t>(run_stats.kernel_micros));
-  metrics->counter("fpga.dma.micros")
-      ->Increment(static_cast<uint64_t>(run_stats.pcie_micros));
-  metrics->counter("fpga.dma.input_bytes")->Increment(run_stats.input_bytes);
-  metrics->counter("fpga.dma.output_bytes")
-      ->Increment(run_stats.output_bytes);
-  metrics->counter("fpga.dma.retransfers")
-      ->Increment(run_stats.dma_retransfers);
-  metrics->counter("fpga.faults.injected")
-      ->Increment(run_stats.faults_injected);
+  metrics->fpga_kernel_launches.Increment();
+  metrics->fpga_kernel_cycles.Increment(run_stats.kernel_cycles);
+  metrics->fpga_kernel_micros.Increment(
+      static_cast<uint64_t>(run_stats.kernel_micros));
+  metrics->fpga_dma_micros.Increment(
+      static_cast<uint64_t>(run_stats.pcie_micros));
+  metrics->fpga_dma_input_bytes.Increment(run_stats.input_bytes);
+  metrics->fpga_dma_output_bytes.Increment(run_stats.output_bytes);
+  metrics->fpga_dma_retransfers.Increment(run_stats.dma_retransfers);
+  metrics->fpga_faults_injected.Increment(run_stats.faults_injected);
 
-  metrics->counter("fpga.decoder.busy_cycles")->Increment(e.decoder_busy);
-  metrics->counter("fpga.decoder.fetch_stalls")
-      ->Increment(e.decoder_fetch_stalls);
-  metrics->counter("fpga.decoder.backpressure")
-      ->Increment(e.decoder_backpressure);
-  metrics->counter("fpga.comparer.busy_cycles")->Increment(e.comparer_busy);
-  metrics->counter("fpga.comparer.waits")->Increment(e.comparer_waits);
-  metrics->counter("fpga.transfer.busy_cycles")->Increment(e.transfer_busy);
-  metrics->counter("fpga.encoder.busy_cycles")->Increment(e.encoder_busy);
-  metrics->counter("fpga.encoder.write_stalls")
-      ->Increment(e.encoder_write_stalls);
-  metrics->counter("fpga.records.in")->Increment(e.records_in);
-  metrics->counter("fpga.records.out")->Increment(e.records_out);
-  metrics->counter("fpga.records.dropped")->Increment(e.records_dropped);
-  metrics->counter("fpga.records.bounds_dropped")
-      ->Increment(e.records_bounds_dropped);
+  metrics->fpga_decoder_busy_cycles.Increment(e.decoder_busy);
+  metrics->fpga_decoder_fetch_stalls.Increment(e.decoder_fetch_stalls);
+  metrics->fpga_decoder_backpressure.Increment(e.decoder_backpressure);
+  metrics->fpga_comparer_busy_cycles.Increment(e.comparer_busy);
+  metrics->fpga_comparer_waits.Increment(e.comparer_waits);
+  metrics->fpga_transfer_busy_cycles.Increment(e.transfer_busy);
+  metrics->fpga_encoder_busy_cycles.Increment(e.encoder_busy);
+  metrics->fpga_encoder_write_stalls.Increment(e.encoder_write_stalls);
+  metrics->fpga_records_in.Increment(e.records_in);
+  metrics->fpga_records_out.Increment(e.records_out);
+  metrics->fpga_records_dropped.Increment(e.records_dropped);
+  metrics->fpga_records_bounds_dropped.Increment(e.records_bounds_dropped);
 
   // Double-buffered DMA pipeline telemetry (fpga/dma_timeline.h): how
   // much modeled transfer time hid behind compute, and how many jobs
   // arrived before their card's previous job left (pipelined).
-  metrics->counter("fpga.pipeline.overlap_micros")
-      ->Increment(static_cast<uint64_t>(run_stats.dma_overlap_micros));
-  if (run_stats.pipelined) {
-    metrics->counter("fpga.pipeline.jobs")->Increment();
-  }
+  metrics->fpga_pipeline_overlap_micros.Increment(
+      static_cast<uint64_t>(run_stats.dma_overlap_micros));
+  if (run_stats.pipelined) metrics->fpga_pipeline_jobs.Increment();
 
-  auto peak = [&](const char* name, uint64_t value) {
-    obs::Gauge* gauge = metrics->gauge(name);
-    if (static_cast<int64_t>(value) > gauge->value()) {
-      gauge->Set(static_cast<int64_t>(value));
-    }
-  };
-  peak("fpga.fifo.key_stream_peak", e.fifo_key_stream_peak);
-  peak("fpga.fifo.transfer_peak", e.fifo_transfer_peak);
-  peak("fpga.fifo.selection_peak", e.fifo_selection_peak);
-  peak("fpga.fifo.output_peak", e.fifo_output_peak);
-  peak("fpga.fifo.write_queue_peak", e.fifo_write_queue_peak);
+  // Peaks across jobs: concurrent compaction threads may finish at
+  // once, so each raise is atomic.
+  metrics->fpga_fifo_key_stream_peak.UpdateMax(
+      static_cast<int64_t>(e.fifo_key_stream_peak));
+  metrics->fpga_fifo_transfer_peak.UpdateMax(
+      static_cast<int64_t>(e.fifo_transfer_peak));
+  metrics->fpga_fifo_selection_peak.UpdateMax(
+      static_cast<int64_t>(e.fifo_selection_peak));
+  metrics->fpga_fifo_output_peak.UpdateMax(
+      static_cast<int64_t>(e.fifo_output_peak));
+  metrics->fpga_fifo_write_queue_peak.UpdateMax(
+      static_cast<int64_t>(e.fifo_write_queue_peak));
 
   const fpga::BottleneckReport report =
       fpga::AttributeBottleneck(e, num_lanes);
-  metrics->gauge("fpga.bottleneck.decoder_share_pct")
-      ->Set(static_cast<int64_t>(report.decoder_share * 100));
-  metrics->gauge("fpga.bottleneck.comparer_share_pct")
-      ->Set(static_cast<int64_t>(report.comparer_share * 100));
-  metrics->gauge("fpga.bottleneck.transfer_share_pct")
-      ->Set(static_cast<int64_t>(report.transfer_share * 100));
-  metrics->gauge("fpga.bottleneck.encoder_share_pct")
-      ->Set(static_cast<int64_t>(report.encoder_share * 100));
+  metrics->fpga_bottleneck_decoder_share_pct.Set(
+      static_cast<int64_t>(report.decoder_share * 100));
+  metrics->fpga_bottleneck_comparer_share_pct.Set(
+      static_cast<int64_t>(report.comparer_share * 100));
+  metrics->fpga_bottleneck_transfer_share_pct.Set(
+      static_cast<int64_t>(report.transfer_share * 100));
+  metrics->fpga_bottleneck_encoder_share_pct.Set(
+      static_cast<int64_t>(report.encoder_share * 100));
 }
 
 /// Emits the modeled pipeline sub-spans of one device run: DMA and the
@@ -221,25 +200,27 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   for (const std::vector<const FileMetaData*>& run : runs) {
     for (const FileMetaData* file : run) queued_estimate += file->file_size;
   }
+  obs::CardInstruments* card_metrics =
+      job.metrics != nullptr ? job.metrics->card(card) : nullptr;
   devices_->AddQueued(card, queued_estimate);
-  if (job.metrics != nullptr) {
-    job.metrics->gauge(CardMetricName(card, "queued_bytes"))
-        ->Set(static_cast<int64_t>(devices_->queued_bytes(card)));
+  if (card_metrics != nullptr) {
+    card_metrics->queued_bytes.Set(
+        static_cast<int64_t>(devices_->queued_bytes(card)));
   }
   // Un-queue on every exit path, success or failure.
   struct PlacementGuard {
     DeviceSet* devices;
     int card;
     uint64_t bytes;
-    obs::MetricsRegistry* metrics;
+    obs::CardInstruments* card_metrics;
     ~PlacementGuard() {
       devices->SubQueued(card, bytes);
-      if (metrics != nullptr) {
-        metrics->gauge(CardMetricName(card, "queued_bytes"))
-            ->Set(static_cast<int64_t>(devices->queued_bytes(card)));
+      if (card_metrics != nullptr) {
+        card_metrics->queued_bytes.Set(
+            static_cast<int64_t>(devices->queued_bytes(card)));
       }
     }
-  } placement_guard{devices_, card, queued_estimate, job.metrics};
+  } placement_guard{devices_, card, queued_estimate, card_metrics};
 
   // Sub-compaction shard bounds (if any): staging trims whole data
   // blocks outside (lower, upper] and the engine's Key-Value Transfer
@@ -349,18 +330,14 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
       for (int i = 0; i < devices_->num_cards(); i++) {
         depth += devices_->device(i)->queued_jobs();
       }
-      job.metrics->gauge("host.device.queue_depth")
-          ->Set(static_cast<int64_t>(depth));
-      if (run_stats.queued) {
-        job.metrics->counter("host.device.queue_waits")->Increment();
-      }
-      job.metrics->counter("host.device.queue_wait_micros")
-          ->Increment(run_stats.queue_wait_micros);
+      job.metrics->host_device_queue_depth.Set(static_cast<int64_t>(depth));
+      if (run_stats.queued) job.metrics->host_device_queue_waits.Increment();
+      job.metrics->host_device_queue_wait_micros.Increment(
+          run_stats.queue_wait_micros);
       // Modeled device occupancy, failed attempts included — a card
       // burning cycles on a doomed kernel is still busy.
-      job.metrics->counter(CardMetricName(card, "busy_micros"))
-          ->Increment(static_cast<uint64_t>(run_stats.kernel_micros +
-                                            run_stats.pcie_micros));
+      card_metrics->busy_micros.Increment(static_cast<uint64_t>(
+          run_stats.kernel_micros + run_stats.pcie_micros));
     }
 
     if (s.ok()) {
@@ -379,7 +356,7 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
         s = vs;  // Corruption: transient, retryable.
         verify_span.AddArg("rejected", "true");
         if (job.metrics != nullptr) {
-          job.metrics->counter("host.verify.rejects")->Increment();
+          job.metrics->host_verify_rejects.Increment();
         }
       }
     }
@@ -421,14 +398,10 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   stats->verify_micros = verify_micros;
 
   if (job.metrics != nullptr) {
-    job.metrics->counter("host.device.attempts")->Increment(attempts);
-    job.metrics->counter("host.device.retries")
-        ->Increment(attempts > 0 ? attempts - 1 : 0);
-    job.metrics->counter("host.device.faults")->Increment(faults);
-    job.metrics->counter("host.backoff_micros")->Increment(backoff_micros);
-    if (!s.ok()) {
-      job.metrics->counter("host.device.jobs_failed")->Increment();
-    }
+    job.metrics->host_device_attempts.Increment(attempts);
+    job.metrics->host_device_retries.Increment(stats->device_retries);
+    job.metrics->host_device_faults.Increment(faults);
+    job.metrics->host_backoff_micros.Increment(backoff_micros);
   }
 
   if (!s.ok()) return s;

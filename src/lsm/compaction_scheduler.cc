@@ -32,7 +32,7 @@ void CompactionScheduler::ScheduleFlush(void (*fn)(void*), void* arg) {
   flush_scheduled_ = true;
   flushes_started_++;
   if (metrics_ != nullptr) {
-    metrics_->counter("scheduler.flushes_started")->Increment();
+    metrics_->scheduler_flushes_started.Increment();
   }
   UpdateGauges();
   env_->SchedulePool(kFlushPool, 1, fn, arg);
@@ -49,7 +49,7 @@ void CompactionScheduler::ScheduleScrub(void (*fn)(void*), void* arg) {
   scrub_scheduled_ = true;
   scrubs_started_++;
   if (metrics_ != nullptr) {
-    metrics_->counter("scheduler.scrubs_started")->Increment();
+    metrics_->scheduler_scrubs_started.Increment();
   }
   UpdateGauges();
   env_->SchedulePool(kScrubPool, 1, fn, arg);
@@ -80,7 +80,7 @@ void CompactionScheduler::BeginCompaction(int level) {
   running_compactions_++;
   compactions_started_++;
   if (metrics_ != nullptr) {
-    metrics_->counter("scheduler.compactions_started")->Increment();
+    metrics_->scheduler_compactions_started.Increment();
   }
   UpdateGauges();
 }
@@ -123,7 +123,7 @@ void CompactionScheduler::LockManifest() {
   while (manifest_busy_) {
     manifest_waits_++;
     if (metrics_ != nullptr) {
-      metrics_->counter("scheduler.manifest_waits")->Increment();
+      metrics_->scheduler_manifest_waits.Increment();
     }
     wakeup_->Wait();
   }
@@ -143,20 +143,18 @@ void CompactionScheduler::RecordShardedJob(int shards) {
   sharded_jobs_++;
   shards_run_ += shards;
   if (metrics_ != nullptr) {
-    metrics_->counter("scheduler.sharded_jobs")->Increment();
-    metrics_->counter("scheduler.shards_run")
-        ->Increment(static_cast<uint64_t>(shards));
+    metrics_->scheduler_sharded_jobs.Increment();
+    metrics_->scheduler_shards_run.Increment(static_cast<uint64_t>(shards));
   }
 }
 
 void CompactionScheduler::UpdateGauges() {
   if (metrics_ == nullptr) return;
-  metrics_->gauge("scheduler.workers_scheduled")->Set(scheduled_workers_);
-  metrics_->gauge("scheduler.workers_running")->Set(running_compactions_);
-  metrics_->gauge("scheduler.busy_levels")
-      ->Set(static_cast<int64_t>(busy_levels_));
-  metrics_->gauge("scheduler.flush_scheduled")->Set(flush_scheduled_ ? 1 : 0);
-  metrics_->gauge("scheduler.scrub_scheduled")->Set(scrub_scheduled_ ? 1 : 0);
+  metrics_->scheduler_workers_scheduled.Set(scheduled_workers_);
+  metrics_->scheduler_workers_running.Set(running_compactions_);
+  metrics_->scheduler_busy_levels.Set(static_cast<int64_t>(busy_levels_));
+  metrics_->scheduler_flush_scheduled.Set(flush_scheduled_ ? 1 : 0);
+  metrics_->scheduler_scrub_scheduled.Set(scrub_scheduled_ ? 1 : 0);
 }
 
 std::string CompactionScheduler::DebugString() const {

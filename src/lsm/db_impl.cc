@@ -196,25 +196,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
   scheduler_ = std::make_unique<CompactionScheduler>(
       env_, &background_work_finished_signal_, options_.compaction_threads,
       metrics_);
-  // Pre-register the error/recovery and overload-protection counters so
-  // every metrics snapshot (and the bench/metrics_schema.json gate) sees
-  // them even at zero.
-  for (const char* name :
-       {"db.bg_error.soft", "db.bg_error.hard",
-        "db.bg_error.retryable_ignored", "db.bg_error.resume_attempts",
-        "db.bg_error.resumes", "recovery.opens", "recovery.micros",
-        "wc.delayed_writes", "wc.delay_micros", "wc.stopped_writes",
-        "wc.stop_micros", "wc.memory_stalls", "ratelimiter.bytes_through",
-        "ratelimiter.throttled_bytes", "ratelimiter.wait_micros",
-        "ratelimiter.requests", "obs.trace.dropped_events",
-        "obs.stats_dump.count", "scrub.cycles", "scrub.files_verified",
-        "scrub.bytes_verified", "scrub.corruptions_detected",
-        "integrity.repairs", "integrity.repair_failures",
-        "wal.corruption_records", "wal.corruption_bytes"}) {
-    metrics_->counter(name);
-  }
-  metrics_->gauge("wc.state")->Set(0);
-  metrics_->gauge("integrity.quarantined_files")->Set(0);
   // First periodic scrub fires one interval after open, not at open.
   last_scrub_micros_ = env_->NowMicros();
   table_cache_->SetMetricsRegistry(metrics_);
@@ -469,9 +450,8 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
                    static_cast<int>(bytes), s.ToString().c_str());
       // Replay drops are data loss the client already survived a crash
       // for; surface them so operators see how much the WAL gave up.
-      metrics->counter("wal.corruption_records")->Increment();
-      metrics->counter("wal.corruption_bytes")
-          ->Increment(static_cast<uint64_t>(bytes));
+      metrics->wal_corruption_records.Increment();
+      metrics->wal_corruption_bytes.Increment(static_cast<uint64_t>(bytes));
       if (this->status != nullptr && this->status->ok()) *this->status = s;
     }
   };
@@ -611,10 +591,9 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit, Version* base,
   stats.bytes_written = meta.file_size;
   stats_[level].Add(stats);
 
-  metrics_->counter("db.flush.count")->Increment();
-  metrics_->counter("db.flush.bytes_written")->Increment(meta.file_size);
-  metrics_->histogram("db.flush.micros")
-      ->Observe(static_cast<double>(stats.micros));
+  metrics_->db_flush_count.Increment();
+  metrics_->db_flush_bytes_written.Increment(meta.file_size);
+  metrics_->db_flush_micros.Observe(static_cast<double>(stats.micros));
   if (flush_info != nullptr) {
     flush_info->output_file_number = meta.number;
     flush_info->output_bytes = meta.file_size;
@@ -770,7 +749,7 @@ void DBImpl::RecordBackgroundError(const Status& s) {
     // Transient device conditions belong to the offload path: its
     // retry/fallback machinery owns them, and surfacing them as a
     // sticky background error would wedge writers over a busy card.
-    metrics_->counter("db.bg_error.retryable_ignored")->Increment();
+    metrics_->db_bg_error_retryable_ignored.Increment();
     return;
   }
   const BgErrorSeverity severity = ClassifyBackgroundError(s);
@@ -779,9 +758,9 @@ void DBImpl::RecordBackgroundError(const Status& s) {
   if (bg_error_.ok() || escalates) {
     bg_error_ = s;
     bg_error_severity_ = severity;
-    metrics_->counter(severity == BgErrorSeverity::kHard ? "db.bg_error.hard"
-                                                         : "db.bg_error.soft")
-        ->Increment();
+    (severity == BgErrorSeverity::kHard ? metrics_->db_bg_error_hard
+                                        : metrics_->db_bg_error_soft)
+        .Increment();
     trace_.RecordInstant(
         "bg_error", "db", obs::TraceNowMicros(), 0,
         {{"status", obs::TraceRecorder::Quote(s.ToString())},
@@ -845,7 +824,7 @@ void DBImpl::BackgroundResumeCall() {
 
 Status DBImpl::ResumeLocked() {
   // Requires mutex_ held; only reached with a soft error set.
-  metrics_->counter("db.bg_error.resume_attempts")->Increment();
+  metrics_->db_bg_error_resume_attempts.Increment();
 
   // Prove the storage healthy by durably installing a fresh manifest:
   // the failed incarnation may have torn the old descriptor's tail.
@@ -884,7 +863,7 @@ Status DBImpl::ResumeLocked() {
     bg_error_ = Status::OK();
     bg_error_severity_ = BgErrorSeverity::kNone;
     resume_attempts_ = 0;
-    metrics_->counter("db.bg_error.resumes")->Increment();
+    metrics_->db_bg_error_resumes.Increment();
     trace_.RecordInstant("bg_resume", "db", obs::TraceNowMicros(), 0, {});
     // Reclaim whatever the failed flush/compaction left behind (orphan
     // tables, temp files, stale logs) and restart background work.
@@ -1087,8 +1066,8 @@ Status DBImpl::RunScrubCycle() {
     }
     cycle.files_scanned++;
     cycle.bytes_scanned += report.bytes;
-    metrics_->counter("scrub.files_verified")->Increment();
-    metrics_->counter("scrub.bytes_verified")->Increment(report.bytes);
+    metrics_->scrub_files_verified.Increment();
+    metrics_->scrub_bytes_verified.Increment(report.bytes);
     if (s.IsCorruption()) {
       cycle.corruptions_found++;
       if (HandleCorruptTable(item.number, "scrub", s)) {
@@ -1104,7 +1083,7 @@ Status DBImpl::RunScrubCycle() {
   }
 
   cycle.micros = env_->NowMicros() - start_micros;
-  metrics_->counter("scrub.cycles")->Increment();
+  metrics_->scrub_cycles.Increment();
   trace_.RecordInstant(
       "scrub_cycle", "db", obs::TraceNowMicros(), 0,
       {{"files", std::to_string(cycle.files_scanned)},
@@ -1143,10 +1122,8 @@ bool DBImpl::HandleCorruptTable(uint64_t number, const char* source,
   if (level < 0) {
     return false;  // Compacted away in the meantime; nothing to contain.
   }
-  versions_->quarantine()->Add(number);
-  metrics_->counter("scrub.corruptions_detected")->Increment();
-  metrics_->gauge("integrity.quarantined_files")
-      ->Set(static_cast<int64_t>(versions_->quarantine()->size()));
+  SetQuarantined(number, true);
+  metrics_->scrub_corruptions_detected.Increment();
   // Drop any cached handle so no reader keeps serving blocks cached
   // from the bad bytes before detection.
   table_cache_->Evict(number);
@@ -1194,9 +1171,7 @@ void DBImpl::RepairQuarantinedFile(uint64_t number) {
     }
   }
   if (level < 0) {
-    versions_->quarantine()->Remove(number);
-    metrics_->gauge("integrity.quarantined_files")
-        ->Set(static_cast<int64_t>(versions_->quarantine()->size()));
+    SetQuarantined(number, false);
     return;
   }
 
@@ -1251,10 +1226,8 @@ void DBImpl::RepairQuarantinedFile(uint64_t number) {
 
   pending_outputs_.erase(salvage_number);
   if (install.ok()) {
-    versions_->quarantine()->Remove(number);
-    metrics_->gauge("integrity.quarantined_files")
-        ->Set(static_cast<int64_t>(versions_->quarantine()->size()));
-    metrics_->counter("integrity.repairs")->Increment();
+    SetQuarantined(number, false);
+    metrics_->integrity_repairs.Increment();
     trace_.RecordInstant(
         "repair", "db", obs::TraceNowMicros(), 0,
         {{"file", std::to_string(number)},
@@ -1264,7 +1237,7 @@ void DBImpl::RepairQuarantinedFile(uint64_t number) {
     // The corrupt physical file is unreferenced now; reclaim it.
     RemoveObsoleteFiles();
   } else {
-    metrics_->counter("integrity.repair_failures")->Increment();
+    metrics_->integrity_repair_failures.Increment();
     // Scrap any partial salvage output; the quarantine stays in place
     // so reads keep routing around the damage.
     mutex_.Unlock();
@@ -1396,7 +1369,7 @@ void DBImpl::BackgroundCompaction() {
     if (!is_manual && c->IsTrivialMove()) {
       // Move file to next level.
       assert(c->num_input_files(0) == 1);
-      metrics_->counter("db.compaction.trivial_moves")->Increment();
+      metrics_->db_compaction_trivial_moves.Increment();
       FileMetaData* f = c->input(0, 0);
       c->edit()->RemoveFile(c->level(), f->number);
       c->edit()->AddFile(c->level() + 1, *f);  // Checksum moves with it.
@@ -1816,20 +1789,18 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
   stats.bytes_read = exec_stats.bytes_read;
   stats.bytes_written = exec_stats.bytes_written;
   stats_[level + 1].Add(stats);
-  metrics_->counter("db.compaction.count")->Increment();
-  metrics_->counter(exec_stats.offloaded ? "db.compaction.offloaded"
-                                         : "db.compaction.cpu")
-      ->Increment();
-  if (exec_stats.fell_back) {
-    metrics_->counter("db.compaction.fallbacks")->Increment();
-  }
-  metrics_->counter("db.compaction.bytes_read")
-      ->Increment(static_cast<uint64_t>(exec_stats.bytes_read));
-  metrics_->counter("db.compaction.bytes_written")
-      ->Increment(static_cast<uint64_t>(exec_stats.bytes_written));
-  metrics_->counter("db.compaction.entries_dropped")
-      ->Increment(exec_stats.entries_dropped);
-  metrics_->histogram("db.compaction.micros")->Observe(exec_stats.micros);
+  metrics_->db_compaction_count.Increment();
+  (exec_stats.offloaded ? metrics_->db_compaction_offloaded
+                        : metrics_->db_compaction_cpu)
+      .Increment();
+  if (exec_stats.fell_back) metrics_->db_compaction_fallbacks.Increment();
+  metrics_->db_compaction_bytes_read.Increment(
+      static_cast<uint64_t>(exec_stats.bytes_read));
+  metrics_->db_compaction_bytes_written.Increment(
+      static_cast<uint64_t>(exec_stats.bytes_written));
+  metrics_->db_compaction_entries_dropped.Increment(
+      exec_stats.entries_dropped);
+  metrics_->db_compaction_micros.Observe(exec_stats.micros);
   compaction_span.AddArg("offloaded", exec_stats.offloaded ? "true" : "false");
   compaction_span.AddArg("fallback", exec_stats.fell_back ? "true" : "false");
   job_info.offloaded = exec_stats.offloaded;
@@ -1961,19 +1932,26 @@ Iterator* DBImpl::TEST_NewInternalIterator() {
   return NewInternalIterator(ReadOptions(), &ignored, &ignored_seed);
 }
 
+void DBImpl::SetQuarantined(uint64_t number, bool quarantined) {
+  // Requires mutex_ held.
+  if (quarantined) {
+    versions_->quarantine()->Add(number);
+  } else {
+    versions_->quarantine()->Remove(number);
+  }
+  metrics_->integrity_quarantined_files.Set(
+      static_cast<int64_t>(versions_->quarantine()->size()));
+}
+
 void DBImpl::TEST_QuarantineFile(uint64_t number) {
   MutexLock l(&mutex_);
-  versions_->quarantine()->Add(number);
-  metrics_->gauge("integrity.quarantined_files")
-      ->Set(static_cast<int64_t>(versions_->quarantine()->size()));
+  SetQuarantined(number, true);
   table_cache_->Evict(number);
 }
 
 void DBImpl::TEST_UnquarantineFile(uint64_t number) {
   MutexLock l(&mutex_);
-  versions_->quarantine()->Remove(number);
-  metrics_->gauge("integrity.quarantined_files")
-      ->Set(static_cast<int64_t>(versions_->quarantine()->size()));
+  SetQuarantined(number, false);
 }
 
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
@@ -2222,26 +2200,25 @@ void DBImpl::PumpRateLimiterMetrics() {
   if (limiter == nullptr) return;
   uint64_t total = limiter->total_bytes_through();
   if (total > rl_exported_bytes_through_) {
-    metrics_->counter("ratelimiter.bytes_through")
-        ->Increment(total - rl_exported_bytes_through_);
+    metrics_->ratelimiter_bytes_through.Increment(
+        total - rl_exported_bytes_through_);
     rl_exported_bytes_through_ = total;
   }
   total = limiter->total_throttled_bytes();
   if (total > rl_exported_throttled_bytes_) {
-    metrics_->counter("ratelimiter.throttled_bytes")
-        ->Increment(total - rl_exported_throttled_bytes_);
+    metrics_->ratelimiter_throttled_bytes.Increment(
+        total - rl_exported_throttled_bytes_);
     rl_exported_throttled_bytes_ = total;
   }
   total = limiter->total_wait_micros();
   if (total > rl_exported_wait_micros_) {
-    metrics_->counter("ratelimiter.wait_micros")
-        ->Increment(total - rl_exported_wait_micros_);
+    metrics_->ratelimiter_wait_micros.Increment(
+        total - rl_exported_wait_micros_);
     rl_exported_wait_micros_ = total;
   }
   total = limiter->total_requests();
   if (total > rl_exported_requests_) {
-    metrics_->counter("ratelimiter.requests")
-        ->Increment(total - rl_exported_requests_);
+    metrics_->ratelimiter_requests.Increment(total - rl_exported_requests_);
     rl_exported_requests_ = total;
   }
 }
@@ -2249,8 +2226,8 @@ void DBImpl::PumpRateLimiterMetrics() {
 void DBImpl::PumpTraceMetrics() {
   const uint64_t dropped = trace_.events_dropped();
   if (dropped > trace_dropped_exported_) {
-    metrics_->counter("obs.trace.dropped_events")
-        ->Increment(dropped - trace_dropped_exported_);
+    metrics_->obs_trace_dropped_events.Increment(
+        dropped - trace_dropped_exported_);
     trace_dropped_exported_ = dropped;
   }
 }
@@ -2305,7 +2282,7 @@ void DBImpl::DumpStats(uint64_t seq) {
   }
   std::string text;
   if (!GetProperty("fcae.stats", &text)) return;
-  metrics_->counter("obs.stats_dump.count")->Increment();
+  metrics_->obs_stats_dump_count.Increment();
   if (options_.info_log != nullptr) {
     obs::LogRecord record;
     record.level = obs::LogRecord::Level::kInfo;
@@ -2349,7 +2326,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
     const WriteController::State prev_state = write_controller_.state();
     const WriteController::State state = write_controller_.Update(cond);
     if (state != prev_state) {
-      metrics_->gauge("wc.state")->Set(static_cast<int64_t>(state));
+      metrics_->wc_state.Set(static_cast<int64_t>(state));
       trace_.RecordInstant(
           "wc_state", "db", obs::TraceNowMicros(), 0,
           {{"state",
@@ -2384,10 +2361,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         }
       }
       allow_delay = false;  // Do not delay a single write more than once.
-      metrics_->counter("wc.delayed_writes")->Increment();
-      metrics_->counter("wc.delay_micros")->Increment(waited);
-      metrics_->histogram("db.write.delay_micros")
-          ->Observe(static_cast<double>(waited));
+      metrics_->db_write_delay_micros.Observe(static_cast<double>(waited));
       FCAE_PERF_COUNT(write_delays, 1);
       FCAE_PERF_TIME(write_delay_micros, waited);
       NotifyWriteStall(/*begin=*/false, obs::WriteStallCause::kCompactionDebt,
@@ -2402,19 +2376,16 @@ Status DBImpl::MakeRoomForWrite(bool force) {
     } else if (imm_ != nullptr) {
       // Either the current memtable is full while the previous one is
       // still being flushed, or the global memory budget is exhausted;
-      // both drain through the in-flight flush, so wait on it. Counts
-      // are recorded before the wait so an observer can see a blocked
-      // writer; durations after. Any stop with the pair at the budget is
-      // a memory stop, also when one group commit carried the live
-      // memtable past write_buffer_size in a single step.
+      // both drain through the in-flight flush, so wait on it. Any stop
+      // with the pair at the budget is a memory stop, also when one
+      // group commit carried the live memtable past write_buffer_size in
+      // a single step. Each pass is one sample of its cause's histogram.
       const bool memory_stop =
           !force && options_.total_write_buffer_size > 0 &&
           cond.memtable_bytes >= options_.total_write_buffer_size;
-      if (memory_stop) {
-        metrics_->counter("wc.memory_stalls")->Increment();
-        metrics_->counter("wc.stopped_writes")->Increment();
-      }
-      metrics_->counter("db.write.stall_memtable")->Increment();
+      obs::HistogramMetric& stop_micros =
+          memory_stop ? metrics_->db_write_memory_stop_micros
+                      : metrics_->db_write_memtable_stop_micros;
       NotifyWriteStall(/*begin=*/true, obs::WriteStallCause::kMemtableFull,
                        0);
       if (imm_ == nullptr) {
@@ -2422,6 +2393,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         // the notification — its wakeup signal already fired, so
         // waiting now could sleep forever. Close the event and
         // re-evaluate.
+        stop_micros.Observe(0);
         NotifyWriteStall(/*begin=*/false, obs::WriteStallCause::kMemtableFull,
                          0);
         continue;
@@ -2429,12 +2401,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       const uint64_t start = env_->NowMicros();
       background_work_finished_signal_.Wait();
       const uint64_t waited = env_->NowMicros() - start;
-      metrics_->counter("db.write.stall_memtable_micros")->Increment(waited);
-      if (memory_stop) {
-        metrics_->counter("wc.stop_micros")->Increment(waited);
-      }
-      metrics_->histogram("db.write.stall_micros")
-          ->Observe(static_cast<double>(waited));
+      stop_micros.Observe(static_cast<double>(waited));
       FCAE_PERF_COUNT(write_stops, 1);
       FCAE_PERF_TIME(write_stop_micros, waited);
       NotifyWriteStall(/*begin=*/false, obs::WriteStallCause::kMemtableFull,
@@ -2444,8 +2411,6 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       // imm in flight and is handled above). Block on the condvar —
       // every install, Resume(), and background-error transition
       // signals it.
-      metrics_->counter("db.write.stall_l0")->Increment();
-      metrics_->counter("wc.stopped_writes")->Increment();
       MaybeScheduleCompaction();
       NotifyWriteStall(/*begin=*/true, obs::WriteStallCause::kL0Stop, 0);
       if (write_controller_.Update(SampleWriteStallConditions()) !=
@@ -2453,6 +2418,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         // The stop condition cleared while the mutex was dropped for
         // the notification; its signal already fired, so close the
         // event and re-evaluate instead of waiting.
+        metrics_->db_write_l0_stop_micros.Observe(0);
         NotifyWriteStall(/*begin=*/false, obs::WriteStallCause::kL0Stop, 0);
         continue;
       }
@@ -2463,10 +2429,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       const uint64_t start = env_->NowMicros();
       background_work_finished_signal_.Wait();
       const uint64_t waited = env_->NowMicros() - start;
-      metrics_->counter("db.write.stall_l0_micros")->Increment(waited);
-      metrics_->counter("wc.stop_micros")->Increment(waited);
-      metrics_->histogram("db.write.stall_micros")
-          ->Observe(static_cast<double>(waited));
+      metrics_->db_write_l0_stop_micros.Observe(static_cast<double>(waited));
       FCAE_PERF_COUNT(write_stops, 1);
       FCAE_PERF_TIME(write_stop_micros, waited);
       NotifyWriteStall(/*begin=*/false, obs::WriteStallCause::kL0Stop,
@@ -2551,25 +2514,33 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     // Every line below the level table reads the registry. With a
     // registry shared by several opens, the cumulative lines report its
     // totals, as the Interval lines report its activity.
-    const obs::MetricsRegistry::Snapshot now = metrics_->TakeSnapshot();
-    const auto total = [&](const char* name) -> unsigned long long {
-      return now.CounterValue(name);
+    using Snapshot = obs::MetricsRegistry::Snapshot;
+    const Snapshot now = metrics_->TakeSnapshot();
+    const auto delta = [&](uint64_t Snapshot::*counter) {
+      return static_cast<unsigned long long>(now.*counter -
+                                             stats_window_.*counter);
     };
-    const auto delta = [&](const char* name) -> unsigned long long {
-      const uint64_t cur = now.CounterValue(name);
-      const uint64_t before = stats_window_.CounterValue(name);
-      return cur >= before ? cur - before : 0;
-    };
-    const auto append_pauses = [&](const char* label, const auto& count) {
+    // One pause line from the stall histograms' counts and exact sums,
+    // since `base`: memory-budget stops are memtable waits too.
+    const auto append_pauses = [&](const char* label, const Snapshot& base) {
+      const auto passes = [&](Histogram Snapshot::*h) {
+        return static_cast<unsigned long long>((now.*h).Count() -
+                                               (base.*h).Count());
+      };
+      const auto ms = [&](Histogram Snapshot::*h) {
+        return ((now.*h).Sum() - (base.*h).Sum()) / 1e3;
+      };
       AppendF(value,
               "%s: slowdowns=%llu (%.1f ms) memtable-waits=%llu (%.1f ms) "
               "l0-stops=%llu (%.1f ms)\n",
-              label, count("wc.delayed_writes"),
-              count("wc.delay_micros") / 1e3,
-              count("db.write.stall_memtable"),
-              count("db.write.stall_memtable_micros") / 1e3,
-              count("db.write.stall_l0"),
-              count("db.write.stall_l0_micros") / 1e3);
+              label, passes(&Snapshot::db_write_delay_micros),
+              ms(&Snapshot::db_write_delay_micros),
+              passes(&Snapshot::db_write_memtable_stop_micros) +
+                  passes(&Snapshot::db_write_memory_stop_micros),
+              ms(&Snapshot::db_write_memtable_stop_micros) +
+                  ms(&Snapshot::db_write_memory_stop_micros),
+              passes(&Snapshot::db_write_l0_stop_micros),
+              ms(&Snapshot::db_write_l0_stop_micros));
     };
     value->append(
         "                               Compactions\n"
@@ -2588,10 +2559,11 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     AppendF(value,
             "Compactions executed: cpu=%llu offloaded=%llu "
             "fallback=%llu (device %.3f ms kernel, %.3f ms pcie)\n",
-            total("db.compaction.cpu"), total("db.compaction.offloaded"),
-            total("db.compaction.fallbacks"),
+            static_cast<unsigned long long>(now.db_compaction_cpu),
+            static_cast<unsigned long long>(now.db_compaction_offloaded),
+            static_cast<unsigned long long>(now.db_compaction_fallbacks),
             exec_stats_.device_micros / 1e3, exec_stats_.pcie_micros / 1e3);
-    append_pauses("Write pauses", total);
+    append_pauses("Write pauses", Snapshot());
     // Interval section: activity since the previous "fcae.stats" read
     // (or since Open for the first one). The stats dumper reads this
     // property each period, so its records show per-window figures
@@ -2599,16 +2571,16 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     AppendF(value,
             "Interval: flushes=%llu (%.3f MB) compactions=%llu "
             "(read %.3f MB, wrote %.3f MB)\n",
-            delta("db.flush.count"),
-            delta("db.flush.bytes_written") / 1048576.0,
-            delta("db.compaction.count"),
-            delta("db.compaction.bytes_read") / 1048576.0,
-            delta("db.compaction.bytes_written") / 1048576.0);
-    append_pauses("Interval", delta);
+            delta(&Snapshot::db_flush_count),
+            delta(&Snapshot::db_flush_bytes_written) / 1048576.0,
+            delta(&Snapshot::db_compaction_count),
+            delta(&Snapshot::db_compaction_bytes_read) / 1048576.0,
+            delta(&Snapshot::db_compaction_bytes_written) / 1048576.0);
+    append_pauses("Interval", stats_window_);
     stats_window_ = now;
     return true;
   } else if (in == Slice("metrics")) {
-    // JSON snapshot of every registered counter/gauge/histogram; see
+    // JSON snapshot of every declared counter/gauge/histogram; see
     // DESIGN.md §7 for the naming scheme. Executor/device metrics land
     // in the same registry, so one snapshot covers all layers.
     *value = metrics_->ToJson();
@@ -2619,19 +2591,19 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     return true;
   } else if (in == Slice("device-health")) {
     // One line of robustness/fault counters for the offload path: how
-    // compactions were routed (the registry's db.compaction.* counters),
+    // compactions were routed (the registry's compaction counters),
     // what the device attempts cost, and the primary executor's own
     // health dump (breaker state per card).
-    const obs::MetricsRegistry::Snapshot now = metrics_->TakeSnapshot();
-    const auto total = [&](const char* name) -> unsigned long long {
-      return now.CounterValue(name);
-    };
     AppendF(value,
             "executor=%s compactions{offloaded=%llu cpu=%llu fallback=%llu} "
             "device{attempts=%llu retries=%llu faults=%llu "
             "verify-rejects=%llu verify-ms=%.3f}",
-            primary_executor_->Name(), total("db.compaction.offloaded"),
-            total("db.compaction.cpu"), total("db.compaction.fallbacks"),
+            primary_executor_->Name(),
+            static_cast<unsigned long long>(
+                metrics_->db_compaction_offloaded.value()),
+            static_cast<unsigned long long>(metrics_->db_compaction_cpu.value()),
+            static_cast<unsigned long long>(
+                metrics_->db_compaction_fallbacks.value()),
             static_cast<unsigned long long>(exec_stats_.device_attempts),
             static_cast<unsigned long long>(exec_stats_.device_retries),
             static_cast<unsigned long long>(exec_stats_.device_faults),
@@ -2735,8 +2707,7 @@ CompactionExecStats DBImpl::OffloadStats() {
 }
 
 int64_t DBImpl::FallbackCompactions() {
-  return static_cast<int64_t>(
-      metrics_->TakeSnapshot().CounterValue("db.compaction.fallbacks"));
+  return static_cast<int64_t>(metrics_->db_compaction_fallbacks.value());
 }
 
 DB::~DB() = default;
@@ -2795,9 +2766,9 @@ Status DB::Open(const Options& options, const std::string& dbname,
   impl->mutex_.Unlock();
   if (s.ok()) {
     assert(impl->mem_ != nullptr);
-    impl->metrics_->counter("recovery.opens")->Increment();
-    impl->metrics_->counter("recovery.micros")
-        ->Increment(impl->env_->NowMicros() - recover_start_micros);
+    impl->metrics_->recovery_opens.Increment();
+    impl->metrics_->recovery_micros.Increment(impl->env_->NowMicros() -
+                                              recover_start_micros);
     if (impl->stats_dumper_ != nullptr) {
       impl->stats_dumper_->Start();
     }

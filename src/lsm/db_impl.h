@@ -89,7 +89,7 @@ class DBImpl : public DB {
 
   /// Compactions the primary (device) executor failed and the CPU
   /// executor completed instead (graceful degradation): the registry's
-  /// db.compaction.fallbacks.
+  /// db_compaction_fallbacks.
   int64_t FallbackCompactions();
 
  private:
@@ -148,7 +148,7 @@ class DBImpl : public DB {
   /// shared across DBs still export sane per-registry values).
   void PumpRateLimiterMetrics() REQUIRES(mutex_);
 
-  /// Bridges trace-ring evictions into the `obs.trace.dropped_events`
+  /// Bridges trace-ring evictions into the registry's dropped-events
   /// counter (delta-based, same discipline as PumpRateLimiterMetrics).
   void PumpTraceMetrics() REQUIRES(mutex_);
 
@@ -217,6 +217,10 @@ class DBImpl : public DB {
 
   /// True iff `number` is a table in the current version.
   bool TableIsLive(uint64_t number) REQUIRES(mutex_);
+
+  /// Adds `number` to (or removes it from) the quarantine set; the one
+  /// site that updates the quarantined-files gauge.
+  void SetQuarantined(uint64_t number, bool quarantined) REQUIRES(mutex_);
 
   /// Contains a detected-corrupt table: quarantines it (reads route
   /// around it from here on), evicts its cached handle, and emits the
@@ -407,8 +411,8 @@ class DBImpl : public DB {
   uint64_t rl_exported_throttled_bytes_ GUARDED_BY(mutex_) = 0;
   uint64_t rl_exported_wait_micros_ GUARDED_BY(mutex_) = 0;
   uint64_t rl_exported_requests_ GUARDED_BY(mutex_) = 0;
-  // Trace-ring evictions already exported into obs.trace.dropped_events
-  // (the recorder keeps its own monotonic total; see PumpTraceMetrics).
+  // Trace-ring evictions already exported into the registry (the
+  // recorder keeps its own monotonic total; see PumpTraceMetrics).
   uint64_t trace_dropped_exported_ GUARDED_BY(mutex_) = 0;
 
   // Baseline for the interval section of GetProperty("fcae.stats"):

@@ -38,14 +38,8 @@ TableCache::TableCache(const std::string& dbname, const Options& options,
       cache_(NewLRUCache(entries)) {}
 
 void TableCache::SetMetricsRegistry(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  // Bound once here: registering also makes snapshots carry zeros
-  // before the first read.
-  registry->gauge("db.table_cache.capacity")->Set(capacity_);
-  hits_ = registry->counter("db.table_cache.hits");
-  misses_ = registry->counter("db.table_cache.misses");
-  open_tables_ = registry->gauge("db.table_cache.open_tables");
-  open_tables_->Set(static_cast<int64_t>(OpenTableCount()));
+  metrics_ = registry;
+  if (metrics_ != nullptr) metrics_->db_table_cache_capacity.Set(capacity_);
 }
 
 Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
@@ -57,11 +51,11 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
   *handle = cache_->Lookup(key);
   if (*handle != nullptr) {
     FCAE_PERF_COUNT(table_cache_hits, 1);
-    if (hits_ != nullptr) hits_->Increment();
+    if (metrics_ != nullptr) metrics_->db_table_cache_hits.Increment();
   }
   if (*handle == nullptr) {
     FCAE_PERF_COUNT(table_cache_misses, 1);
-    if (misses_ != nullptr) misses_->Increment();
+    if (metrics_ != nullptr) metrics_->db_table_cache_misses.Increment();
     std::string fname = TableFileName(dbname_, file_number);
     RandomAccessFile* file = nullptr;
     Table* table = nullptr;
@@ -80,10 +74,11 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
       tf->file = file;
       tf->table = table;
       *handle = cache_->Insert(key, tf, 1, &DeleteEntry);
-      if (open_tables_ != nullptr) {
+      if (metrics_ != nullptr) {
         // The insert may have evicted (and closed) the LRU victim: the
         // gauge tracks descriptors actually held, never past capacity_.
-        open_tables_->Set(static_cast<int64_t>(OpenTableCount()));
+        metrics_->db_table_cache_open_tables.Set(
+            static_cast<int64_t>(OpenTableCount()));
       }
     }
   }
@@ -130,8 +125,9 @@ void TableCache::Evict(uint64_t file_number) {
   char buf[sizeof(file_number)];
   EncodeFixed64(buf, file_number);
   cache_->Erase(Slice(buf, sizeof(buf)));
-  if (open_tables_ != nullptr) {
-    open_tables_->Set(static_cast<int64_t>(OpenTableCount()));
+  if (metrics_ != nullptr) {
+    metrics_->db_table_cache_open_tables.Set(
+        static_cast<int64_t>(OpenTableCount()));
   }
 }
 

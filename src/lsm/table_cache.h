@@ -13,8 +13,6 @@
 namespace fcae {
 
 namespace obs {
-class Counter;
-class Gauge;
 class MetricsRegistry;
 }  // namespace obs
 
@@ -50,8 +48,8 @@ class TableCache {
   void Evict(uint64_t file_number);
 
   /// Publishes the open-file budget into `registry` (borrowed; must
-  /// outlive the cache): `db.table_cache.capacity` / `.open_tables`
-  /// gauges and `.hits` / `.misses` counters. The capacity — derived
+  /// outlive the cache): the table-cache capacity and open-table
+  /// gauges and the hit/miss counters. The capacity — derived
   /// from Options::max_open_files — is the DB's descriptor budget:
   /// the LRU evicts (closing the file) before ever exceeding it.
   void SetMetricsRegistry(obs::MetricsRegistry* registry);
@@ -68,10 +66,7 @@ class TableCache {
   const Options& options_;
   const int capacity_;
   std::unique_ptr<Cache> cache_;
-  // Bound by SetMetricsRegistry (owned by the registry); null without one.
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Gauge* open_tables_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;  // Borrowed; may be null.
 };
 
 }  // namespace fcae

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <utility>
@@ -65,6 +66,16 @@ std::string PrometheusName(const std::string& name) {
   return out;
 }
 
+/// `<layer>.card<n>.<measure>`: the exported name of a card instrument.
+std::string CardName(const char* layer, int n, const char* measure) {
+  std::string name = layer;
+  name += ".card";
+  name += std::to_string(n);
+  name += '.';
+  name += measure;
+  return name;
+}
+
 }  // namespace
 
 std::string JsonEscape(const std::string& in) {
@@ -100,31 +111,72 @@ std::string JsonEscape(const std::string& in) {
   return out;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
+CardInstruments* MetricsRegistry::card(int n) {
   MutexLock lock(&mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot.reset(new Counter());
-  }
-  return slot.get();
+  std::unique_ptr<CardInstruments>& block = cards_[n];
+  if (block == nullptr) block = std::make_unique<CardInstruments>();
+  return block.get();
 }
 
-Gauge* MetricsRegistry::gauge(const std::string& name) {
+MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
+  Snapshot snap;
+#define FCAE_COUNTER(member, name) snap.member = member.value();
+#define FCAE_GAUGE(member, name) snap.member = member.value();
+#define FCAE_HISTOGRAM(member, name) snap.member = member.snapshot();
+#include "obs/instruments.def"
   MutexLock lock(&mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot.reset(new Gauge());
+  for (const auto& [n, block] : cards_) {
+    Snapshot::CardCounters& counters = snap.cards[n];
+#define FCAE_CARD_COUNTER(member, layer) \
+  counters.member = block->member.value();
+#include "obs/instruments.def"
   }
-  return slot.get();
+  return snap;
 }
 
-HistogramMetric* MetricsRegistry::histogram(const std::string& name) {
-  MutexLock lock(&mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot.reset(new HistogramMetric());
+MetricsRegistry::Rows MetricsRegistry::Collect(const Snapshot& since) const {
+  Rows rows;
+  const auto counter_row = [&](std::string name, const Counter& c,
+                               uint64_t before) {
+    const uint64_t now = c.value();
+    rows.counters.emplace_back(std::move(name),
+                               now >= before ? now - before : 0);
+  };
+  const auto gauge_row = [&](std::string name, const Gauge& g) {
+    rows.gauges.emplace_back(std::move(name), g.value());
+  };
+  const auto histogram_row = [&](std::string name,
+                                 const HistogramMetric& h,
+                                 const Histogram& before) {
+    Histogram window = h.snapshot();
+    if (before.Count() > 0) window.Subtract(before);
+    rows.histograms.emplace_back(std::move(name), std::move(window));
+  };
+#define FCAE_COUNTER(member, name) counter_row(name, member, since.member);
+#define FCAE_GAUGE(member, name) gauge_row(name, member);
+#define FCAE_HISTOGRAM(member, name) \
+  histogram_row(name, member, since.member);
+#include "obs/instruments.def"
+  {
+    MutexLock lock(&mutex_);
+    for (const auto& [n, block] : cards_) {
+      auto it = since.cards.find(n);
+      const Snapshot::CardCounters before =
+          it != since.cards.end() ? it->second : Snapshot::CardCounters();
+#define FCAE_CARD_COUNTER(member, layer) \
+  counter_row(CardName(layer, n, #member), block->member, before.member);
+#define FCAE_CARD_GAUGE(member, layer) \
+  gauge_row(CardName(layer, n, #member), block->member);
+#include "obs/instruments.def"
+    }
   }
-  return slot.get();
+  const auto by_name = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(rows.counters.begin(), rows.counters.end(), by_name);
+  std::sort(rows.gauges.begin(), rows.gauges.end(), by_name);
+  std::sort(rows.histograms.begin(), rows.histograms.end(), by_name);
+  return rows;
 }
 
 std::string MetricsRegistry::ToJson() const {
@@ -133,58 +185,27 @@ std::string MetricsRegistry::ToJson() const {
   return ToJsonSince(Snapshot());
 }
 
-uint64_t MetricsRegistry::Snapshot::CounterValue(
-    const std::string& name) const {
-  auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second;
-}
-
-MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
-  Snapshot snap;
-  MutexLock lock(&mutex_);
-  for (const auto& [name, counter] : counters_) {
-    snap.counters[name] = counter->value();
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges[name] = gauge->value();
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    snap.histograms[name] = histogram->snapshot();
-  }
-  return snap;
-}
-
 std::string MetricsRegistry::ToJsonSince(const Snapshot& since) const {
-  MutexLock lock(&mutex_);
+  const Rows rows = Collect(since);
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    const uint64_t now = counter->value();
-    const uint64_t before = since.CounterValue(name);
+  for (const auto& [name, value] : rows.counters) {
     AppendF(&out, "%s\n    \"%s\": %llu", first ? "" : ",",
-            JsonEscape(name).c_str(),
-            static_cast<unsigned long long>(now >= before ? now - before
-                                                          : 0));
+            JsonEscape(name).c_str(), static_cast<unsigned long long>(value));
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
   first = true;
-  for (const auto& [name, gauge] : gauges_) {
+  for (const auto& [name, value] : rows.gauges) {
     AppendF(&out, "%s\n    \"%s\": %lld", first ? "" : ",",
-            JsonEscape(name).c_str(),
-            static_cast<long long>(gauge->value()));
+            JsonEscape(name).c_str(), static_cast<long long>(value));
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    Histogram h = histogram->snapshot();
-    auto it = since.histograms.find(name);
-    if (it != since.histograms.end()) {
-      h.Subtract(it->second);
-    }
+  for (const auto& [name, h] : rows.histograms) {
     AppendF(&out, "%s\n    \"%s\": ", first ? "" : ",",
             JsonEscape(name).c_str());
     AppendHistogramJson(&out, h);
@@ -196,22 +217,20 @@ std::string MetricsRegistry::ToJsonSince(const Snapshot& since) const {
 }
 
 std::string MetricsRegistry::ExportPrometheus() const {
-  MutexLock lock(&mutex_);
+  const Rows rows = Collect(Snapshot());
   std::string out;
-  for (const auto& [name, counter] : counters_) {
+  for (const auto& [name, value] : rows.counters) {
     const std::string prom = PrometheusName(name);
     AppendF(&out, "# TYPE %s counter\n", prom.c_str());
     AppendF(&out, "%s %llu\n", prom.c_str(),
-            static_cast<unsigned long long>(counter->value()));
+            static_cast<unsigned long long>(value));
   }
-  for (const auto& [name, gauge] : gauges_) {
+  for (const auto& [name, value] : rows.gauges) {
     const std::string prom = PrometheusName(name);
     AppendF(&out, "# TYPE %s gauge\n", prom.c_str());
-    AppendF(&out, "%s %lld\n", prom.c_str(),
-            static_cast<long long>(gauge->value()));
+    AppendF(&out, "%s %lld\n", prom.c_str(), static_cast<long long>(value));
   }
-  for (const auto& [name, histogram] : histograms_) {
-    Histogram h = histogram->snapshot();
+  for (const auto& [name, h] : rows.histograms) {
     const std::string prom = PrometheusName(name);
     const bool empty = h.Count() == 0;
     AppendF(&out, "# TYPE %s summary\n", prom.c_str());
@@ -223,7 +242,7 @@ std::string MetricsRegistry::ExportPrometheus() const {
       out += "\n";
     }
     AppendF(&out, "%s_sum ", prom.c_str());
-    AppendDouble(&out, h.Average() * static_cast<double>(h.Count()));
+    AppendDouble(&out, h.Sum());
     out += "\n";
     AppendF(&out, "%s_count %llu\n", prom.c_str(),
             static_cast<unsigned long long>(h.Count()));

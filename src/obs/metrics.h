@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/histogram.h"
@@ -17,8 +18,8 @@ namespace obs {
 
 /// A monotonically increasing counter. Increment is a relaxed atomic
 /// add — safe from any thread, cheap enough for hot paths (single
-/// uncontended RMW). Instances are owned by a MetricsRegistry and live
-/// as long as it does; the pointer returned by registration is stable.
+/// uncontended RMW). The registry's counters are its members
+/// (obs/instruments.def); a standalone Counter works the same way.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
@@ -27,8 +28,6 @@ class Counter {
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsRegistry;
-  Counter() = default;
   std::atomic<uint64_t> value_{0};
 };
 
@@ -40,9 +39,17 @@ class Gauge {
   void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
+  /// Raises the gauge to `value` if that is higher. A compare-exchange
+  /// loop, so concurrent peaks never lower each other.
+  void UpdateMax(int64_t value) {
+    int64_t seen = value_.load(std::memory_order_relaxed);
+    while (value > seen &&
+           !value_.compare_exchange_weak(seen, value,
+                                         std::memory_order_relaxed)) {
+    }
+  }
+
  private:
-  friend class MetricsRegistry;
-  Gauge() = default;
   std::atomic<int64_t> value_{0};
 };
 
@@ -64,22 +71,23 @@ class HistogramMetric {
   }
 
  private:
-  friend class MetricsRegistry;
-  HistogramMetric() = default;
   mutable Mutex mutex_;
   Histogram histogram_ GUARDED_BY(mutex_);
 };
 
-/// A thread-safe registry of named metrics.
-///
-/// Naming scheme (see DESIGN.md §7): dotted lowercase
-/// `<layer>.<subsystem>.<measure>[_<unit>]`, e.g.
-/// `db.compaction.micros`, `fpga.decoder.fetch_stalls`,
-/// `health.card0.quarantines`. Registration (`counter()` / `gauge()` /
-/// `histogram()`) takes the registry mutex once; callers on hot paths
-/// should cache the returned pointer, which stays valid for the
-/// registry's lifetime. Re-registering a name returns the existing
-/// instrument, so independent components can share one time series.
+/// One offload card's instruments, exported as `<layer>.card<n>.<member>`.
+struct CardInstruments {
+#define FCAE_CARD_COUNTER(member, layer) Counter member;
+#define FCAE_CARD_GAUGE(member, layer) Gauge member;
+#include "obs/instruments.def"
+};
+
+/// The engine's metrics: one member per instrument declared in
+/// obs/instruments.def, each at zero from construction, plus one
+/// CardInstruments block per offload card. Call sites update a member
+/// directly (`metrics->db_flush_count.Increment()`); no call creates an
+/// instrument from a name. Members are safe to update from any thread;
+/// exports and card() take the registry mutex.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -87,11 +95,16 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter* counter(const std::string& name) EXCLUDES(mutex_);
-  Gauge* gauge(const std::string& name) EXCLUDES(mutex_);
-  HistogramMetric* histogram(const std::string& name) EXCLUDES(mutex_);
+#define FCAE_COUNTER(member, name) Counter member;
+#define FCAE_GAUGE(member, name) Gauge member;
+#define FCAE_HISTOGRAM(member, name) HistogramMetric member;
+#include "obs/instruments.def"
 
-  /// One JSON object with every registered metric:
+  /// Card `n`'s block, created at zero on first use. The pointer stays
+  /// valid for the registry's lifetime.
+  CardInstruments* card(int n) EXCLUDES(mutex_);
+
+  /// One JSON object with every instrument:
   ///   {"counters": {name: n, ...},
   ///    "gauges": {name: n, ...},
   ///    "histograms": {name: {"count": n, "min": x, "max": x,
@@ -100,24 +113,27 @@ class MetricsRegistry {
   /// Names are emitted in sorted order so snapshots diff cleanly.
   std::string ToJson() const EXCLUDES(mutex_);
 
-  /// A point-in-time copy of every instrument. Subtracting an earlier
-  /// snapshot from current values yields the interval (windowed) view
-  /// the stats dumper and GetProperty("fcae.stats") report.
+  /// A point-in-time copy of every instrument, one field per declared
+  /// instrument plus the card counters. Subtracting an earlier snapshot
+  /// from current values yields the interval (windowed) view the stats
+  /// dumper and GetProperty("fcae.stats") report.
   struct Snapshot {
-    std::map<std::string, uint64_t> counters;
-    std::map<std::string, int64_t> gauges;
-    std::map<std::string, Histogram> histograms;
-
-    /// Value this snapshot holds for a counter, 0 when it had not been
-    /// registered yet — the right baseline for a delta.
-    uint64_t CounterValue(const std::string& name) const;
+#define FCAE_COUNTER(member, name) uint64_t member = 0;
+#define FCAE_GAUGE(member, name) int64_t member = 0;
+#define FCAE_HISTOGRAM(member, name) Histogram member;
+#include "obs/instruments.def"
+    struct CardCounters {
+#define FCAE_CARD_COUNTER(member, layer) uint64_t member = 0;
+#include "obs/instruments.def"
+    };
+    std::map<int, CardCounters> cards;  // By card index.
   };
   Snapshot TakeSnapshot() const EXCLUDES(mutex_);
 
   /// Same JSON shape as ToJson(), but counters and histograms report
   /// the interval since `since`. Gauges are point-in-time by nature
-  /// and are emitted unchanged. Instruments registered after the
-  /// snapshot report their full value (baseline 0).
+  /// and are emitted unchanged. A card created after the snapshot
+  /// reports its full value (baseline 0).
   std::string ToJsonSince(const Snapshot& since) const EXCLUDES(mutex_);
 
   /// Prometheus text exposition (format 0.0.4). Dotted names are
@@ -128,12 +144,16 @@ class MetricsRegistry {
   std::string ExportPrometheus() const EXCLUDES(mutex_);
 
  private:
+  /// One export's values, each section sorted by name.
+  struct Rows {
+    std::vector<std::pair<std::string, uint64_t>> counters;
+    std::vector<std::pair<std::string, int64_t>> gauges;
+    std::vector<std::pair<std::string, Histogram>> histograms;
+  };
+  Rows Collect(const Snapshot& since) const EXCLUDES(mutex_);
+
   mutable Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_
-      GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_
-      GUARDED_BY(mutex_);
+  std::map<int, std::unique_ptr<CardInstruments>> cards_ GUARDED_BY(mutex_);
 };
 
 /// Escapes a string for embedding in a JSON string literal (quotes,

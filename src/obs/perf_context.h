@@ -23,9 +23,8 @@ enum class PerfLevel : unsigned char {
 /// operation, read the fields after; nothing here is shared between
 /// threads, so no synchronisation is needed (or provided).
 ///
-/// Field names are part of the observability contract:
-/// bench/metrics_schema.json lists them under "perf_context" and
-/// tools/analysis/fcae_check.py fails when the two drift.
+/// Field names are part of the observability contract: ToString()
+/// prints them, and bench_micro and the tests read them by field.
 struct PerfContext {
   // Read path.
   uint64_t bloom_filter_hits = 0;       // Filter said "maybe present".

@@ -109,10 +109,6 @@ struct Simulator::Engine {
                           {{"simulated", "true"}});
   }
 
-  void Count(const char* name) {
-    if (cfg.metrics != nullptr) cfg.metrics->counter(name)->Increment();
-  }
-
   // ---- Derived helpers ----
 
   bool CpuBusy() const {
@@ -229,7 +225,7 @@ struct Simulator::Engine {
                   cfg.cost.CompressedFraction());
     result.flushes++;
     Span("flush", flush_start, 0);
-    Count("syssim.flushes");
+    if (cfg.metrics != nullptr) cfg.metrics->syssim_flushes.Increment();
     MaybeRotateMemtable();  // A stalled client may rotate immediately.
     MaybeScheduleCompaction();
   }
@@ -263,7 +259,7 @@ struct Simulator::Engine {
     job->compaction_start = now;
     job->stage_start = now;
     job->tid = result.compactions;  // Track 0 is the flush track.
-    Count("syssim.compactions");
+    if (cfg.metrics != nullptr) cfg.metrics->syssim_compactions.Increment();
 
     bool offloadable = cfg.mode == ExecMode::kLevelDbFcae &&
                        work.device_inputs >= 1 &&
@@ -369,7 +365,9 @@ struct Simulator::Engine {
           result.pcie_seconds -= pcie;
         } else {
           result.compactions_retried++;
-          Count("syssim.compactions_retried");
+          if (cfg.metrics != nullptr) {
+            cfg.metrics->syssim_compactions_retried.Increment();
+          }
           if (cfg.trace != nullptr) {
             cfg.trace->RecordInstant("retry", "syssim", SimMicros(now),
                                      job->tid,
@@ -388,7 +386,9 @@ struct Simulator::Engine {
     const double queue = Backlog(card);
     if (queue > kEps) {
       result.device_queue_seconds += queue;
-      Count("syssim.device_queue_waits");
+      if (cfg.metrics != nullptr) {
+        cfg.metrics->syssim_device_queue_waits.Increment();
+      }
     }
     const fpga::DmaSlot slot =
         dma.Schedule(card, now, pcie_in, card_busy, pcie_out);
@@ -411,7 +411,9 @@ struct Simulator::Engine {
       result.compactions_offloaded--;
       result.compactions_sw++;
       result.compactions_fallback++;
-      Count("syssim.compactions_fallback");
+      if (cfg.metrics != nullptr) {
+        cfg.metrics->syssim_compactions_fallback.Increment();
+      }
       if (cfg.trace != nullptr) {
         cfg.trace->RecordInstant("cpu_fallback", "syssim", SimMicros(now),
                                  job->tid);
@@ -439,10 +441,14 @@ struct Simulator::Engine {
     // merge otherwise (near-storage offloads have no host tail).
     if (job->offloaded) {
       if (!cfg.near_storage) Span("assemble", job->stage_start, job->tid);
-      Count("syssim.compactions_offloaded");
+      if (cfg.metrics != nullptr) {
+        cfg.metrics->syssim_compactions_offloaded.Increment();
+      }
     } else {
       Span("merge", job->stage_start, job->tid);
-      Count("syssim.compactions_sw");
+      if (cfg.metrics != nullptr) {
+        cfg.metrics->syssim_compactions_sw.Increment();
+      }
     }
     Span("compaction", job->compaction_start, job->tid);
     lsm.ApplyCompaction(job->work);

@@ -32,6 +32,7 @@ class Histogram {
   double Min() const { return min_; }
   double Max() const { return max_; }
   uint64_t Count() const { return static_cast<uint64_t>(num_); }
+  double Sum() const { return sum_; }
 
   std::string ToString() const;
 

@@ -168,8 +168,8 @@ struct Options {
   /// Capacity of the in-memory trace ring readable via
   /// DB::GetProperty("fcae.trace"). Span floods (many small
   /// compactions) evict older events once the ring is full; eviction
-  /// is counted in the `obs.trace.dropped_events` metric. Clipped to
-  /// at least 16.
+  /// is counted by MetricsRegistry::obs_trace_dropped_events. Clipped
+  /// to at least 16.
   size_t trace_ring_size = 4096;
 
   /// Event callbacks (obs/event_listener.h) fired on flush, compaction,
@@ -189,8 +189,8 @@ struct Options {
 
   /// Structured log sink (obs/logger.h) for background records such as
   /// the periodic stats dump. Borrowed, not owned; must outlive the DB
-  /// and be thread-safe. When nullptr, periodic dumps still tick the
-  /// `obs.stats_dump.count` metric but emit nothing.
+  /// and be thread-safe. When nullptr, periodic dumps still tick
+  /// MetricsRegistry::obs_stats_dump_count but emit nothing.
   obs::Logger* info_log = nullptr;
 
   /// Seconds between background integrity-scrub cycles (DESIGN.md §14).

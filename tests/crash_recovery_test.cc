@@ -521,7 +521,7 @@ TEST(BackgroundErrorTest, SoftErrorThenResumeRestoresService) {
   std::string bg;
   ASSERT_TRUE(db->GetProperty("fcae.background-error", &bg));
   EXPECT_NE(std::string::npos, bg.find("state=soft")) << bg;
-  EXPECT_GE(metrics.counter("db.bg_error.soft")->value(), 1u);
+  EXPECT_GE(metrics.db_bg_error_soft.value(), 1u);
 
   // While storage is down, Resume keeps failing but never escalates.
   EXPECT_FALSE(db->Resume().ok());
@@ -535,8 +535,8 @@ TEST(BackgroundErrorTest, SoftErrorThenResumeRestoresService) {
   ASSERT_TRUE(db->Resume().ok());
   ASSERT_TRUE(db->GetProperty("fcae.background-error", &bg));
   EXPECT_NE(std::string::npos, bg.find("state=ok")) << bg;
-  EXPECT_GE(metrics.counter("db.bg_error.resume_attempts")->value(), 1u);
-  EXPECT_GE(metrics.counter("db.bg_error.resumes")->value(), 1u);
+  EXPECT_GE(metrics.db_bg_error_resume_attempts.value(), 1u);
+  EXPECT_GE(metrics.db_bg_error_resumes.value(), 1u);
 
   // Service restored end to end: writes, reads, and compactions run.
   for (int i = 100; i < 200; i++) {
@@ -584,7 +584,7 @@ TEST(BackgroundErrorTest, AutoResumeRecoversWithoutManualIntervention) {
     recovered = bg.find("state=ok") != std::string::npos;
     if (!recovered) env.SleepForMicroseconds(2000);
   }
-  EXPECT_GE(metrics.counter("db.bg_error.resume_attempts")->value(), 1u)
+  EXPECT_GE(metrics.db_bg_error_resume_attempts.value(), 1u)
       << "auto-resume never ran";
   if (!recovered) {
     ASSERT_TRUE(db->Resume().ok());

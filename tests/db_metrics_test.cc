@@ -23,6 +23,7 @@
 #include "mini_json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "test_util.h"
 #include "util/mem_env.h"
 #include "util/mutex.h"
 #include "util/random.h"
@@ -128,6 +129,59 @@ TEST_F(DbMetricsTest, MetricsPropertyCoversAllLayers) {
   ASSERT_TRUE(gauges.Has("health.card0.quarantined"));
   EXPECT_EQ(0.0, gauges["health.card0.quarantined"].number);
   EXPECT_GT(gauges["health.card0.jobs_succeeded"].number, 0.0);
+}
+
+// Every declared instrument exists from the moment the registry does,
+// so a DB that has done nothing yet already exports all of them, at
+// zero except what Open itself records.
+TEST_F(DbMetricsTest, OpenExportsEveryDeclaredInstrumentAtZero) {
+  obs::MetricsRegistry registry;
+  std::unique_ptr<DB> db = OpenDb(nullptr, &registry);
+  std::string json;
+  ASSERT_TRUE(db->GetProperty("fcae.metrics", &json));
+  Value root = MustParse(json);
+  for (const test::Instrument& i : test::DeclaredInstruments()) {
+    ASSERT_TRUE(root[i.section].Has(i.name)) << i.name;
+    const Value& v = root[i.section][i.name];
+    if (i.name == "recovery.opens") {
+      EXPECT_EQ(1.0, v.number);
+    } else if (i.name == "db.table_cache.capacity") {
+      EXPECT_GT(v.number, 0.0);
+    } else if (i.name == "recovery.micros") {
+      EXPECT_GE(v.number, 0.0);  // Open's own recovery time.
+    } else if (i.section == "histograms") {
+      EXPECT_EQ(0.0, v["count"].number) << i.name;
+    } else {
+      EXPECT_EQ(0.0, v.number) << i.name;
+    }
+  }
+}
+
+// A card's block holds all of its instruments: once one job has been
+// offloaded on a 2-card set, both cards export every per-card name.
+TEST_F(DbMetricsTest, TwoCardExportHoldsEveryCardInstrument) {
+  fpga::EngineConfig engine_config;
+  engine_config.num_inputs = 9;
+  host::DeviceSet devices(engine_config, /*num_cards=*/2);
+  host::FcaeExecutorOptions exec_options;
+  exec_options.tournament_scheduling = true;
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
+  obs::MetricsRegistry registry;
+  std::unique_ptr<DB> db = OpenDb(&executor, &registry);
+  RunWorkload(db.get());
+  ASSERT_GE(registry.db_compaction_offloaded.value(), 1u);
+
+  std::string json;
+  ASSERT_TRUE(db->GetProperty("fcae.metrics", &json));
+  Value root = MustParse(json);
+  for (int card = 0; card < 2; card++) {
+    const std::vector<test::Instrument> names = test::CardInstrumentNames(card);
+    EXPECT_EQ(11u, names.size());
+    for (const test::Instrument& i : names) {
+      EXPECT_TRUE(root[i.section].Has(i.name)) << i.name;
+    }
+  }
+  EXPECT_FALSE(root["gauges"].Has("health.card2.quarantined"));
 }
 
 TEST_F(DbMetricsTest, TracePropertyIsValidChromeTracing) {
@@ -248,7 +302,7 @@ TEST_F(DbMetricsTest, GoldenTraceRetryThenCpuFallback) {
   EXPECT_GE(metrics["counters"]["db.compaction.fallbacks"].number, 1.0);
   EXPECT_GE(metrics["counters"]["host.device.retries"].number, 1.0);
   EXPECT_GE(metrics["counters"]["host.device.faults"].number, 2.0);
-  EXPECT_GE(metrics["counters"]["host.device.jobs_failed"].number, 1.0);
+  EXPECT_GE(metrics["gauges"]["health.card0.jobs_failed"].number, 1.0);
 }
 
 class RecordingSink : public obs::TraceSink {
@@ -276,12 +330,12 @@ TEST_F(DbMetricsTest, OptionsInjectRegistryAndSink) {
 
     // The caller-owned registry is the one the DB publishes to, and the
     // property export reads from it.
-    EXPECT_GT(registry.counter("db.compaction.count")->value(), 0u);
+    EXPECT_GT(registry.db_compaction_count.value(), 0u);
     std::string json;
     ASSERT_TRUE(db->GetProperty("fcae.metrics", &json));
     Value root = MustParse(json);
     EXPECT_EQ(
-        static_cast<double>(registry.counter("db.compaction.count")->value()),
+        static_cast<double>(registry.db_compaction_count.value()),
         root["counters"]["db.compaction.count"].number);
   }
   // The sink streamed the span lifecycle live (even events the ring

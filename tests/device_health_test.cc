@@ -199,12 +199,13 @@ TEST(DeviceHealthMonitorTest, CardBoundMonitorPublishesPerCardNames) {
 
   monitor.RecordJobFailure(/*sticky=*/true);
   ASSERT_TRUE(monitor.quarantined());
-  EXPECT_EQ(1, metrics.gauge("health.card2.quarantined")->value());
-  EXPECT_EQ(1, metrics.gauge("health.card2.sticky_failures")->value());
-  EXPECT_EQ(1, metrics.gauge("health.card2.quarantines")->value());
-  // No card-less name was registered.
-  obs::MetricsRegistry::Snapshot snap = metrics.TakeSnapshot();
-  EXPECT_EQ(0u, snap.gauges.count("health.quarantined"));
+  EXPECT_EQ(1, metrics.card(2)->quarantined.value());
+  EXPECT_EQ(1, metrics.card(2)->sticky_failures.value());
+  EXPECT_EQ(1, metrics.card(2)->quarantines.value());
+  // The gauges export under the card's name, and under no card-less one.
+  const std::string json = metrics.ToJson();
+  EXPECT_NE(std::string::npos, json.find("\"health.card2.quarantined\": 1"));
+  EXPECT_EQ(std::string::npos, json.find("\"health.quarantined\""));
 
   // The breaker closing again fires a second event, same card id.
   monitor.RecordJobSuccess();
@@ -219,6 +220,21 @@ TEST(DeviceHealthMonitorTest, CardBoundMonitorPublishesPerCardNames) {
   // ToString names the card so multi-card health dumps stay readable.
   EXPECT_NE(std::string::npos, monitor.ToString().find("card2"))
       << monitor.ToString();
+}
+
+// A device set may outlive the registry of the DB that last used it, and
+// the next registry may be built at the same address. Each attach binds
+// the new registry's own block, so the monitor never writes through the
+// old one.
+TEST(DeviceHealthMonitorTest, EachAttachBindsTheCurrentRegistry) {
+  DeviceHealthMonitor monitor(DeviceHealthOptions(), /*card_id=*/0);
+  for (int round = 1; round <= 3; round++) {
+    obs::MetricsRegistry metrics;  // One stack slot, reused each round.
+    monitor.AttachObservability(&metrics, nullptr);
+    EXPECT_EQ(round - 1, metrics.card(0)->jobs_succeeded.value());
+    monitor.RecordJobSuccess();
+    EXPECT_EQ(round, metrics.card(0)->jobs_succeeded.value());
+  }
 }
 
 TEST(DeviceHealthMonitorTest, ToStringCarriesCounters) {

@@ -484,14 +484,14 @@ TEST_F(MultiCardDbTest, ShardsThatWaitForTheirCardRunPipelined) {
   db->CompactRange(nullptr, nullptr);
   db.reset();  // Closing waits for every background job.
 
-  const uint64_t waits = metrics.counter("host.device.queue_waits")->value();
+  const uint64_t waits = metrics.host_device_queue_waits.value();
   EXPECT_GT(waits, 0u);
   EXPECT_EQ(waits, devices.device(0)->pipelined_jobs() +
                        devices.device(1)->pipelined_jobs());
-  EXPECT_EQ(metrics.counter("fpga.pipeline.jobs")->value(),
+  EXPECT_EQ(metrics.fpga_pipeline_jobs.value(),
             devices.device(0)->pipelined_jobs() +
                 devices.device(1)->pipelined_jobs());
-  EXPECT_GT(metrics.counter("fpga.pipeline.overlap_micros")->value(), 0u);
+  EXPECT_GT(metrics.fpga_pipeline_overlap_micros.value(), 0u);
 }
 
 TEST_F(MultiCardDbTest, QuarantinedCardIsAbsorbedByHealthySibling) {

@@ -1,8 +1,9 @@
 // Multi-threaded stress of the obs/ layer, run under TSan via
 // `ctest -C stress`: writers hammer counters/gauges/histograms and the
-// trace ring while readers continuously export JSON. Exercises the
-// registration race (many threads demanding the same names), the ring
-// overwrite path and the sink hand-off.
+// trace ring while readers continuously export JSON. Exercises card
+// block creation (many threads demanding the same cards), concurrent
+// updates of shared instruments, the ring overwrite path and the sink
+// hand-off.
 
 #include <atomic>
 #include <string>
@@ -33,19 +34,19 @@ TEST(ObsStressTest, RegistryConcurrentWritersAndExporters) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; t++) {
     writers.emplace_back([&registry, t]() {
-      // Half the threads share instruments, half use their own, so both
-      // the lookup race and concurrent updates are exercised.
-      std::string suffix = (t % 2 == 0) ? "shared" : std::to_string(t);
-      Counter* c = registry.counter("stress.ops." + suffix);
-      Gauge* g = registry.gauge("stress.depth." + suffix);
-      HistogramMetric* h = registry.histogram("stress.micros." + suffix);
+      // Half the threads share one card block, half use their own, so
+      // both the creation race and concurrent updates are exercised.
+      const int card = (t % 2 == 0) ? 0 : t;
+      CardInstruments* block = registry.card(card);
       for (int i = 0; i < kOpsPerWriter; i++) {
-        c->Increment();
-        g->Set(i);
-        if (i % 64 == 0) h->Observe(i);
-        // Periodically re-register to stress the map lookup under load.
+        registry.db_flush_count.Increment();
+        block->busy_micros.Increment();
+        block->queued_bytes.Set(i);
+        registry.fpga_fifo_output_peak.UpdateMax(i);
+        if (i % 64 == 0) registry.db_flush_micros.Observe(i);
+        // Periodically re-fetch to stress block lookup under load.
         if (i % 1024 == 0) {
-          ASSERT_EQ(c, registry.counter("stress.ops." + suffix));
+          ASSERT_EQ(block, registry.card(card));
         }
       }
     });
@@ -54,8 +55,11 @@ TEST(ObsStressTest, RegistryConcurrentWritersAndExporters) {
   stop.store(true, std::memory_order_release);
   exporter.join();
 
-  uint64_t shared = registry.counter("stress.ops.shared")->value();
-  EXPECT_EQ(static_cast<uint64_t>(kWriters / 2) * kOpsPerWriter, shared);
+  EXPECT_EQ(static_cast<uint64_t>(kWriters) * kOpsPerWriter,
+            registry.db_flush_count.value());
+  EXPECT_EQ(static_cast<uint64_t>(kWriters / 2) * kOpsPerWriter,
+            registry.card(0)->busy_micros.value());
+  EXPECT_EQ(kOpsPerWriter - 1, registry.fpga_fifo_output_peak.value());
 }
 
 class CountingSink : public TraceSink {

@@ -3,7 +3,13 @@
 // log records, the trace ring's overwrite semantics, SpanTimer RAII
 // and the sink hook.
 
+#include <algorithm>
+#include <atomic>
+#include <cctype>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -26,43 +32,49 @@ mini_json::Value MustParse(const std::string& text) {
 
 TEST(MetricsRegistry, CountersAndGauges) {
   MetricsRegistry registry;
-  Counter* c = registry.counter("db.compaction.count");
-  c->Increment();
-  c->Increment(41);
-  EXPECT_EQ(42u, c->value());
-  // Re-registering the same name returns the same instrument.
-  EXPECT_EQ(c, registry.counter("db.compaction.count"));
+  Counter& c = registry.db_compaction_count;
+  c.Increment();
+  c.Increment(41);
+  EXPECT_EQ(42u, c.value());
 
-  Gauge* g = registry.gauge("health.quarantined");
-  g->Set(1);
-  g->Add(-3);
-  EXPECT_EQ(-2, g->value());
-  EXPECT_EQ(g, registry.gauge("health.quarantined"));
+  Gauge& g = registry.wc_state;
+  g.Set(1);
+  g.Add(-3);
+  EXPECT_EQ(-2, g.value());
+
+  // A card's block is created once and then returned as is.
+  CardInstruments* card = registry.card(3);
+  card->quarantined.Set(1);
+  EXPECT_EQ(card, registry.card(3));
+  EXPECT_EQ(1, registry.card(3)->quarantined.value());
 }
 
 TEST(MetricsRegistry, HistogramSnapshot) {
   MetricsRegistry registry;
-  HistogramMetric* h = registry.histogram("db.compaction.micros");
-  h->Observe(100);
-  h->Observe(300);
-  Histogram snap = h->snapshot();
+  HistogramMetric& h = registry.db_compaction_micros;
+  h.Observe(100);
+  h.Observe(300);
+  Histogram snap = h.snapshot();
   EXPECT_EQ(2u, snap.Count());
   EXPECT_DOUBLE_EQ(100.0, snap.Min());
   EXPECT_DOUBLE_EQ(300.0, snap.Max());
+  EXPECT_DOUBLE_EQ(400.0, snap.Sum());
 }
 
 TEST(MetricsRegistry, ToJsonIsValidAndComplete) {
   MetricsRegistry registry;
-  registry.counter("z.last")->Increment(7);
-  registry.counter("a.first")->Increment(1);
-  registry.gauge("fpga.fifo.output_peak")->Set(63);
-  registry.histogram("db.flush.micros")->Observe(2500);
+  registry.wc_state.Set(2);
+  registry.db_bg_error_hard.Increment(1);
+  registry.scrub_cycles.Increment(7);
+  registry.fpga_fifo_output_peak.Set(63);
+  registry.db_flush_micros.Observe(2500);
 
   mini_json::Value root = MustParse(registry.ToJson());
   ASSERT_EQ(mini_json::Value::kObject, root.kind);
-  EXPECT_EQ(1.0, root["counters"]["a.first"].number);
-  EXPECT_EQ(7.0, root["counters"]["z.last"].number);
+  EXPECT_EQ(1.0, root["counters"]["db.bg_error.hard"].number);
+  EXPECT_EQ(7.0, root["counters"]["scrub.cycles"].number);
   EXPECT_EQ(63.0, root["gauges"]["fpga.fifo.output_peak"].number);
+  EXPECT_EQ(2.0, root["gauges"]["wc.state"].number);
   const mini_json::Value& hist = root["histograms"]["db.flush.micros"];
   EXPECT_EQ(1.0, hist["count"].number);
   EXPECT_EQ(2500.0, hist["min"].number);
@@ -73,44 +85,144 @@ TEST(MetricsRegistry, ToJsonIsValidAndComplete) {
   ASSERT_TRUE(hist.Has("p99"));
 }
 
-TEST(MetricsRegistry, EmptyRegistryAndEmptyHistogramAreValidJson) {
+TEST(MetricsRegistry, FreshRegistryAndEmptyHistogramAreValidJson) {
   MetricsRegistry registry;
   mini_json::Value root = MustParse(registry.ToJson());
   EXPECT_EQ(mini_json::Value::kObject, root["counters"].kind);
-
-  // A registered-but-never-observed histogram must not emit NaN/inf.
-  registry.histogram("db.write.stall_micros");
-  root = MustParse(registry.ToJson());
-  EXPECT_EQ(0.0, root["histograms"]["db.write.stall_micros"]["count"].number);
+  // A never-observed histogram must not emit NaN/inf.
+  EXPECT_EQ(0.0,
+            root["histograms"]["db.write.l0_stop_micros"]["count"].number);
+  EXPECT_EQ(0.0, root["histograms"]["db.write.l0_stop_micros"]["p99"].number);
 }
 
 TEST(MetricsRegistry, SnapshotAndToJsonSinceReportDeltas) {
   MetricsRegistry registry;
-  registry.counter("db.flush.count")->Increment(5);
-  registry.gauge("wc.state")->Set(2);
-  registry.histogram("db.flush.micros")->Observe(100);
-  registry.histogram("db.flush.micros")->Observe(200);
+  registry.db_flush_count.Increment(5);
+  registry.wc_state.Set(2);
+  registry.db_flush_micros.Observe(100);
+  registry.db_flush_micros.Observe(200);
 
   MetricsRegistry::Snapshot before = registry.TakeSnapshot();
-  EXPECT_EQ(5u, before.CounterValue("db.flush.count"));
-  EXPECT_EQ(0u, before.CounterValue("never.registered"));
+  EXPECT_EQ(5u, before.db_flush_count);
+  EXPECT_EQ(2, before.wc_state);
+  EXPECT_EQ(2u, before.db_flush_micros.Count());
 
-  registry.counter("db.flush.count")->Increment(3);
-  registry.counter("db.compaction.count")->Increment(2);  // New since.
-  registry.gauge("wc.state")->Set(7);
-  registry.histogram("db.flush.micros")->Observe(900);
+  registry.db_flush_count.Increment(3);
+  registry.card(0)->busy_micros.Increment(2);  // A card new since.
+  registry.wc_state.Set(7);
+  registry.db_flush_micros.Observe(900);
 
   mini_json::Value root = MustParse(registry.ToJsonSince(before));
-  // Counters: interval deltas; instruments new since the snapshot
-  // report their full value.
+  // Counters: interval deltas; a card created since the snapshot
+  // reports its full value.
   EXPECT_EQ(3.0, root["counters"]["db.flush.count"].number);
-  EXPECT_EQ(2.0, root["counters"]["db.compaction.count"].number);
+  EXPECT_EQ(2.0, root["counters"]["offload.card0.busy_micros"].number);
   // Gauges are point-in-time.
   EXPECT_EQ(7.0, root["gauges"]["wc.state"].number);
   // Histograms subtract the earlier window: one new sample.
   const mini_json::Value& hist = root["histograms"]["db.flush.micros"];
   EXPECT_EQ(1.0, hist["count"].number);
   EXPECT_EQ(900.0, hist["mean"].number);
+}
+
+std::string PrometheusName(const std::string& name) {
+  std::string out = "fcae_";
+  for (char c : name) {
+    out += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
+  }
+  return out;
+}
+
+/// Instrument names of one ToJson() section, in emitted order.
+std::vector<std::string> JsonSectionNames(const std::string& json,
+                                          const std::string& section) {
+  std::vector<std::string> names;
+  std::istringstream lines(json);
+  std::string line;
+  bool inside = false;
+  while (std::getline(lines, line)) {
+    if (line.rfind("  \"", 0) == 0) {
+      inside = line.rfind("  \"" + section + "\"", 0) == 0;
+    } else if (inside && line.rfind("    \"", 0) == 0) {
+      names.push_back(line.substr(5, line.find('"', 5) - 5));
+    }
+  }
+  return names;
+}
+
+TEST(MetricsRegistry, ExportsListEveryDeclaredInstrumentOnceSorted) {
+  const std::vector<test::Instrument> declared = test::DeclaredInstruments();
+  ASSERT_FALSE(declared.empty());
+  MetricsRegistry registry;
+  const std::string json = registry.ToJson();
+  MustParse(json);
+
+  std::set<std::string> mangled;
+  std::vector<std::string> expected_families;
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    std::vector<std::string> names;
+    for (const test::Instrument& d : declared) {
+      if (d.section == section) names.push_back(d.name);
+    }
+    std::sort(names.begin(), names.end());
+    // Each section of the export is exactly its declared names, each
+    // once, in sorted order.
+    EXPECT_EQ(names, JsonSectionNames(json, section)) << section;
+    for (const std::string& name : names) {
+      // Dotted lowercase `<layer>.<subsystem>.<measure>`.
+      EXPECT_TRUE(std::all_of(name.begin(), name.end(), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+               c == '_' || c == '.';
+      })) << name;
+      EXPECT_NE(std::string::npos, name.find('.')) << name;
+      EXPECT_TRUE(mangled.insert(PrometheusName(name)).second)
+          << name << " mangles like another instrument";
+      expected_families.push_back(PrometheusName(name));
+    }
+  }
+
+  // One Prometheus family per instrument, in the same order.
+  std::vector<std::string> families;
+  std::istringstream lines(registry.ExportPrometheus());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      families.push_back(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  EXPECT_EQ(expected_families, families);
+}
+
+// Two threads offer different peaks to one gauge at the same instant,
+// round after round. A read-then-set maximum lets the lower offer
+// overwrite the higher one whenever both read before either writes.
+TEST(MetricsRegistry, GaugeUpdateMaxKeepsThePeakAcrossThreads) {
+  constexpr int kRounds = 20000;
+  std::vector<Gauge> gauges(kRounds);
+  std::atomic<int> round{-1};
+  std::atomic<int> done{0};
+  const auto offer = [&](int64_t value) {
+    for (int r = 0; r < kRounds; r++) {
+      while (round.load(std::memory_order_acquire) < r) {
+        std::this_thread::yield();
+      }
+      gauges[r].UpdateMax(value);
+      done.fetch_add(1, std::memory_order_acq_rel);
+    }
+  };
+  std::thread high(offer, 100);
+  std::thread low(offer, 50);
+  for (int r = 0; r < kRounds; r++) {
+    round.store(r, std::memory_order_release);  // Both threads go at once.
+    while (done.load(std::memory_order_acquire) < 2 * (r + 1)) {
+      std::this_thread::yield();
+    }
+  }
+  high.join();
+  low.join();
+  int lost = 0;
+  for (const Gauge& g : gauges) lost += g.value() != 100;
+  EXPECT_EQ(0, lost) << "of " << kRounds << " rounds";
 }
 
 TEST(HistogramSubtract, WindowedViewIsExact) {
@@ -134,10 +246,10 @@ TEST(HistogramSubtract, WindowedViewIsExact) {
 
 TEST(MetricsRegistry, ExportPrometheusShape) {
   MetricsRegistry registry;
-  registry.counter("db.flush.count")->Increment(4);
-  registry.gauge("health.quarantined")->Set(1);
-  registry.histogram("db.flush.micros")->Observe(100);
-  registry.histogram("db.flush.micros")->Observe(300);
+  registry.db_flush_count.Increment(4);
+  registry.card(0)->quarantined.Set(1);
+  registry.db_flush_micros.Observe(100);
+  registry.db_flush_micros.Observe(300);
 
   const std::string text = registry.ExportPrometheus();
   // Dotted names mangle to fcae_<snake>; each family announces a TYPE.
@@ -145,8 +257,8 @@ TEST(MetricsRegistry, ExportPrometheusShape) {
             text.find("# TYPE fcae_db_flush_count counter"));
   EXPECT_NE(std::string::npos, text.find("fcae_db_flush_count 4"));
   EXPECT_NE(std::string::npos,
-            text.find("# TYPE fcae_health_quarantined gauge"));
-  EXPECT_NE(std::string::npos, text.find("fcae_health_quarantined 1"));
+            text.find("# TYPE fcae_health_card0_quarantined gauge"));
+  EXPECT_NE(std::string::npos, text.find("fcae_health_card0_quarantined 1"));
   // Histograms export as summaries: quantiles plus _sum/_count.
   EXPECT_NE(std::string::npos,
             text.find("# TYPE fcae_db_flush_micros summary"));
@@ -155,7 +267,7 @@ TEST(MetricsRegistry, ExportPrometheusShape) {
   EXPECT_NE(std::string::npos,
             text.find("fcae_db_flush_micros{quantile=\"0.99\"}"));
   EXPECT_NE(std::string::npos, text.find("fcae_db_flush_micros_count 2"));
-  EXPECT_NE(std::string::npos, text.find("fcae_db_flush_micros_sum"));
+  EXPECT_NE(std::string::npos, text.find("fcae_db_flush_micros_sum 400"));
 }
 
 TEST(LoggerTest, FormatLogRecordRendersFieldsAndIndentsMultiline) {

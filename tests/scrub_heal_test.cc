@@ -206,7 +206,7 @@ class ScrubHealTest : public testing::Test {
     ASSERT_FALSE(offsets.empty());
 
     const uint64_t repairs_before =
-        metrics_->counter("integrity.repairs")->value();
+        metrics_->integrity_repairs.value();
     Status s = db_->ScrubNow();
     ASSERT_TRUE(s.ok()) << s.ToString();
 
@@ -215,9 +215,9 @@ class ScrubHealTest : public testing::Test {
     EXPECT_GE(recorder_->quarantines.load(), 1);
     EXPECT_GE(recorder_->scrubs.load(), 1);
     EXPECT_EQ("scrub", recorder_->last_source);
-    EXPECT_GT(metrics_->counter("integrity.repairs")->value(),
+    EXPECT_GT(metrics_->integrity_repairs.value(),
               repairs_before);
-    EXPECT_GE(metrics_->counter("scrub.corruptions_detected")->value(), 1u);
+    EXPECT_GE(metrics_->scrub_corruptions_detected.value(), 1u);
 
     // ...without tripping the hard background-error path or leaving the
     // file quarantined.
@@ -253,10 +253,10 @@ TEST_F(ScrubHealTest, CleanScrubFindsNothing) {
   EXPECT_EQ(0, recorder_->corruptions.load());
   EXPECT_EQ(0, recorder_->quarantines.load());
   EXPECT_GE(recorder_->scrubs.load(), 1);
-  EXPECT_GE(metrics_->counter("scrub.cycles")->value(), 1u);
-  EXPECT_GE(metrics_->counter("scrub.files_verified")->value(), 1u);
-  EXPECT_GT(metrics_->counter("scrub.bytes_verified")->value(), 0u);
-  EXPECT_EQ(0u, metrics_->counter("scrub.corruptions_detected")->value());
+  EXPECT_GE(metrics_->scrub_cycles.value(), 1u);
+  EXPECT_GE(metrics_->scrub_files_verified.value(), 1u);
+  EXPECT_GT(metrics_->scrub_bytes_verified.value(), 0u);
+  EXPECT_EQ(0u, metrics_->scrub_corruptions_detected.value());
   CheckAllKeysHealed();
 }
 
@@ -310,8 +310,8 @@ TEST_F(ScrubHealTest, WalCorruptionSurfacesCounters) {
   ASSERT_TRUE(env_->CorruptFile(log_file, /*seed=*/1234, /*flips=*/3).ok());
 
   Open(TableSource::kFlush);  // Replay drops the damaged records...
-  EXPECT_GE(metrics_->counter("wal.corruption_records")->value(), 1u);
-  EXPECT_GT(metrics_->counter("wal.corruption_bytes")->value(), 0u);
+  EXPECT_GE(metrics_->wal_corruption_records.value(), 1u);
+  EXPECT_GT(metrics_->wal_corruption_bytes.value(), 0u);
 }
 
 // Read routing while a file is quarantined (the containment window

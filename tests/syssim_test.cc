@@ -343,18 +343,18 @@ TEST(SimulatorTest, ObsSpansAndCountersMirrorTheResult) {
 
   // Counters emitted at the same event as the result field agree
   // exactly.
-  EXPECT_EQ(r.flushes, registry.counter("syssim.flushes")->value());
-  EXPECT_EQ(r.compactions, registry.counter("syssim.compactions")->value());
+  EXPECT_EQ(r.flushes, registry.syssim_flushes.value());
+  EXPECT_EQ(r.compactions, registry.syssim_compactions.value());
   EXPECT_EQ(r.compactions_retried,
-            registry.counter("syssim.compactions_retried")->value());
+            registry.syssim_compactions_retried.value());
   EXPECT_EQ(r.compactions_fallback,
-            registry.counter("syssim.compactions_fallback")->value());
+            registry.syssim_compactions_fallback.value());
 
   // The offloaded/sw split is counted in the result at pick time but in
   // the metrics at install time, so the run may end with one picked
   // compaction still in flight (never installed).
-  const uint64_t off = registry.counter("syssim.compactions_offloaded")->value();
-  const uint64_t sw = registry.counter("syssim.compactions_sw")->value();
+  const uint64_t off = registry.syssim_compactions_offloaded.value();
+  const uint64_t sw = registry.syssim_compactions_sw.value();
   EXPECT_LE(off, r.compactions_offloaded);
   EXPECT_LE(sw, r.compactions_sw);
   EXPECT_LE((r.compactions_offloaded - off) + (r.compactions_sw - sw), 1u);

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <type_traits>
+#include <vector>
 
 namespace fcae {
 namespace test {
@@ -24,6 +25,33 @@ std::string Cat(const Parts&... parts) {
   };
   (append(parts), ...);
   return out;
+}
+
+/// One instrument of src/obs/instruments.def as the registry exports it.
+struct Instrument {
+  std::string section;  // "counters" | "gauges" | "histograms"
+  std::string name;
+};
+
+/// Every fixed instrument the list declares, in list order.
+inline std::vector<Instrument> DeclaredInstruments() {
+  return {
+#define FCAE_COUNTER(member, name) {"counters", name},
+#define FCAE_GAUGE(member, name) {"gauges", name},
+#define FCAE_HISTOGRAM(member, name) {"histograms", name},
+#include "obs/instruments.def"
+  };
+}
+
+/// Card `n`'s instruments, `<layer>.card<n>.<member>`.
+inline std::vector<Instrument> CardInstrumentNames(int n) {
+  return {
+#define FCAE_CARD_COUNTER(member, layer) \
+  {"counters", Cat(layer, ".card", n, ".", #member)},
+#define FCAE_CARD_GAUGE(member, layer) \
+  {"gauges", Cat(layer, ".card", n, ".", #member)},
+#include "obs/instruments.def"
+  };
 }
 
 }  // namespace test

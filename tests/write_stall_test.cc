@@ -20,6 +20,7 @@
 
 #include "gtest/gtest.h"
 #include "lsm/db.h"
+#include "obs/event_listener.h"
 #include "obs/metrics.h"
 #include "util/env.h"
 #include "util/mem_env.h"
@@ -141,6 +142,42 @@ class HookedEnv : public Env {
   std::mutex mu_;
   std::map<std::string, std::deque<Task>> queues_;
 };
+
+/// Counts write-stall begin and end events per cause. Begin fires
+/// before the writer waits, so a begin means a writer is (about to be)
+/// parked.
+class StallListener : public obs::EventListener {
+ public:
+  void OnWriteStallBegin(const obs::WriteStallInfo& info) override {
+    begins_[static_cast<int>(info.cause)].fetch_add(1);
+  }
+  void OnWriteStallEnd(const obs::WriteStallInfo& info) override {
+    ends_[static_cast<int>(info.cause)].fetch_add(1);
+  }
+  int Begins(obs::WriteStallCause cause) const {
+    return begins_[static_cast<int>(cause)].load();
+  }
+  int Ends(obs::WriteStallCause cause) const {
+    return ends_[static_cast<int>(cause)].load();
+  }
+
+ private:
+  std::atomic<int> begins_[3] = {};
+  std::atomic<int> ends_[3] = {};
+};
+
+/// Passes each write-stall histogram recorded from `a` to `b`, in the
+/// order delay, memtable stop, memory stop, L0 stop.
+std::vector<uint64_t> StallPasses(const obs::MetricsRegistry::Snapshot& a,
+                                  const obs::MetricsRegistry::Snapshot& b) {
+  return {b.db_write_delay_micros.Count() - a.db_write_delay_micros.Count(),
+          b.db_write_memtable_stop_micros.Count() -
+              a.db_write_memtable_stop_micros.Count(),
+          b.db_write_memory_stop_micros.Count() -
+              a.db_write_memory_stop_micros.Count(),
+          b.db_write_l0_stop_micros.Count() -
+              a.db_write_l0_stop_micros.Count()};
+}
 
 int NumL0Files(DB* db) {
   std::string v;
@@ -275,6 +312,7 @@ class WriteStallDBTest : public testing::Test {
     options.write_buffer_size = 64 * 1024;
     options.total_write_buffer_size = total_write_buffer;
     options.metrics_registry = &metrics_;
+    options.listeners.push_back(&listener_);
     DB* raw = nullptr;
     ASSERT_TRUE(DB::Open(options, "/stalldb", &raw).ok());
     db_.reset(raw);
@@ -304,12 +342,51 @@ class WriteStallDBTest : public testing::Test {
     return NumL0Files(db_.get()) >= files;
   }
 
-  uint64_t Counter(const char* name) {
-    return metrics_.counter(name)->value();
+  // Runs one writer until one of its Puts has passed a stall of
+  // `cause`: once the writer has parked, drains `pool` to release it.
+  // Returns StallPasses over the run; the stall's histogram count must
+  // equal its listener begin/end pairs.
+  std::vector<uint64_t> StallOnce(obs::WriteStallCause cause,
+                                  const char* pool) {
+    const int begins_before = listener_.Begins(cause);
+    const int ends_before = listener_.Ends(cause);
+    const obs::MetricsRegistry::Snapshot before = metrics_.TakeSnapshot();
+    std::atomic<bool> done{false};
+    std::thread writer([&]() {
+      const std::string value(4000, 'w');
+      for (int i = 0; i < 64 && listener_.Ends(cause) == ends_before; i++) {
+        EXPECT_TRUE(
+            db_->Put(WriteOptions(), test::Cat("stall", i), value).ok());
+      }
+      done.store(true);
+    });
+    for (int i = 0; i < 100000 && listener_.Begins(cause) == begins_before &&
+                    !done.load();
+         i++) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const bool parked = listener_.Begins(cause) > begins_before;
+    while (!done.load()) {
+      env_.RunQueued(pool);
+      if (!parked) env_.DrainAll();  // Never stalled: just finish.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    writer.join();
+    EXPECT_TRUE(parked) << "the writer never stalled";
+    const std::vector<uint64_t> passes =
+        StallPasses(before, metrics_.TakeSnapshot());
+    const int pairs = listener_.Ends(cause) - ends_before;
+    EXPECT_EQ(listener_.Begins(cause) - begins_before, pairs);
+    const uint64_t cause_passes =
+        cause == obs::WriteStallCause::kL0Stop ? passes[3]
+                                               : passes[1] + passes[2];
+    EXPECT_EQ(static_cast<uint64_t>(pairs), cause_passes);
+    return passes;
   }
 
   std::unique_ptr<Env> base_;
   HookedEnv env_;
+  StallListener listener_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<DB> db_;
 };
@@ -318,32 +395,35 @@ TEST_F(WriteStallDBTest, DelayRampsUpWithL0Debt) {
   Open();
   ASSERT_TRUE(GrowL0To(9));  // Past the slowdown trigger (8).
 
-  const uint64_t delayed_before = Counter("wc.delayed_writes");
-  const uint64_t delay_micros_before = Counter("wc.delay_micros");
+  const obs::MetricsRegistry::Snapshot before = metrics_.TakeSnapshot();
   const uint64_t clock_before = env_.NowMicros();
 
   ASSERT_TRUE(db_->Put(WriteOptions(), "delayed-key", "v").ok());
 
-  EXPECT_EQ(delayed_before + 1, Counter("wc.delayed_writes"));
-  const uint64_t paid = Counter("wc.delay_micros") - delay_micros_before;
+  // One delay pass, and no other write-stall instrument moved.
+  const obs::MetricsRegistry::Snapshot after = metrics_.TakeSnapshot();
+  EXPECT_EQ((std::vector<uint64_t>{1, 0, 0, 0}), StallPasses(before, after));
+  const double paid =
+      after.db_write_delay_micros.Sum() - before.db_write_delay_micros.Sum();
   // Debt at L0=9 is 0.5: the quadratic ramp prices that well above the
-  // minimum delay but below the maximum — and the fake clock shows the
-  // writer actually slept it.
-  EXPECT_GE(paid, 250u);
-  EXPECT_LE(paid, 20000u);
-  EXPECT_GE(env_.NowMicros() - clock_before, paid);
+  // minimum delay but below the maximum — and the histogram's sum is
+  // exactly the time the fake clock advanced while the writer slept.
+  EXPECT_GE(paid, 250.0);
+  EXPECT_LE(paid, 20000.0);
+  EXPECT_EQ(static_cast<double>(env_.NowMicros() - clock_before), paid);
 
   // Debt paid per write: the next write pays again (no free rides), but
   // each individual delay stays bounded by the ledger cap.
   ASSERT_TRUE(db_->Put(WriteOptions(), "delayed-key2", "v").ok());
-  EXPECT_EQ(delayed_before + 2, Counter("wc.delayed_writes"));
+  EXPECT_EQ(2u, metrics_.db_write_delay_micros.snapshot().Count() -
+                    before.db_write_delay_micros.Count());
 }
 
 TEST_F(WriteStallDBTest, StopOnL0BlocksWriterUntilCompactionInstalls) {
   Open();
   ASSERT_TRUE(GrowL0To(12));  // At the stop trigger.
 
-  const uint64_t stopped_before = Counter("wc.stopped_writes");
+  const int stops_before = listener_.Begins(obs::WriteStallCause::kL0Stop);
   std::atomic<bool> writer_done{false};
   Status writer_status;
   std::thread writer([&]() {
@@ -357,14 +437,15 @@ TEST_F(WriteStallDBTest, StopOnL0BlocksWriterUntilCompactionInstalls) {
     writer_done.store(true);
   });
 
-  // The stop counter is incremented before the writer parks, so seeing
-  // it move means the writer is (about to be) blocked on the condvar.
-  for (int i = 0; i < 10000 && Counter("wc.stopped_writes") == stopped_before;
-       i++) {
+  // The stall's begin event fires before the writer parks, so seeing it
+  // means the writer is (about to be) blocked on the condvar.
+  const auto stops = [&]() {
+    return listener_.Begins(obs::WriteStallCause::kL0Stop);
+  };
+  for (int i = 0; i < 10000 && stops() == stops_before; i++) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  ASSERT_GT(Counter("wc.stopped_writes"), stopped_before)
-      << "writer never hit the stop state";
+  ASSERT_GT(stops(), stops_before) << "writer never hit the stop state";
   EXPECT_FALSE(writer_done.load());
 
   // Drain the compaction the stop branch scheduled: installing it clears
@@ -409,21 +490,49 @@ TEST_F(WriteStallDBTest, MemoryBudgetStallsConcurrentWritersUntilFlush) {
   // held until a writer blocks, so the first memtable stays in flight
   // while the second fills and that writer must hit the memory stop;
   // then background work drains until all of them finish.
-  bool saw_memory_stall = false;
   for (int i = 0; i < 100000 && writers_done.load() < kWriters; i++) {
-    saw_memory_stall |= Counter("wc.memory_stalls") > 0;
-    if (Counter("db.write.stall_memtable") > 0) env_.RunQueued("fcae-flush");
+    if (listener_.Begins(obs::WriteStallCause::kMemtableFull) > 0) {
+      env_.RunQueued("fcae-flush");
+    }
     env_.RunQueued("fcae-compact");
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   ASSERT_EQ(kWriters, writers_done.load()) << "writers deadlocked";
   for (std::thread& w : writers) w.join();
   for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s.ToString();
-  saw_memory_stall |= Counter("wc.memory_stalls") > 0;
-  EXPECT_TRUE(saw_memory_stall);
+  EXPECT_GT(metrics_.db_write_memory_stop_micros.snapshot().Count(), 0u);
   // Every write is durable in the memtable/L0 image despite the stalls.
   std::string value;
   ASSERT_TRUE(db_->Get(ReadOptions(), "w0-15", &value).ok());
+}
+
+// Each stall cause has one instrument: a pass of one cause moves its
+// histogram and no other (the delay pass is covered above).
+TEST_F(WriteStallDBTest, L0StopPassMovesOnlyTheL0StopHistogram) {
+  Open();
+  ASSERT_TRUE(GrowL0To(12));  // At the stop trigger.
+  const std::vector<uint64_t> passes =
+      StallOnce(obs::WriteStallCause::kL0Stop, "fcae-compact");
+  EXPECT_EQ((std::vector<uint64_t>{0, 0, 0, passes[3]}), passes);
+  EXPECT_GE(passes[3], 1u);
+}
+
+TEST_F(WriteStallDBTest, MemtableStopPassMovesOnlyTheMemtableStopHistogram) {
+  Open();  // No total budget: a full memtable behind a pending flush.
+  const std::vector<uint64_t> passes =
+      StallOnce(obs::WriteStallCause::kMemtableFull, "fcae-flush");
+  EXPECT_EQ((std::vector<uint64_t>{0, passes[1], 0, 0}), passes);
+  EXPECT_GE(passes[1], 1u);
+}
+
+TEST_F(WriteStallDBTest, MemoryStopPassMovesOnlyTheMemoryStopHistogram) {
+  // Budget = one live + one immutable memtable: the stop comes from the
+  // budget before the live memtable is full.
+  Open(/*total_write_buffer=*/128 * 1024);
+  const std::vector<uint64_t> passes =
+      StallOnce(obs::WriteStallCause::kMemtableFull, "fcae-flush");
+  EXPECT_EQ((std::vector<uint64_t>{0, 0, passes[2], 0}), passes);
+  EXPECT_GE(passes[2], 1u);
 }
 
 }  // namespace fcae

@@ -18,17 +18,6 @@ rules over the first-party sources discovered from compile_commands.json:
                       CRASH_POINT_WINDOW lines, so the crash matrix can cut
                       power at that edge.
 
-  metrics-schema      Every metric name registered through fcae::obs must be
-                      listed in bench/metrics_schema.json with the matching
-                      instrument kind, and vice versa (both the dict format —
-                      counters/gauges/histograms objects with descriptions —
-                      and the legacy required_*/known_* lists are understood).
-                      The schema's perf_context/io_stats lists must also
-                      mirror the uint64_t fields of obs::PerfContext and
-                      obs::IOStatsContext in src/obs/perf_context.h. Drift in
-                      either direction used to surface only at bench-smoke
-                      runtime; here it fails the build.
-
   guarded-const-cast  No field annotated GUARDED_BY may be reached through a
                       const_cast: casting away constness around a capability
                       annotation is exactly how code sneaks past
@@ -41,10 +30,7 @@ Waiver syntax (same line or the directly preceding comment line):
 
     // fcae-check: allow(<rule-name>): <reason>
 
-The reason is mandatory. Dynamically-registered metric names that the
-extractor cannot see can be declared explicitly:
-
-    // fcae-check: declare-metric(counter): some.metric, other.metric
+The reason is mandatory.
 
 Usage:
     python3 tools/analysis/fcae_check.py [--build-dir build]
@@ -65,8 +51,7 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 # Rule configuration
 # ---------------------------------------------------------------------------
 
-RULES = ("raw-io", "crash-point", "metrics-schema", "guarded-const-cast",
-         "unused-waiver")
+RULES = ("raw-io", "crash-point", "guarded-const-cast", "unused-waiver")
 
 # Files allowed to touch libc filesystem/clock/sleep primitives directly:
 # the real Env and the crash-model Env that must mirror it.
@@ -119,35 +104,7 @@ CRASH_POINT_WINDOW = 15
 DURABILITY_CALL_RE = re.compile(
     r"(?:->|\.)Sync\s*\(\s*\)|\bSyncDir\s*\(|\bRenameFile\s*\(")
 
-# Metric registration: registry methods plus project forwarder helpers
-# that pass their first literal argument through to the registry.
-METRIC_METHODS = {"counter": "counter", "gauge": "gauge",
-                  "histogram": "histogram"}
-METRIC_FORWARDERS = {"peak": "gauge",        # host/offload_compaction.cc
-                     "Count": "counter"}     # syssim/simulator.cc
-METRICS_SCHEMA_PATH = "bench/metrics_schema.json"
-# Legacy list-format keys; the current schema uses dict sections named
-# "counters"/"gauges"/"histograms" mapping name -> {description, ...}.
-SCHEMA_KEYS = {
-    "counter": ("required_counters", "known_counters"),
-    "gauge": ("required_gauges", "known_gauges"),
-    "histogram": ("required_histograms", "known_histograms"),
-}
-SCHEMA_DICT_KEYS = {
-    "counter": "counters",
-    "gauge": "gauges",
-    "histogram": "histograms",
-}
-# PerfContext/IOStatsContext fields the schema must mirror.
-PERF_CONTEXT_HEADER = "src/obs/perf_context.h"
-PERF_STRUCT_KEYS = {
-    "PerfContext": "perf_context",
-    "IOStatsContext": "io_stats",
-}
-
 WAIVER_RE = re.compile(r"fcae-check:\s*allow\(([a-z-]+)\)\s*:\s*(\S.*)")
-DECLARE_METRIC_RE = re.compile(
-    r"fcae-check:\s*declare-metric\((counter|gauge|histogram)\)\s*:\s*(\S.*)")
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +115,7 @@ class SourceFile:
     """Splits a C++ file into per-line (code, comment) halves.
 
     String and char literal *contents* are blanked out of the code half so
-    rule patterns never match inside them, but extractors that need string
-    literals (metrics) can use `strings`, a list of (line, literal) pairs.
+    rule patterns never match inside them.
     """
 
     def __init__(self, path, text):
@@ -168,7 +124,6 @@ class SourceFile:
         n = len(self.raw_lines)
         self.code = [""] * n
         self.comment = [""] * n
-        self.strings = []  # (1-based line, literal contents)
         self._scan(text)
 
     def _scan(self, text):
@@ -177,8 +132,6 @@ class SourceFile:
         i, line = 0, 0
         length = len(text)
         state = "code"  # code | line_comment | block_comment | string | char
-        literal = []
-        literal_line = 0
         while i < length:
             c = text[i]
             nxt = text[i + 1] if i + 1 < length else ""
@@ -199,8 +152,6 @@ class SourceFile:
                     continue
                 if c == '"':
                     state = "string"
-                    literal = []
-                    literal_line = line + 1
                     code_parts[line].append('"')
                     i += 1
                     continue
@@ -223,15 +174,12 @@ class SourceFile:
                     i += 1
             elif state == "string":
                 if c == "\\":
-                    literal.append(text[i:i + 2])
                     i += 2
                 elif c == '"':
                     state = "code"
-                    self.strings.append((literal_line, "".join(literal)))
                     code_parts[line].append('"')
                     i += 1
                 else:
-                    literal.append(c)
                     i += 1
             elif state == "char":
                 if c == "\\":
@@ -352,193 +300,6 @@ def check_crash_points(relpath, src, waivers, violations):
             f"crash matrix cannot cut power at this edge"))
 
 
-def _extract_registered_metrics(relpath, src, declared, registrations):
-    """Collects (name, kind, relpath, lineno) from registration contexts."""
-    text_by_line = src.code
-    methods = dict(METRIC_METHODS)
-    methods.update(METRIC_FORWARDERS)
-
-    # Literal (and ternary-literal) arguments: reconstruct per-line text
-    # with string literals re-inserted, then match call shapes.
-    lines_with_literals = {}
-    for lineno, lit in src.strings:
-        lines_with_literals.setdefault(lineno, []).append(lit)
-
-    call_re = re.compile(
-        r"\b(" + "|".join(re.escape(m) for m in methods) + r")\s*\(")
-    for idx, code in enumerate(text_by_line):
-        lineno = idx + 1
-        for m in call_re.finditer(code):
-            kind = methods[m.group(1)]
-            # Does the argument list close on this line? Only an
-            # unclosed call may continue onto the next line (a wrapped
-            # ternary arm); a closed call must not steal the next
-            # line's literal, which belongs to a different call.
-            depth = 1
-            for ch in code[m.end():]:
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-            lits = list(lines_with_literals.get(lineno, []))
-            if depth > 0:
-                lits += lines_with_literals.get(lineno + 1, [])
-            for lit in lits:
-                if _looks_like_metric_name(lit):
-                    registrations.append((lit, kind, relpath, lineno))
-
-    # Pre-registration loops: `for (const char* name : {"a", "b", ...})`
-    # followed by `counter(name)` / `gauge(name)` within the loop body.
-    joined = "\n".join(text_by_line)
-    for m in re.finditer(
-            r"for\s*\(\s*const\s+char\s*\*\s*(" + _IDENT + r")\s*:\s*\{",
-            joined):
-        var = m.group(1)
-        start_line = joined.count("\n", 0, m.start()) + 1
-        end = joined.find("}", m.end())
-        if end < 0:
-            continue
-        tail = joined[end:end + 200]
-        kind = None
-        for meth, k in METRIC_METHODS.items():
-            if re.search(r"\b" + meth + r"\s*\(\s*" + var + r"\s*\)", tail):
-                kind = k
-                break
-        if kind is None:
-            continue
-        end_line = joined.count("\n", 0, end) + 1
-        for lineno, lit in src.strings:
-            if start_line <= lineno <= end_line and _looks_like_metric_name(lit):
-                registrations.append((lit, kind, relpath, lineno))
-
-    # Explicit declarations for names the extractor cannot see.
-    for idx, comment in enumerate(src.comment):
-        m = DECLARE_METRIC_RE.search(comment)
-        if m:
-            for name in re.split(r"[,\s]+", m.group(2).strip()):
-                if name:
-                    declared.append((name, m.group(1), relpath, idx + 1))
-
-
-_METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_-]*(\.[a-z0-9_-]+)+$")
-
-
-def _looks_like_metric_name(lit):
-    return bool(_METRIC_NAME_RE.match(lit)) and ":" not in lit
-
-
-def check_metrics_schema(repo_root, sources, waiver_sets, violations):
-    schema_path = os.path.join(repo_root, METRICS_SCHEMA_PATH)
-    try:
-        with open(schema_path, encoding="utf-8") as f:
-            schema = json.load(f)
-    except (OSError, ValueError) as e:
-        violations.append(Violation(
-            "metrics-schema", METRICS_SCHEMA_PATH, 1,
-            f"cannot load schema: {e}"))
-        return
-
-    schema_names = {}  # name -> kind
-    for kind, keys in SCHEMA_KEYS.items():
-        for key in keys:
-            for name in schema.get(key, []):
-                schema_names[name] = kind
-    for kind, key in SCHEMA_DICT_KEYS.items():
-        section = schema.get(key)
-        if isinstance(section, dict):
-            for name in section:
-                schema_names[name] = kind
-
-    registrations = []
-    declared = []
-    for relpath, src in sources.items():
-        if not relpath.startswith("src/"):
-            continue
-        _extract_registered_metrics(relpath, src, declared, registrations)
-
-    registered = {}  # name -> (kind, relpath, lineno)
-    for name, kind, relpath, lineno in registrations + declared:
-        registered.setdefault(name, (kind, relpath, lineno))
-
-    for name, (kind, relpath, lineno) in sorted(registered.items()):
-        waivers = waiver_sets.get(relpath)
-        if name not in schema_names:
-            if waivers and waivers.covers("metrics-schema", lineno):
-                continue
-            violations.append(Violation(
-                "metrics-schema", relpath, lineno,
-                f"metric '{name}' ({kind}) is registered in code but missing "
-                f"from {METRICS_SCHEMA_PATH} — add it to the '{kind}s' "
-                f"section with a description"))
-        elif schema_names[name] != kind:
-            if waivers and waivers.covers("metrics-schema", lineno):
-                continue
-            violations.append(Violation(
-                "metrics-schema", relpath, lineno,
-                f"metric '{name}' is registered as a {kind} but listed as a "
-                f"{schema_names[name]} in {METRICS_SCHEMA_PATH}"))
-
-    for name, kind in sorted(schema_names.items()):
-        if name not in registered:
-            violations.append(Violation(
-                "metrics-schema", METRICS_SCHEMA_PATH, 1,
-                f"schema lists {kind} '{name}' but no registration site "
-                f"exists in src/ — remove it or fix the registration"))
-
-    _check_perf_context_drift(sources, schema, violations)
-
-
-_STRUCT_FIELD_RE = re.compile(r"^\s*uint64_t\s+(" + _IDENT + r")\s*=\s*0\s*;")
-
-
-def _extract_struct_uint64_fields(src, struct_name):
-    """uint64_t fields of `struct <name> { ... };` in declaration order."""
-    fields = []
-    depth = 0
-    in_struct = False
-    for code in src.code:
-        if not in_struct:
-            if re.search(r"\bstruct\s+" + struct_name + r"\b", code):
-                in_struct = True
-                depth = code.count("{") - code.count("}")
-            continue
-        m = _STRUCT_FIELD_RE.match(code)
-        if m and depth >= 1:
-            fields.append(m.group(1))
-        depth += code.count("{") - code.count("}")
-        if depth <= 0:
-            break
-    return fields
-
-
-def _check_perf_context_drift(sources, schema, violations):
-    """The schema's perf_context/io_stats lists must mirror the uint64_t
-    fields of the PerfContext/IOStatsContext structs. Skipped when the
-    header is absent (fixture mini-repos)."""
-    src = sources.get(PERF_CONTEXT_HEADER)
-    if src is None:
-        return
-    for struct_name, key in PERF_STRUCT_KEYS.items():
-        fields = _extract_struct_uint64_fields(src, struct_name)
-        listed = schema.get(key, [])
-        if not isinstance(listed, list):
-            listed = []
-        for field in fields:
-            if field not in listed:
-                violations.append(Violation(
-                    "metrics-schema", PERF_CONTEXT_HEADER, 1,
-                    f"{struct_name} field '{field}' is missing from the "
-                    f"'{key}' list in {METRICS_SCHEMA_PATH}"))
-        for name in listed:
-            if name not in fields:
-                violations.append(Violation(
-                    "metrics-schema", METRICS_SCHEMA_PATH, 1,
-                    f"schema '{key}' lists '{name}' but {struct_name} in "
-                    f"{PERF_CONTEXT_HEADER} has no such field"))
-
-
 def _collect_guarded_fields(sources):
     guarded = set()
     decl_re = re.compile(r"\b(" + _IDENT + r")\s+GUARDED_BY\s*\(")
@@ -627,8 +388,6 @@ def run_checks(repo_root, file_map):
         check_raw_io(rel, src, waivers, violations)
         check_crash_points(rel, src, waivers, violations)
         check_guarded_const_cast(rel, src, waivers, violations, guarded)
-
-    check_metrics_schema(repo_root, sources, waiver_sets, violations)
 
     for rel, waivers in sorted(waiver_sets.items()):
         for lineno, rule in waivers.unused():

@@ -1,9 +1,9 @@
 """Fixture self-test for fcae_check: proves every rule fires on its
 seeded violation and stays quiet when waived or clean.
 
-Each fixture directory is a miniature repo (src/ tree plus a
-bench/metrics_schema.json) run through the same discover_sources +
-run_checks pipeline as the real tree. Run via:
+Each fixture directory is a miniature repo (a src/ tree) run through
+the same discover_sources + run_checks pipeline as the real tree. Run
+via:
 
     python3 tools/analysis/fcae_check.py --selftest
 """
@@ -24,7 +24,6 @@ CASES = [
     ("clean", {}),
     ("raw_io", {"raw-io": 3}),
     ("crash_point", {"crash-point": 1}),
-    ("metrics_schema", {"metrics-schema": 3}),
     ("guarded_const_cast", {"guarded-const-cast": 1}),
     ("unused_waiver", {"unused-waiver": 1}),
 ]
