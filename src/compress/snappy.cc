@@ -1,5 +1,6 @@
 #include "compress/snappy.h"
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -79,8 +80,28 @@ char* EmitCopy(char* op, size_t offset, size_t len) {
   return op;
 }
 
+inline uint64_t Load64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Returns how many bytes from s1 and s2 match, up to s2_limit; s1 lies
+/// before s2, so every byte it reads is below s2_limit too. Compares
+/// eight bytes at a time: the lowest differing byte of two words, in
+/// memory order, is the first mismatch.
 size_t MatchLength(const char* s1, const char* s2, const char* s2_limit) {
   size_t matched = 0;
+  while (s2_limit - (s2 + matched) >= 8) {
+    const uint64_t diff = Load64(s1 + matched) ^ Load64(s2 + matched);
+    if (diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return matched + bit / 8;
+    }
+    matched += 8;
+  }
   while (s2 + matched < s2_limit && s1[matched] == s2[matched]) {
     matched++;
   }

@@ -1,8 +1,10 @@
 #include "host/offload_compaction.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "host/fork_join.h"
 #include "host/output_verifier.h"
 #include "host/sstable_stager.h"
 #include "lsm/dbformat.h"
@@ -150,6 +152,30 @@ void RecordDeviceSpans(obs::TraceRecorder* trace, uint64_t tid, int card,
   emit("dma_out", run_stats.pcie_micros * (1.0 - in_frac));
 }
 
+/// Assembles one verified device output table as table file
+/// `out->number`, with its filter block when the DB has a filter policy,
+/// and checks that the table cache can open it before it is published.
+Status AssembleOutput(const CompactionJob& job,
+                      const fpga::DeviceOutputTable& table,
+                      const Slice& filter_block, CompactionOutput* out) {
+  Status s = AssembleTableFile(
+      job.options->env, TableFileName(job.dbname, out->number), table,
+      &out->file_size, job.options->filter_policy, filter_block,
+      job.options->rate_limiter, &out->file_checksum);
+  if (!s.ok()) return s;
+  out->has_file_checksum = true;
+  if (!out->smallest.DecodeFrom(table.smallest_key) ||
+      !out->largest.DecodeFrom(table.largest_key)) {
+    return Status::Corruption("device returned empty table bounds");
+  }
+  ReadOptions verify_options;
+  verify_options.verify_checksums = job.options->paranoid_checks;
+  verify_options.fill_cache = false;
+  std::unique_ptr<Iterator> it(job.table_cache->NewIterator(
+      verify_options, out->number, out->file_size));
+  return it->status();
+}
+
 }  // namespace
 
 FcaeCompactionExecutor::FcaeCompactionExecutor(DeviceSet* devices,
@@ -238,22 +264,25 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   //    host I/O problems, not device faults: no retry, no breaker hit.
   obs::SpanTimer input_build_span(job.trace, "input_build", "host",
                                   job.trace_tid);
-  SstableStager stager(env);
-  std::vector<std::unique_ptr<fpga::DeviceInput>> staged;
-  std::vector<const fpga::DeviceInput*> input_ptrs;
-  Status s;
+  const uint64_t stage_start = env->NowMicros();
+  std::vector<std::vector<std::string>> run_files;
   for (const std::vector<const FileMetaData*>& run : runs) {
-    staged.push_back(std::make_unique<fpga::DeviceInput>());
+    run_files.emplace_back();
     for (const FileMetaData* file : run) {
-      s = stager.AddTable(TableFileName(job.dbname, file->number),
-                          staged.back().get(), bounds);
-      if (!s.ok()) return s;
+      run_files.back().push_back(TableFileName(job.dbname, file->number));
     }
+  }
+  std::vector<fpga::DeviceInput> staged;
+  Status s = SstableStager(env).StageRuns(run_files, bounds, &staged);
+  stats->stage_micros = static_cast<double>(env->NowMicros() - stage_start);
+  if (!s.ok()) return s;
+  std::vector<const fpga::DeviceInput*> input_ptrs;
+  for (const fpga::DeviceInput& input : staged) {
     // Bounded staging may leave an input with no tables at all (every
     // block of every file outside the shard); the engine has nothing to
     // decode there, so the input is dropped from the merge.
-    if (bounds != nullptr && staged.back()->sstables.empty()) continue;
-    input_ptrs.push_back(staged.back().get());
+    if (bounds != nullptr && input.sstables.empty()) continue;
+    input_ptrs.push_back(&input);
   }
   input_build_span.AddArg("inputs", std::to_string(input_ptrs.size()));
   input_build_span.Finish();
@@ -269,6 +298,7 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   //       verifier catches) back off and retry; a sticky card drop or
   //       exhausted attempts give up so DBImpl can rerun on the CPU.
   fpga::DeviceOutput device_output;
+  std::vector<std::string> filter_blocks;  // One per output table.
   DeviceRunStats run_stats;            // From the successful attempt.
   uint64_t attempts = 0;
   uint64_t faults = 0;
@@ -343,11 +373,14 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
     if (s.ok()) {
       // Host-side verification: CRCs, strict key order, bounds. Runs
       // BEFORE any SSTable is assembled, so a silently corrupt device
-      // result can never reach the manifest.
+      // result can never reach the manifest. The same walk builds each
+      // table's filter block; a rejected attempt builds none.
       obs::SpanTimer verify_span(job.trace, "verify", "host", job.trace_tid);
       const uint64_t verify_start = env->NowMicros();
       OutputVerifyStats verify_stats;
-      Status vs = VerifyDeviceOutput(device_output, *job.icmp, &verify_stats);
+      Status vs = VerifyDeviceOutput(device_output, *job.icmp, &verify_stats,
+                                     job.options->filter_policy,
+                                     &filter_blocks);
       const uint64_t verify_delta = env->NowMicros() - verify_start;
       verify_micros += static_cast<double>(verify_delta);
       FCAE_PERF_TIME(offload_verify_micros, verify_delta);
@@ -406,38 +439,32 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
 
   if (!s.ok()) return s;
 
-  // 4. Write back the new SSTables (step 8) and register them.
+  // 4. Write back the new SSTables (step 8) and register them, one
+  //    table per task. File numbers are taken in table order here,
+  //    because new_file_number takes the DB mutex; the workers hold no
+  //    lock and each fills only its own table's slot.
   obs::SpanTimer assemble_span(job.trace, "assemble", "host", job.trace_tid);
   assemble_span.AddArg("tables", std::to_string(device_output.tables.size()));
-  for (const fpga::DeviceOutputTable& table : device_output.tables) {
-    CompactionOutput out;
+  const uint64_t assemble_start = env->NowMicros();
+  const size_t num_tables = device_output.tables.size();
+  std::vector<CompactionOutput> assembled(num_tables);
+  for (CompactionOutput& out : assembled) {
     out.number = job.new_file_number();
-    uint64_t file_size = 0;
-    uint32_t file_checksum = 0;
-    s = AssembleTableFile(env, TableFileName(job.dbname, out.number), table,
-                          &file_size, job.options->filter_policy,
-                          job.options->rate_limiter, &file_checksum);
-    if (!s.ok()) return s;
-    out.file_size = file_size;
-    out.file_checksum = file_checksum;
-    out.has_file_checksum = true;
-    if (!out.smallest.DecodeFrom(table.smallest_key) ||
-        !out.largest.DecodeFrom(table.largest_key)) {
-      return Status::Corruption("device returned empty table bounds");
-    }
-
-    // Verify the assembled table is readable before publishing it.
-    ReadOptions verify_options;
-    verify_options.verify_checksums = job.options->paranoid_checks;
-    verify_options.fill_cache = false;
-    Iterator* it = job.table_cache->NewIterator(verify_options, out.number,
-                                                out.file_size);
-    s = it->status();
-    delete it;
-    if (!s.ok()) return s;
-
-    outputs->push_back(std::move(out));
-    stats->bytes_written += file_size;
+  }
+  std::vector<Status> results(num_tables);
+  ForkJoin(num_tables, [&](size_t i) {
+    results[i] = AssembleOutput(job, device_output.tables[i],
+                                job.options->filter_policy != nullptr
+                                    ? Slice(filter_blocks[i])
+                                    : Slice(),
+                                &assembled[i]);
+  });
+  stats->assemble_micros =
+      static_cast<double>(env->NowMicros() - assemble_start);
+  for (size_t i = 0; i < num_tables; i++) {
+    if (!results[i].ok()) return results[i];
+    stats->bytes_written += assembled[i].file_size;
+    outputs->push_back(std::move(assembled[i]));
   }
   // Assembled tables are on disk but not yet installed in any version; a
   // crash here must leave only orphans that reopen reclaims.

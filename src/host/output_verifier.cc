@@ -1,5 +1,9 @@
 #include "host/output_verifier.h"
 
+#include <memory>
+
+#include "host/fork_join.h"
+#include "table/filter_block.h"
 #include "table/table_verifier.h"
 
 namespace fcae {
@@ -9,6 +13,7 @@ namespace {
 
 Status VerifyDeviceOutputTable(const fpga::DeviceOutputTable& table,
                                const InternalKeyComparator& icmp,
+                               FilterBlockBuilder* filter,
                                OutputVerifyStats* stats) {
   if (table.index_entries.empty()) {
     return Status::Corruption("device output table has no index entries");
@@ -24,7 +29,7 @@ Status VerifyDeviceOutputTable(const fpga::DeviceOutputTable& table,
     BlockHandle handle;
     handle.set_offset(e.offset);
     handle.set_size(e.size);
-    Status s = walker.NextBlock(e.last_key, handle, nullptr);
+    Status s = walker.NextBlock(e.last_key, handle, nullptr, filter);
     if (!s.ok()) return s;
     // The engine's separators are its blocks' exact last keys.
     if (walker.stats().largest != e.last_key) {
@@ -58,17 +63,38 @@ Status VerifyDeviceOutputTable(const fpga::DeviceOutputTable& table,
 
 Status VerifyDeviceOutput(const fpga::DeviceOutput& output,
                           const InternalKeyComparator& icmp,
-                          OutputVerifyStats* stats) {
-  std::string prev_largest;
-  for (const fpga::DeviceOutputTable& table : output.tables) {
-    Status s = VerifyDeviceOutputTable(table, icmp, stats);
-    if (!s.ok()) return s;
+                          OutputVerifyStats* stats,
+                          const FilterPolicy* filter_policy,
+                          std::vector<std::string>* filter_blocks) {
+  const size_t n = output.tables.size();
+  std::vector<Status> results(n);
+  std::vector<OutputVerifyStats> table_stats(n);
+  std::vector<std::string> filters(filter_policy != nullptr ? n : 0);
+  ForkJoin(n, [&](size_t i) {
+    std::unique_ptr<FilterBlockBuilder> filter;
+    if (filter_policy != nullptr) {
+      filter = std::make_unique<FilterBlockBuilder>(filter_policy);
+    }
+    results[i] = VerifyDeviceOutputTable(output.tables[i], icmp, filter.get(),
+                                         &table_stats[i]);
+    if (filter != nullptr && results[i].ok()) {
+      filters[i] = filter->Finish().ToString();
+    }
+  });
+
+  for (size_t i = 0; i < n; i++) {
+    if (!results[i].ok()) return results[i];
     // Tables of one compaction form one sorted run.
-    if (!prev_largest.empty() &&
-        icmp.Compare(prev_largest, table.smallest_key) >= 0) {
+    if (i > 0 && icmp.Compare(output.tables[i - 1].largest_key,
+                              output.tables[i].smallest_key) >= 0) {
       return Status::Corruption("device output tables overlap");
     }
-    prev_largest = table.largest_key;
+    stats->tables += table_stats[i].tables;
+    stats->blocks += table_stats[i].blocks;
+    stats->entries += table_stats[i].entries;
+  }
+  if (filter_blocks != nullptr) {
+    filter_blocks->swap(filters);
   }
   return Status::OK();
 }

@@ -2,12 +2,17 @@
 #define FCAE_HOST_OUTPUT_VERIFIER_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "fpga/device_memory.h"
 #include "lsm/dbformat.h"
 #include "util/status.h"
 
 namespace fcae {
+
+class FilterPolicy;
+
 namespace host {
 
 struct OutputVerifyStats {
@@ -29,9 +34,22 @@ struct OutputVerifyStats {
 ///  - the tables form one sorted run, without overlap.
 /// Any violation returns Status::Corruption: a silently corrupt device
 /// result can never reach the manifest.
+///
+/// The tables are checked in parallel (ForkJoin), the run order after
+/// the join; when several fail, the lowest table's failure is returned,
+/// as a walk in table order would find it first.
+///
+/// When `filter_policy` is non-null, the same walk feeds every key to
+/// its table's filter builder, and `filter_blocks` receives one
+/// finished filter block per table, in table order, for
+/// AssembleTableFile: an offloaded table's filter is built from the
+/// blocks verification just passed, never by a second walk. On failure
+/// `filter_blocks` is left as it was.
 Status VerifyDeviceOutput(const fpga::DeviceOutput& output,
                           const InternalKeyComparator& icmp,
-                          OutputVerifyStats* stats);
+                          OutputVerifyStats* stats,
+                          const FilterPolicy* filter_policy = nullptr,
+                          std::vector<std::string>* filter_blocks = nullptr);
 
 }  // namespace host
 }  // namespace fcae

@@ -1,7 +1,9 @@
 #include "host/sstable_stager.h"
 
+#include <cstring>
 #include <memory>
 
+#include "host/fork_join.h"
 #include "table/block_builder.h"
 #include "table/format.h"
 #include "util/comparator.h"
@@ -11,8 +13,6 @@
 #include "util/rate_limiter.h"
 #include "lsm/dbformat.h"
 #include "table/block.h"
-#include "table/filter_block.h"
-#include "table/table_verifier.h"
 #include "util/filter_policy.h"
 
 namespace fcae {
@@ -37,20 +37,40 @@ void AppendStoredBlock(const Slice& contents, std::string* dst) {
   dst->append(trailer, kBlockTrailerSize);
 }
 
-}  // namespace
+// One table's place in a run image, planned before any data byte is
+// read, so the regions of a job's tables can be copied in parallel.
+struct TablePlan {
+  std::unique_ptr<RandomAccessFile> file;  // Null: the table stages nothing.
+  std::string fname;
+  uint64_t region_start = 0;  // File offset of the staged data region.
+  fpga::DeviceInput* input = nullptr;
+  size_t sstable = 0;  // Its descriptor in input->sstables.
+};
 
-Status SstableStager::AddTable(const std::string& fname,
-                               fpga::DeviceInput* input,
-                               const fpga::KeyBounds* bounds) {
+// End of the last data region planned into a run image.
+uint64_t PlannedEnd(const fpga::DeviceInput& input) {
+  if (input.sstables.empty()) return 0;
+  const fpga::SstableDescriptor& last = input.sstables.back();
+  return last.data_offset + last.data_size;
+}
+
+// Plans `fname` as the next table of `input`: reads its footer and index,
+// appends the (possibly trimmed) index to the index memory and a
+// descriptor whose data region follows the run's previous table. Reads no
+// data byte: the caller sizes the data memory to PlannedEnd once every
+// table of the run is planned.
+Status PlanTable(Env* env, const std::string& fname,
+                 fpga::DeviceInput* input, const fpga::KeyBounds* bounds,
+                 TablePlan* plan) {
   uint64_t file_size;
-  Status s = env_->GetFileSize(fname, &file_size);
+  Status s = env->GetFileSize(fname, &file_size);
   if (!s.ok()) return s;
   if (file_size < Footer::kEncodedLength) {
     return Status::Corruption("file too short to be an sstable", fname);
   }
 
   RandomAccessFile* raw_file;
-  s = env_->NewRandomAccessFile(fname, &raw_file);
+  s = env->NewRandomAccessFile(fname, &raw_file);
   if (!s.ok()) return s;
   std::unique_ptr<RandomAccessFile> file(raw_file);
 
@@ -154,32 +174,70 @@ Status SstableStager::AddTable(const std::string& fname,
   fpga::SstableDescriptor desc;
   desc.index_offset = input->index_memory.size();
   desc.index_size = index_stored.size();
-  desc.data_offset = input->data_memory.size();
+  desc.data_offset = PlannedEnd(*input);
   desc.data_size = region_end - region_start;
 
   input->index_memory.append(index_stored);
-
-  // Stage the (possibly trimmed) data region verbatim.
-  {
-    std::string buf(desc.data_size, '\0');
-    Slice result;
-    s = file->Read(region_start, desc.data_size, &result, buf.data());
-    if (!s.ok()) return s;
-    if (result.size() != desc.data_size) {
-      return Status::Corruption("truncated data region", fname);
-    }
-    input->data_memory.append(result.data(), result.size());
-  }
-
+  plan->file = std::move(file);
+  plan->fname = fname;
+  plan->region_start = region_start;
+  plan->input = input;
+  plan->sstable = input->sstables.size();
   input->sstables.push_back(desc);
   return Status::OK();
 }
 
-Status SstableStager::StageRun(const std::vector<std::string>& fnames,
+// Reads one planned table's (possibly trimmed) data region verbatim,
+// straight into its place in the sized run image. Plans of one image
+// write disjoint bytes, so they may run on different threads.
+Status CopyRegion(const TablePlan& plan) {
+  const fpga::SstableDescriptor& desc = plan.input->sstables[plan.sstable];
+  char* dst = plan.input->data_memory.data() + desc.data_offset;
+  Slice result;
+  Status s = plan.file->Read(plan.region_start, desc.data_size, &result, dst);
+  if (!s.ok()) return s;
+  if (result.size() != desc.data_size) {
+    return Status::Corruption("truncated data region", plan.fname);
+  }
+  if (result.data() != dst) {
+    std::memcpy(dst, result.data(), result.size());
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status SstableStager::AddTable(const std::string& fname,
                                fpga::DeviceInput* input,
                                const fpga::KeyBounds* bounds) {
-  for (const std::string& fname : fnames) {
-    Status s = AddTable(fname, input, bounds);
+  TablePlan plan;
+  Status s = PlanTable(env_, fname, input, bounds, &plan);
+  if (!s.ok() || plan.file == nullptr) return s;
+  input->data_memory.resize(PlannedEnd(*input));
+  return CopyRegion(plan);
+}
+
+Status SstableStager::StageRuns(
+    const std::vector<std::vector<std::string>>& runs,
+    const fpga::KeyBounds* bounds, std::vector<fpga::DeviceInput>* inputs) {
+  inputs->clear();
+  inputs->resize(runs.size());
+  std::vector<TablePlan> plans;
+  for (size_t r = 0; r < runs.size(); r++) {
+    for (const std::string& fname : runs[r]) {
+      TablePlan plan;
+      Status s = PlanTable(env_, fname, &(*inputs)[r], bounds, &plan);
+      if (!s.ok()) return s;
+      if (plan.file != nullptr) plans.push_back(std::move(plan));
+    }
+  }
+  for (fpga::DeviceInput& input : *inputs) {
+    input.data_memory.resize(PlannedEnd(input));
+  }
+  std::vector<Status> results(plans.size());
+  ForkJoin(plans.size(),
+           [&](size_t i) { results[i] = CopyRegion(plans[i]); });
+  for (const Status& s : results) {
     if (!s.ok()) return s;
   }
   return Status::OK();
@@ -189,6 +247,7 @@ Status AssembleTableFile(Env* env, const std::string& fname,
                          const fpga::DeviceOutputTable& table,
                          uint64_t* file_size,
                          const FilterPolicy* filter_policy,
+                         const Slice& filter_block,
                          RateLimiter* rate_limiter,
                          uint32_t* file_checksum) {
   WritableFile* raw_file;
@@ -232,31 +291,12 @@ Status AssembleTableFile(Env* env, const std::string& fname,
   Options block_options;
   block_options.comparator = icmp;
 
-  // 2. Optional filter block, rebuilt on the host from the engine's
-  //    data blocks, read through the table walker. Keys are fed as
-  //    internal keys, exactly as TableBuilder feeds them (the DB passes
-  //    its InternalFilterPolicy, which strips the mark fields itself).
+  // 2. Optional filter block, built by the verify walk of this table.
   BlockHandle filter_handle;
-  bool has_filter = false;
-  if (filter_policy != nullptr) {
-    FilterBlockBuilder filter_builder(filter_policy);
-    filter_builder.StartBlock(0);
-    BlockWalker walker(Slice(table.data_memory), icmp);
-    std::vector<std::pair<std::string, std::string>> entries;
-    for (const fpga::OutputIndexEntry& e : table.index_entries) {
-      filter_builder.StartBlock(e.offset);
-      BlockHandle handle;
-      handle.set_offset(e.offset);
-      handle.set_size(e.size);
-      s = walker.NextBlock(e.last_key, handle, &entries);
-      if (!s.ok()) return s;
-      for (const auto& entry : entries) {
-        filter_builder.AddKey(entry.first);
-      }
-    }
-    s = append_raw_block(filter_builder.Finish(), &filter_handle);
+  const bool has_filter = filter_policy != nullptr;
+  if (has_filter) {
+    s = append_raw_block(filter_block, &filter_handle);
     if (!s.ok()) return s;
-    has_filter = true;
   }
 
   // 3. Metaindex block (maps "filter.<Name>" to the filter block).

@@ -7,6 +7,7 @@
 
 #include "fpga/config.h"
 #include "fpga/device_memory.h"
+#include "util/slice.h"
 #include "util/status.h"
 
 namespace fcae {
@@ -43,10 +44,18 @@ class SstableStager {
   Status AddTable(const std::string& fname, fpga::DeviceInput* input,
                   const fpga::KeyBounds* bounds = nullptr);
 
-  /// Convenience: builds one DeviceInput from a run of files.
-  Status StageRun(const std::vector<std::string>& fnames,
-                  fpga::DeviceInput* input,
-                  const fpga::KeyBounds* bounds = nullptr);
+  /// Stages a job's sorted runs into `inputs`, one DeviceInput per run,
+  /// with the same bytes and descriptors as AddTable file by file. Every
+  /// file is planned first (footer, index, descriptor, and its offset in
+  /// its run's image), each run's data memory is sized once, and then
+  /// the files' data regions are read straight into place on all cores
+  /// (ForkJoin), one task per file: an L0->L1 job's level-1 run dwarfs
+  /// its level-0 runs, so a task per run would leave the cores idle.
+  /// `bounds` trims each file as in AddTable. Returns the first failing
+  /// file's error, in run and file order.
+  Status StageRuns(const std::vector<std::vector<std::string>>& runs,
+                   const fpga::KeyBounds* bounds,
+                   std::vector<fpga::DeviceInput>* inputs);
 
  private:
   Env* env_;
@@ -57,9 +66,10 @@ class SstableStager {
 /// from the returned index entries, and the footer (the paper's
 /// Section V-B: "the host is in charge of combining data blocks with
 /// index blocks into new formatted SSTables"). When `filter_policy` is
-/// non-null the host additionally rebuilds the filter block by decoding
-/// the returned data blocks (the engine itself does not compute
-/// filters), so offloaded compactions keep the same read-path behaviour
+/// non-null, `filter_block` is written as the table's filter block and
+/// named "filter.<policy name>" in the metaindex; the engine computes no
+/// filters, so the host builds it in VerifyDeviceOutput's walk of the
+/// table, and offloaded compactions keep the same read-path behaviour
 /// as software ones. Returns the final file size in *file_size.
 /// `rate_limiter`, when non-null, throttles the writeback on the
 /// low-priority lane (assembly is compaction output, same as the CPU
@@ -72,6 +82,7 @@ Status AssembleTableFile(Env* env, const std::string& fname,
                          const fpga::DeviceOutputTable& table,
                          uint64_t* file_size,
                          const FilterPolicy* filter_policy = nullptr,
+                         const Slice& filter_block = Slice(),
                          RateLimiter* rate_limiter = nullptr,
                          uint32_t* file_checksum = nullptr);
 

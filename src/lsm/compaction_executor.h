@@ -120,7 +120,13 @@ struct CompactionExecStats {
   uint64_t device_retries = 0;    // Attempts beyond the first.
   uint64_t device_faults = 0;     // Faults observed across attempts.
   uint64_t verify_failures = 0;   // Device outputs rejected by the host.
-  double verify_micros = 0;       // Time spent verifying device outputs.
+  // Host stages of an offloaded job, each the wall time of its fan-out
+  // over the cores: staging the inputs, verifying device outputs (every
+  // attempt, including the filter blocks the verify walk builds), and
+  // assembling and opening the output tables.
+  double stage_micros = 0;
+  double verify_micros = 0;
+  double assemble_micros = 0;
 
   void Add(const CompactionExecStats& other) {
     micros += other.micros;
@@ -137,7 +143,9 @@ struct CompactionExecStats {
     device_retries += other.device_retries;
     device_faults += other.device_faults;
     verify_failures += other.verify_failures;
+    stage_micros += other.stage_micros;
     verify_micros += other.verify_micros;
+    assemble_micros += other.assemble_micros;
   }
 };
 

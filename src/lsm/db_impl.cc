@@ -237,6 +237,13 @@ DBImpl::~DBImpl() {
   delete log_;
   delete logfile_;
   if (owns_rate_limiter_) delete options_.rate_limiter;
+
+  // The point-in-time gauges describe this DB's state, so they end with
+  // it: a registry shared across reopens must not show the next DB a
+  // closed one's quarantine, write-controller state or open tables.
+  metrics_->integrity_quarantined_files.Set(0);
+  metrics_->wc_state.Set(0);
+  metrics_->db_table_cache_open_tables.Set(0);
 }
 
 Status DBImpl::NewDB() {
@@ -1581,8 +1588,9 @@ void DBImpl::RunCompactionShard(CompactionShard* shard) {
     }
     FCAE_PERF_COUNT(offload_cpu_fallbacks, 1);
 
-    // Keep the failed attempt's fault accounting visible in the DB
-    // totals, but take timing/volume from the run that succeeded.
+    // Keep the failed attempt's fault accounting and host-stage times
+    // visible in the DB totals, but take the job's time and volume from
+    // the run that succeeded.
     const CompactionExecStats device_stats = shard->stats;
     shard->stats = CompactionExecStats();
     {
@@ -1594,7 +1602,9 @@ void DBImpl::RunCompactionShard(CompactionShard* shard) {
     shard->stats.device_retries += device_stats.device_retries;
     shard->stats.device_faults += device_stats.device_faults;
     shard->stats.verify_failures += device_stats.verify_failures;
+    shard->stats.stage_micros += device_stats.stage_micros;
     shard->stats.verify_micros += device_stats.verify_micros;
+    shard->stats.assemble_micros += device_stats.assemble_micros;
     shard->stats.fell_back = true;
   }
   if (shard->stats.micros == 0) {

@@ -5,6 +5,7 @@
 
 #include "lsm/dbformat.h"
 #include "table/block.h"
+#include "table/filter_block.h"
 #include "table/table_builder.h"
 #include "util/comparator.h"
 #include "util/file_checksum.h"
@@ -23,7 +24,8 @@ Status BlockWalker::ReadBlock(const BlockHandle& handle,
 
 Status BlockWalker::NextBlock(
     const Slice& separator, const BlockHandle& handle,
-    std::vector<std::pair<std::string, std::string>>* entries) {
+    std::vector<std::pair<std::string, std::string>>* entries,
+    FilterBlockBuilder* filter) {
   if (entries != nullptr) {
     entries->clear();
   }
@@ -39,6 +41,9 @@ Status BlockWalker::NextBlock(
   }
   Block block(contents);
   std::unique_ptr<Iterator> iter(block.NewIterator(icmp_));
+  if (filter != nullptr) {
+    filter->StartBlock(handle.offset());
+  }
   // Work on copies so a failed block leaves the walk as it was.
   std::string first;
   std::string last = stats_.largest;
@@ -64,6 +69,9 @@ Status BlockWalker::NextBlock(
     count++;
     if (entries != nullptr) {
       entries->emplace_back(key.ToString(), iter->value().ToString());
+    }
+    if (filter != nullptr) {
+      filter->AddKey(key);
     }
   }
   if (!iter->status().ok()) {

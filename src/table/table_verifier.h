@@ -15,6 +15,7 @@
 namespace fcae {
 
 class Comparator;
+class FilterBlockBuilder;
 
 /// What a BlockWalker has seen: the data blocks that passed its checks.
 struct BlockWalkStats {
@@ -53,8 +54,13 @@ class BlockWalker {
   /// `separator` is its index key. On success the stats cover the block
   /// and `entries` (nullable) holds its (key, value) pairs. On failure
   /// the walk is unchanged, so a caller may drop the block and go on.
+  /// `filter` (nullable) gets StartBlock(handle.offset()) and each key as
+  /// it is walked, so one walk both checks a table and builds its filter
+  /// block; a failed block may leave part of its keys there, so a caller
+  /// that passes one discards the filter with a failed walk.
   Status NextBlock(const Slice& separator, const BlockHandle& handle,
-                   std::vector<std::pair<std::string, std::string>>* entries);
+                   std::vector<std::pair<std::string, std::string>>* entries,
+                   FilterBlockBuilder* filter = nullptr);
 
   const BlockWalkStats& stats() const { return stats_; }
 

@@ -5,7 +5,8 @@
 //    and then falls back to the CPU produces a correctly nested span
 //    tree (compaction > input_build/device_attempt/merge/install, with
 //    retry and cpu_fallback instants) on one logical track;
-//  - Options::metrics_registry and Options::trace_sink injection;
+//  - Options::metrics_registry and Options::trace_sink injection, and
+//    the point-in-time gauges of a registry shared across reopens;
 //  - the `fcae.num-files-at-level<N>` digit-parsing regression.
 
 #include <algorithm>
@@ -344,6 +345,30 @@ TEST_F(DbMetricsTest, OptionsInjectRegistryAndSink) {
   EXPECT_NE(names.end(), std::find(names.begin(), names.end(), "flush"));
   EXPECT_NE(names.end(), std::find(names.begin(), names.end(), "compaction"));
   EXPECT_NE(names.end(), std::find(names.begin(), names.end(), "pick"));
+}
+
+TEST_F(DbMetricsTest, PointInTimeGaugesEndWithTheirDb) {
+  obs::MetricsRegistry registry;
+  {
+    std::unique_ptr<DB> db = OpenDb(nullptr, &registry);
+    RunWorkload(db.get());
+    std::string value;
+    db->Get(ReadOptions(), "user1", &value).IgnoreError();
+    reinterpret_cast<DBImpl*>(db.get())->TEST_QuarantineFile(12345);
+    EXPECT_EQ(1, registry.integrity_quarantined_files.value());
+    EXPECT_GT(registry.db_table_cache_open_tables.value(), 0);
+  }
+  EXPECT_EQ(0, registry.integrity_quarantined_files.value());
+  EXPECT_EQ(0, registry.wc_state.value());
+  EXPECT_EQ(0, registry.db_table_cache_open_tables.value());
+
+  // The reopened DB's quarantine is empty, and the shared registry says
+  // so too.
+  std::unique_ptr<DB> db = OpenDb(nullptr, &registry);
+  std::string quarantined;
+  ASSERT_TRUE(db->GetProperty("fcae.num-quarantined-files", &quarantined));
+  EXPECT_EQ("0", quarantined);
+  EXPECT_EQ(0, registry.integrity_quarantined_files.value());
 }
 
 TEST_F(DbMetricsTest, NumFilesAtLevelDigitParsing) {

@@ -5,6 +5,7 @@
 // the device-level kernel deadline watchdog.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fpga/fault_injector.h"
@@ -16,6 +17,11 @@
 #include "obs/event_listener.h"
 #include "obs/metrics.h"
 #include "lsm/dbformat.h"
+#include "table/block.h"
+#include "table/filter_block.h"
+#include "table/format.h"
+#include "table/iterator.h"
+#include "util/filter_policy.h"
 #include "util/mem_env.h"
 
 namespace fcae {
@@ -258,8 +264,9 @@ class OutputVerifierTest : public testing::Test {
     options_.env = env_.get();
   }
 
-  /// Produces a genuine device output by merging two staged runs.
-  fpga::DeviceOutput MakeOutput() {
+  /// Produces a genuine device output by merging two staged runs;
+  /// `many_tables` splits it into a dozen uncompressed 4 KiB tables.
+  fpga::DeviceOutput MakeOutput(bool many_tables = false) {
     std::vector<std::unique_ptr<fpga::DeviceInput>> inputs;
     for (int i = 0; i < 2; i++) {
       auto input = std::make_unique<fpga::DeviceInput>();
@@ -270,6 +277,10 @@ class OutputVerifierTest : public testing::Test {
     }
     fpga::EngineConfig config;
     config.num_inputs = 2;
+    if (many_tables) {
+      config.sstable_threshold = 4 << 10;
+      config.compress_output = false;
+    }
     FcaeDevice device(config);
     fpga::DeviceOutput output;
     DeviceRunStats stats;
@@ -337,6 +348,76 @@ TEST_F(OutputVerifierTest, BoundsMismatchIsCaught) {
   output.tables[0].largest_key = fake;
   OutputVerifyStats stats;
   EXPECT_TRUE(VerifyDeviceOutput(output, icmp_, &stats).IsCorruption());
+}
+
+TEST_F(OutputVerifierTest, FilterBlocksMatchAReferenceWalk) {
+  const fpga::DeviceOutput output = MakeOutput(/*many_tables=*/true);
+  ASSERT_GE(output.tables.size(), 4u);
+  std::unique_ptr<const FilterPolicy> bloom(NewBloomFilterPolicy(10));
+  OutputVerifyStats stats;
+  std::vector<std::string> filters;
+  Status s = VerifyDeviceOutput(output, icmp_, &stats, bloom.get(), &filters);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(output.tables.size(), filters.size());
+  for (size_t t = 0; t < output.tables.size(); t++) {
+    // The reference: every key of every block, in index order, each
+    // block started at its offset, as TableBuilder feeds its filter.
+    const fpga::DeviceOutputTable& table = output.tables[t];
+    FilterBlockBuilder reference(bloom.get());
+    for (const fpga::OutputIndexEntry& e : table.index_entries) {
+      BlockHandle handle;
+      handle.set_offset(e.offset);
+      handle.set_size(e.size);
+      reference.StartBlock(e.offset);
+      std::unique_ptr<Iterator> iter(
+          NewImageBlockIterator(table.data_memory, handle, &icmp_));
+      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+        reference.AddKey(iter->key());
+      }
+      ASSERT_TRUE(iter->status().ok());
+    }
+    EXPECT_EQ(reference.Finish().ToString(), filters[t]) << "table " << t;
+  }
+}
+
+TEST_F(OutputVerifierTest, CorruptLastTableOfManyIsCaught) {
+  fpga::DeviceOutput output = MakeOutput(/*many_tables=*/true);
+  ASSERT_GE(output.tables.size(), 4u);
+  fpga::DeviceOutputTable& last = output.tables.back();
+  last.data_memory[last.data_memory.size() / 2] ^= 0x40;
+  std::unique_ptr<const FilterPolicy> bloom(NewBloomFilterPolicy(10));
+  OutputVerifyStats stats;
+  std::vector<std::string> filters;
+  Status s = VerifyDeviceOutput(output, icmp_, &stats, bloom.get(), &filters);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(filters.empty());  // A rejected output yields no filter.
+}
+
+TEST_F(OutputVerifierTest, LowestCorruptTableIsReported) {
+  // The tables are checked in parallel. With tables 1 and 3 both
+  // corrupt, the error must be table 1's, as a walk in table order
+  // finds it; the two corruptions give different errors.
+  const fpga::DeviceOutput clean = MakeOutput(/*many_tables=*/true);
+  ASSERT_GE(clean.tables.size(), 4u);
+  fpga::DeviceOutput table1 = clean;
+  std::string& data1 = table1.tables[1].data_memory;
+  data1[data1.size() / 2] ^= 0x40;
+  fpga::DeviceOutput table3 = clean;
+  table3.tables[3].num_entries ^= 1;
+  fpga::DeviceOutput both = table1;
+  both.tables[3].num_entries ^= 1;
+
+  OutputVerifyStats stats;
+  const Status s1 = VerifyDeviceOutput(table1, icmp_, &stats);
+  const Status s3 = VerifyDeviceOutput(table3, icmp_, &stats);
+  ASSERT_TRUE(s1.IsCorruption()) << s1.ToString();
+  ASSERT_TRUE(s3.IsCorruption()) << s3.ToString();
+  ASSERT_NE(s1.ToString(), s3.ToString());
+  for (int round = 0; round < 20; round++) {
+    EXPECT_EQ(s1.ToString(),
+              VerifyDeviceOutput(both, icmp_, &stats).ToString())
+        << "round " << round;
+  }
 }
 
 TEST_F(OutputVerifierTest, SilentDeviceCorruptionIsCaughtBeforeInstall) {

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "fpga_test_util.h"
 #include "gtest/gtest.h"
 #include "host/cpu_compactor.h"
+#include "host/fork_join.h"
 #include "host/sstable_stager.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
@@ -25,6 +28,14 @@ namespace host {
 using fpga_test::MakeRun;
 using fpga_test::TestKv;
 using fpga_test::WriteSstable;
+
+TEST(ForkJoinTest, RunsEveryTaskOnce) {
+  for (size_t tasks : {0, 1, 3, 1000}) {
+    std::vector<int> runs(tasks, 0);
+    ForkJoin(tasks, [&](size_t i) { runs[i]++; });
+    EXPECT_EQ(std::vector<int>(tasks, 1), runs) << tasks << " tasks";
+  }
+}
 
 TEST(SstableStagerTest, StagedImageMatchesFile) {
   std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
@@ -155,6 +166,69 @@ TEST(SstableStagerTest, UnboundedStagingUnchangedByDefaultBounds) {
   ASSERT_TRUE(stager.AddTable("/t.ldb", &inactive, &bounds).ok());
   EXPECT_EQ(plain.data_memory, inactive.data_memory);
   EXPECT_EQ(plain.index_memory, inactive.index_memory);
+}
+
+TEST(SstableStagerTest, StageRunsMatchesAddTableFileByFile) {
+  std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
+  Options options;
+  options.env = env.get();
+
+  // A three-file sorted run and a one-file run over the same keys.
+  std::vector<std::string> run;
+  for (int t = 0; t < 3; t++) {
+    run.push_back(test::Cat("/run", t, ".ldb"));
+    ASSERT_TRUE(WriteSstable(env.get(), options, run.back(),
+                             MakeRun(t == 0 ? "a" : "key", 200 * t, 200, 1,
+                                     100, 64))
+                    .ok());
+  }
+  const std::vector<std::string> other = {"/other.ldb"};
+  ASSERT_TRUE(WriteSstable(env.get(), options, other[0],
+                           MakeRun("key", 1, 300, 2, 5000, 64))
+                  .ok());
+
+  // The shard (b, key450] stages nothing of /run0.ldb, whose last index
+  // separator is "b", and trims the other files.
+  fpga::KeyBounds bounds;
+  bounds.has_lower = true;
+  bounds.lower = "b";
+  bounds.has_upper = true;
+  bounds.upper = "key00000450";
+  for (const fpga::KeyBounds* b : {static_cast<fpga::KeyBounds*>(nullptr),
+                                   &bounds}) {
+    SstableStager stager(env.get());
+    std::vector<fpga::DeviceInput> expected(2);
+    for (const std::string& fname : run) {
+      ASSERT_TRUE(stager.AddTable(fname, &expected[0], b).ok());
+    }
+    ASSERT_TRUE(stager.AddTable(other[0], &expected[1], b).ok());
+    EXPECT_EQ(b == nullptr ? 3u : 2u, expected[0].sstables.size());
+
+    std::vector<fpga::DeviceInput> staged;
+    ASSERT_TRUE(stager.StageRuns({run, other}, b, &staged).ok());
+    ASSERT_EQ(2u, staged.size());
+    for (size_t r = 0; r < staged.size(); r++) {
+      SCOPED_TRACE(test::Cat(b == nullptr ? "unbounded" : "bounded",
+                             " run ", r));
+      EXPECT_EQ(expected[r].index_memory, staged[r].index_memory);
+      EXPECT_EQ(expected[r].data_memory, staged[r].data_memory);
+      ASSERT_EQ(expected[r].sstables.size(), staged[r].sstables.size());
+      for (size_t i = 0; i < staged[r].sstables.size(); i++) {
+        const fpga::SstableDescriptor& want = expected[r].sstables[i];
+        const fpga::SstableDescriptor& got = staged[r].sstables[i];
+        EXPECT_EQ(want.index_offset, got.index_offset);
+        EXPECT_EQ(want.index_size, got.index_size);
+        EXPECT_EQ(want.data_offset, got.data_offset);
+        EXPECT_EQ(want.data_size, got.data_size);
+      }
+    }
+  }
+
+  // A file that cannot be staged fails the whole job.
+  std::vector<fpga::DeviceInput> staged;
+  EXPECT_FALSE(SstableStager(env.get())
+                   .StageRuns({run, {"/missing.ldb"}}, nullptr, &staged)
+                   .ok());
 }
 
 TEST(SstableStagerTest, RejectsGarbageFile) {
@@ -312,6 +386,36 @@ TEST_F(OffloadDbTest, OffloadDbMatchesCpuDb) {
   CompactionExecStats stats = fcae_impl->OffloadStats();
   EXPECT_GT(stats.device_cycles, 0u);
   EXPECT_GT(devices.device(0)->kernels_launched(), 0u);
+}
+
+TEST_F(OffloadDbTest, RecordsHostStageTimes) {
+  fpga::EngineConfig config;
+  config.num_inputs = 9;
+  config.input_width = 8;
+  config.value_width = 8;
+  DeviceSet devices(config, /*num_cards=*/1);
+  FcaeCompactionExecutor executor(&devices);
+  std::unique_ptr<DB> db(OpenDb("/stages_db", &executor));
+  Random rnd(11);
+  for (int i = 0; i < 3000; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), test::Cat("k", rnd.Uniform(1000)),
+                        std::string(100, 'v'))
+                    .ok());
+  }
+  auto* impl = reinterpret_cast<DBImpl*>(db.get());
+  impl->TEST_CompactMemTable().IgnoreError();  // device env in play
+  for (int level = 0; level < kNumLevels - 1; level++) {
+    impl->TEST_CompactRange(level, nullptr, nullptr);
+  }
+  ASSERT_GT(devices.device(0)->kernels_launched(), 0u);
+
+  // Each host stage is timed inside the job's wall time, on its own.
+  const CompactionExecStats stats = impl->OffloadStats();
+  EXPECT_GT(stats.stage_micros, 0);
+  EXPECT_GT(stats.verify_micros, 0);
+  EXPECT_GT(stats.assemble_micros, 0);
+  EXPECT_LE(stats.stage_micros + stats.verify_micros + stats.assemble_micros,
+            stats.micros);
 }
 
 TEST_F(OffloadDbTest, SchedulerFallsBackWhenInputsExceedN) {

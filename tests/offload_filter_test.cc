@@ -2,7 +2,10 @@
 // rebuild filter blocks for the device-produced tables, so point reads
 // keep their filter protection after an offloaded compaction.
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "host/offload_compaction.h"
@@ -13,8 +16,11 @@
 #include "table/format.h"
 #include "table/table.h"
 #include "table/iterator.h"
+#include "test_util.h"
+#include "util/file_checksum.h"
 #include "util/filter_policy.h"
 #include "util/mem_env.h"
+#include "util/random.h"
 
 namespace fcae {
 namespace host {
@@ -129,6 +135,73 @@ TEST(OffloadFilterTest, AssembledTablesCarryFilterBlocks) {
     tables_checked++;
   }
   ASSERT_GT(tables_checked, 0);
+}
+
+// The bytes an offloaded compaction with a bloom policy assembles, pinned
+// as whole-file crc32c values recorded before the filter blocks moved
+// into the verify walk and assembly fanned out over the cores. One
+// memtable holds every write, so no background flush or compaction runs
+// while the test writes, and the last manual compaction writes every
+// table the test reads, split at a 64 KiB threshold.
+TEST(OffloadFilterTest, AssembledBytesArePinned) {
+  std::unique_ptr<Env> env(NewMemEnv(Env::Default()));
+  std::unique_ptr<const FilterPolicy> bloom(NewBloomFilterPolicy(10));
+
+  fpga::EngineConfig config;
+  config.num_inputs = 9;
+  config.input_width = 8;
+  config.value_width = 8;
+  config.sstable_threshold = 64 * 1024;
+  DeviceSet devices(config, /*num_cards=*/1);
+  FcaeCompactionExecutor executor(&devices);
+
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.write_buffer_size = 4 << 20;
+  options.filter_policy = bloom.get();
+  options.compaction_executor = &executor;
+
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/pinned", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  Random rnd(301);
+  for (int i = 0; i < 5000; i++) {
+    std::string value(100, ' ');
+    for (char& c : value) c = static_cast<char>('a' + rnd.Uniform(26));
+    ASSERT_TRUE(db->Put(WriteOptions(), test::Cat("key", i), value).ok());
+  }
+  auto* impl = reinterpret_cast<DBImpl*>(db.get());
+  ASSERT_TRUE(impl->TEST_CompactMemTable().ok());
+  for (int level = 0; level < kNumLevels - 1; level++) {
+    impl->TEST_CompactRange(level, nullptr, nullptr);
+  }
+  ASSERT_GT(devices.device(0)->kernels_launched(), 0u);
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(env->GetChildren("/pinned", &children).ok());
+  std::vector<std::pair<uint64_t, std::string>> tables;
+  for (const std::string& child : children) {
+    uint64_t number;
+    FileType type;
+    if (ParseFileName(child, &number, &type) &&
+        type == FileType::kTableFile) {
+      tables.emplace_back(number, "/pinned/" + child);
+    }
+  }
+  std::sort(tables.begin(), tables.end());
+  std::vector<uint32_t> crcs;
+  for (const auto& [number, fname] : tables) {
+    uint32_t crc = 0;
+    uint64_t bytes = 0;
+    ASSERT_TRUE(ComputeFileChecksum(env.get(), fname, nullptr, &crc, &bytes)
+                    .ok());
+    crcs.push_back(crc);
+  }
+  const std::vector<uint32_t> expected = {
+      3590229254u, 1136134877u, 1277142176u, 2393515498u, 2239564244u,
+      4053259609u, 3850062498u, 1817856356u, 3305182354u};
+  EXPECT_EQ(expected, crcs);
 }
 
 }  // namespace host

@@ -1,9 +1,13 @@
 #include "compress/snappy.h"
 
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "util/random.h"
+#include "workload/key_generator.h"
 
 namespace fcae {
 namespace snappy {
@@ -39,7 +43,141 @@ std::string RandomString(Random* rnd, size_t len) {
   return result;
 }
 
+// The compressor as it was before MatchLength compared eight bytes at a
+// time: the same encoder with a byte-at-a-time match loop. Compress must
+// emit exactly its bytes.
+namespace reference {
+
+uint32_t Load32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint32_t HashBytes(uint32_t bytes) { return (bytes * 0x1e35a7bdu) >> 18; }
+
+char* EmitLiteral(char* op, const char* literal, size_t len) {
+  size_t n = len - 1;
+  if (n < 60) {
+    *op++ = static_cast<char>(n << 2);
+  } else {
+    char* base = op++;
+    int count = 0;
+    for (; n > 0; n >>= 8, count++) *op++ = static_cast<char>(n & 0xff);
+    *base = static_cast<char>((59 + count) << 2);
+  }
+  std::memcpy(op, literal, len);
+  return op + len;
+}
+
+char* EmitCopyUpTo64(char* op, size_t offset, size_t len) {
+  if (len < 12 && offset < 2048) {
+    *op++ = static_cast<char>(1 | ((len - 4) << 2) | ((offset >> 8) << 5));
+    *op++ = static_cast<char>(offset & 0xff);
+  } else {
+    *op++ = static_cast<char>(2 | ((len - 1) << 2));
+    *op++ = static_cast<char>(offset & 0xff);
+    *op++ = static_cast<char>((offset >> 8) & 0xff);
+  }
+  return op;
+}
+
+char* EmitCopy(char* op, size_t offset, size_t len) {
+  for (; len >= 68; len -= 64) op = EmitCopyUpTo64(op, offset, 64);
+  if (len > 64) {
+    op = EmitCopyUpTo64(op, offset, 60);
+    len -= 60;
+  }
+  return EmitCopyUpTo64(op, offset, len);
+}
+
+std::string Compress(const std::string& in) {
+  const size_t n = in.size();
+  std::string out(MaxCompressedLength(n), '\0');
+  char* dst = out.data();
+  char* op = dst;
+  for (uint32_t v = static_cast<uint32_t>(n); ; v >>= 7) {
+    *op++ = static_cast<char>(v < 128 ? v : (v & 0x7f) | 0x80);
+    if (v < 128) break;
+  }
+  if (n < 15) {
+    if (n > 0) op = EmitLiteral(op, in.data(), n);
+    out.resize(op - dst);
+    return out;
+  }
+  uint16_t table[1 << 14] = {};
+  const char* ip = in.data() + 1;
+  const char* ip_end = in.data() + n;
+  const char* ip_limit = ip_end - 15;
+  const char* next_emit = in.data();
+  const char* base = in.data();
+  while (ip < ip_limit) {
+    const uint32_t hash = HashBytes(Load32(ip));
+    const char* candidate = base + table[hash];
+    table[hash] = static_cast<uint16_t>(ip - base);
+    if (candidate < ip && Load32(candidate) == Load32(ip) &&
+        static_cast<size_t>(ip - candidate) <= 65535) {
+      if (ip > next_emit) op = EmitLiteral(op, next_emit, ip - next_emit);
+      size_t matched = 4;
+      while (ip + matched < ip_end && candidate[matched] == ip[matched]) {
+        matched++;
+      }
+      op = EmitCopy(op, ip - candidate, matched);
+      ip += matched;
+      next_emit = ip;
+      if (ip >= ip_limit) break;
+      table[HashBytes(Load32(ip))] = static_cast<uint16_t>(ip - base);
+    }
+    ip++;
+    if (static_cast<size_t>(ip - base) >= 60000) {
+      base = ip - 1;
+      std::memset(table, 0, sizeof(table));
+    }
+  }
+  if (next_emit < ip_end) op = EmitLiteral(op, next_emit, ip_end - next_emit);
+  out.resize(op - dst);
+  return out;
+}
+
+}  // namespace reference
+
+/// Runs of one byte, each 1 to 300 bytes long.
+std::string RunLengthString(Random* rnd, size_t len) {
+  std::string result;
+  while (result.size() < len) {
+    result.append(1 + rnd->Uniform(300), static_cast<char>(rnd->Uniform(4)));
+  }
+  result.resize(len);
+  return result;
+}
+
 }  // namespace
+
+TEST(Snappy, OutputMatchesByteAtATimeReference) {
+  std::vector<size_t> lengths;
+  for (size_t len = 1; len <= 40; len++) lengths.push_back(len);
+  for (size_t len : {63, 64, 65, 100, 1000, 4095, 4096, 4097, 59999, 60000,
+                     60001, 65535, 65536, 65537, 100000, 200000}) {
+    lengths.push_back(len);
+  }
+  Random rnd(17);
+  for (int i = 0; i < 40; i++) lengths.push_back(1 + rnd.Uniform(200000));
+
+  workload::ValueGenerator values(/*seed=*/5, /*compression_ratio=*/0.5);
+  int checked = 0;
+  for (size_t len : lengths) {
+    for (const std::string& input :
+         {RandomString(&rnd, len), values.Generate(len),
+          RunLengthString(&rnd, len)}) {
+      std::string compressed;
+      Compress(input.data(), input.size(), &compressed);
+      ASSERT_EQ(reference::Compress(input), compressed)
+          << "length " << len << ", input " << checked % 3;
+      checked++;
+    }
+  }
+  EXPECT_EQ(3 * static_cast<int>(lengths.size()), checked);
+}
 
 TEST(Snappy, EmptyInput) {
   std::string compressed;
