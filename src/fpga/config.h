@@ -101,8 +101,9 @@ struct EngineConfig {
 
   /// Kernel watchdog: if a run exceeds this many simulated cycles the
   /// host declares a kernel timeout and kills the job (0 = no deadline).
-  /// Sized from the input bytes by the host executor; a hung kernel on a
-  /// real card is detected exactly this way.
+  /// A fixed value of the card's configuration: nothing sizes it per
+  /// job, and it is 0 unless the caller sets it. An injected hang with
+  /// no deadline is charged twice its nominal run.
   uint64_t kernel_deadline_cycles = 0;
 
   OptLevel opt_level = OptLevel::kFullBandwidth;

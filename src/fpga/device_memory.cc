@@ -1,9 +1,35 @@
 #include "fpga/device_memory.h"
 
+#include "lsm/dbformat.h"
+#include "table/block_builder.h"
+#include "table/format.h"
 #include "util/coding.h"
+#include "util/comparator.h"
+#include "util/options.h"
 
 namespace fcae {
 namespace fpga {
+
+void AppendIndexBlock(const std::vector<OutputIndexEntry>& entries,
+                      std::string* dst) {
+  // The comparator only checks the order of the added keys.
+  static const InternalKeyComparator* icmp =
+      new InternalKeyComparator(BytewiseComparator());
+  Options options;
+  options.comparator = icmp;
+  options.block_restart_interval = 1;
+  BlockBuilder block(&options);
+  std::string handle_encoding;
+  for (const OutputIndexEntry& e : entries) {
+    BlockHandle handle;
+    handle.set_offset(e.offset);
+    handle.set_size(e.size);
+    handle_encoding.clear();
+    handle.EncodeTo(&handle_encoding);
+    block.Add(e.last_key, handle_encoding);
+  }
+  AppendStoredBlock(block.Finish(), dst);
+}
 
 void EncodeMetaIn(const std::vector<SstableDescriptor>& sstables,
                   std::string* dst) {

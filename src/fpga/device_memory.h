@@ -50,6 +50,15 @@ struct OutputIndexEntry {
   uint64_t size = 0;     // Block bytes (without trailer).
 };
 
+/// Appends `entries` to *dst as one stored index block, the format of
+/// Fig. 7's Index Block Memory and of a table file's index: one restart
+/// per entry (restart interval 1), keys in bytewise internal-key order,
+/// each value the entry's BlockHandle, and a kNoCompression trailer.
+/// The stager's trimmed input indexes, the tournament's re-staged
+/// intermediates and the host-assembled output tables all encode here.
+void AppendIndexBlock(const std::vector<OutputIndexEntry>& entries,
+                      std::string* dst);
+
 /// One output SSTable assembled on the device. MetaOut additionally
 /// records the smallest and largest key of each table, which the host
 /// needs for the version edit (paper Section V-A: "the smallest and the

@@ -12,7 +12,6 @@
 #include "lsm/table_cache.h"
 #include "obs/event_listener.h"
 #include "obs/metrics.h"
-#include "obs/perf_context.h"
 #include "obs/trace.h"
 #include "table/iterator.h"
 #include "util/crash_env.h"
@@ -351,9 +350,6 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
       attempt_span.AddArg("queue_us",
                           std::to_string(run_stats.queue_wait_micros));
     }
-    FCAE_PERF_TIME(offload_queue_wait_micros, run_stats.queue_wait_micros);
-    FCAE_PERF_TIME(offload_device_micros, call_end_micros - run_start_micros);
-    FCAE_PERF_COUNT(offload_device_attempts, 1);
     if (job.metrics != nullptr) {
       // Jobs queued or running, summed over the set's cards.
       uint64_t depth = 0;
@@ -381,16 +377,11 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
       Status vs = VerifyDeviceOutput(device_output, *job.icmp, &verify_stats,
                                      job.options->filter_policy,
                                      &filter_blocks);
-      const uint64_t verify_delta = env->NowMicros() - verify_start;
-      verify_micros += static_cast<double>(verify_delta);
-      FCAE_PERF_TIME(offload_verify_micros, verify_delta);
+      verify_micros += static_cast<double>(env->NowMicros() - verify_start);
       if (!vs.ok()) {
         verify_failures++;
         s = vs;  // Corruption: transient, retryable.
         verify_span.AddArg("rejected", "true");
-        if (job.metrics != nullptr) {
-          job.metrics->host_verify_rejects.Increment();
-        }
       }
     }
 
@@ -430,10 +421,10 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   stats->verify_failures = verify_failures;
   stats->verify_micros = verify_micros;
 
+  // The record carries the attempt, retry, fault and verify-reject
+  // counts; the DB publishes them once per job. The backoff sleeps are
+  // not in the record, so they are counted here.
   if (job.metrics != nullptr) {
-    job.metrics->host_device_attempts.Increment(attempts);
-    job.metrics->host_device_retries.Increment(stats->device_retries);
-    job.metrics->host_device_faults.Increment(faults);
     job.metrics->host_backoff_micros.Increment(backoff_micros);
   }
 
@@ -470,10 +461,14 @@ Status FcaeCompactionExecutor::Execute(const CompactionJob& job,
   // crash here must leave only orphans that reopen reclaims.
   FCAE_CRASH_POINT("offload:after_device_write");
 
-  // Records the bounds filter discarded belong to other shards, not to
-  // this job — exclude them so the stats match the CPU shard path,
-  // whose bounded iterator never surfaces them at all.
-  stats->entries_in = run_stats.engine.records_in -
+  // Every input record either leaves the final pass or is dropped once;
+  // a tournament's pass reads count its intermediate runs again, so
+  // they are not the job's input. Records the bounds filter discarded
+  // belong to other shards, not to this job — exclude them so the stats
+  // match the CPU shard path, whose bounded iterator never surfaces
+  // them at all.
+  stats->entries_in = run_stats.engine.records_out +
+                      run_stats.engine.records_dropped -
                       run_stats.engine.records_bounds_dropped;
   stats->entries_dropped = run_stats.engine.records_dropped -
                            run_stats.engine.records_bounds_dropped;

@@ -27,16 +27,6 @@ Slice UserKeyOf(const Slice& internal_key) {
              : internal_key;
 }
 
-// Appends a stored-format block (contents + kNoCompression trailer with
-// the masked CRC) to *dst, the representation the engine's block decode
-// path expects.
-void AppendStoredBlock(const Slice& contents, std::string* dst) {
-  dst->append(contents.data(), contents.size());
-  char trailer[kBlockTrailerSize];
-  EncodeBlockTrailer(contents, kNoCompression, trailer);
-  dst->append(trailer, kBlockTrailerSize);
-}
-
 // One table's place in a run image, planned before any data byte is
 // read, so the regions of a job's tables can be copied in parallel.
 struct TablePlan {
@@ -127,11 +117,7 @@ Status PlanTable(Env* env, const std::string& fname,
     InternalKeyComparator icmp(BytewiseComparator());
     std::unique_ptr<Iterator> iter(index.NewIterator(&icmp));
 
-    Options index_options;
-    index_options.comparator = &icmp;
-    index_options.block_restart_interval = 1;
-    BlockBuilder trimmed_index(&index_options);
-    bool any = false;
+    std::vector<fpga::OutputIndexEntry> trimmed_index;
     bool past_upper = false;  // The previous block ends above the shard.
     for (iter->SeekToFirst(); iter->Valid() && !past_upper; iter->Next()) {
       const Slice user_key = UserKeyOf(iter->key());
@@ -148,27 +134,23 @@ Status PlanTable(Env* env, const std::string& fname,
           data_region_size) {
         return Status::Corruption("index entry out of range", fname);
       }
-      if (!any) {
-        region_start = handle.offset();
-        any = true;
-      }
+      if (trimmed_index.empty()) region_start = handle.offset();
       region_end = handle.offset() + handle.size() + kBlockTrailerSize;
       // Handles are rebased to the trimmed region so the staged index
       // addresses the staged bytes exactly like an untrimmed one does.
-      BlockHandle rebased;
-      rebased.set_offset(handle.offset() - region_start);
-      rebased.set_size(handle.size());
-      std::string handle_encoding;
-      rebased.EncodeTo(&handle_encoding);
-      trimmed_index.Add(iter->key(), handle_encoding);
+      fpga::OutputIndexEntry entry;
+      entry.last_key = iter->key().ToString();
+      entry.offset = handle.offset() - region_start;
+      entry.size = handle.size();
+      trimmed_index.push_back(std::move(entry));
     }
     if (!iter->status().ok()) return iter->status();
-    if (!any) {
+    if (trimmed_index.empty()) {
       // Every data block lies outside the shard: nothing to stage.
       return Status::OK();
     }
     index_stored.clear();
-    AppendStoredBlock(trimmed_index.Finish(), &index_stored);
+    fpga::AppendIndexBlock(trimmed_index, &index_stored);
   }
 
   fpga::SstableDescriptor desc;
@@ -263,96 +245,66 @@ Status AssembleTableFile(Env* env, const std::string& fname,
   ChecksumWritableFile* checksum_file = new ChecksumWritableFile(raw_file);
   std::unique_ptr<WritableFile> file(checksum_file);
 
-  uint64_t offset = 0;
-  auto append_raw_block = [&](const Slice& contents,
-                              BlockHandle* handle) -> Status {
-    handle->set_offset(offset);
-    handle->set_size(contents.size());
-    Status as = file->Append(contents);
-    if (!as.ok()) return as;
-    char trailer[kBlockTrailerSize];
-    EncodeBlockTrailer(contents, kNoCompression, trailer);
-    as = file->Append(Slice(trailer, kBlockTrailerSize));
-    if (!as.ok()) return as;
-    offset += contents.size() + kBlockTrailerSize;
-    return Status::OK();
-  };
-
   // 1. Data blocks exactly as the engine produced them (each already
   //    carries its own trailer).
   s = file->Append(table.data_memory);
   if (!s.ok()) return s;
-  offset += table.data_memory.size();
 
-  // Index separators are internal keys; the builder's ordering assert
-  // must use internal-key order (user key asc, mark desc).
-  static const InternalKeyComparator* icmp =
-      new InternalKeyComparator(BytewiseComparator());
-  Options block_options;
-  block_options.comparator = icmp;
+  // 2.-5. The filter, metaindex and index blocks and the footer follow
+  //    the data region; they are encoded here and written in one append.
+  std::string tail;
+  // The handle of the stored block appended to the tail since `start`.
+  auto handle_since = [&](size_t start) {
+    BlockHandle handle;
+    handle.set_offset(table.data_memory.size() + start);
+    handle.set_size(tail.size() - start - kBlockTrailerSize);
+    return handle;
+  };
 
   // 2. Optional filter block, built by the verify walk of this table.
   BlockHandle filter_handle;
   const bool has_filter = filter_policy != nullptr;
+  size_t start = tail.size();
   if (has_filter) {
-    s = append_raw_block(filter_block, &filter_handle);
-    if (!s.ok()) return s;
+    AppendStoredBlock(filter_block, &tail);
+    filter_handle = handle_since(start);
   }
 
   // 3. Metaindex block (maps "filter.<Name>" to the filter block).
-  BlockHandle metaindex_handle;
-  {
-    Options meta_options = block_options;
-    BlockBuilder metaindex_block(&meta_options);
-    if (has_filter) {
-      std::string key = "filter.";
-      key.append(filter_policy->Name());
-      std::string handle_encoding;
-      filter_handle.EncodeTo(&handle_encoding);
-      metaindex_block.Add(key, handle_encoding);
-    }
-    s = append_raw_block(metaindex_block.Finish(), &metaindex_handle);
-    if (!s.ok()) return s;
+  Options meta_options;
+  BlockBuilder metaindex_block(&meta_options);
+  if (has_filter) {
+    std::string key = "filter.";
+    key.append(filter_policy->Name());
+    std::string handle_encoding;
+    filter_handle.EncodeTo(&handle_encoding);
+    metaindex_block.Add(key, handle_encoding);
   }
+  start = tail.size();
+  AppendStoredBlock(metaindex_block.Finish(), &tail);
+  const BlockHandle metaindex_handle = handle_since(start);
 
   // 4. Index block from the engine's (last_key, handle) entries. The
   //    engine emits the blocks' exact last keys as separators; with
   //    restart interval 1 the index is binary searchable like any
   //    TableBuilder-produced index.
-  BlockHandle index_handle;
-  {
-    Options index_options = block_options;
-    index_options.block_restart_interval = 1;
-    BlockBuilder index_block(&index_options);
-    for (const fpga::OutputIndexEntry& e : table.index_entries) {
-      BlockHandle h;
-      h.set_offset(e.offset);
-      h.set_size(e.size);
-      std::string handle_encoding;
-      h.EncodeTo(&handle_encoding);
-      index_block.Add(e.last_key, handle_encoding);
-    }
-    s = append_raw_block(index_block.Finish(), &index_handle);
-    if (!s.ok()) return s;
-  }
+  start = tail.size();
+  fpga::AppendIndexBlock(table.index_entries, &tail);
+  const BlockHandle index_handle = handle_since(start);
 
   // 5. Footer.
-  {
-    Footer footer;
-    footer.set_metaindex_handle(metaindex_handle);
-    footer.set_index_handle(index_handle);
-    std::string footer_encoding;
-    footer.EncodeTo(&footer_encoding);
-    s = file->Append(footer_encoding);
-    if (!s.ok()) return s;
-    offset += footer_encoding.size();
-  }
+  Footer footer;
+  footer.set_metaindex_handle(metaindex_handle);
+  footer.set_index_handle(index_handle);
+  footer.EncodeTo(&tail);
+  s = file->Append(tail);
+  if (!s.ok()) return s;
 
   s = file->Sync();
   if (s.ok()) {
     s = file->Close();
   }
-  *file_size = offset;
+  *file_size = table.data_memory.size() + tail.size();
   if (file_checksum != nullptr) {
     *file_checksum = checksum_file->checksum();
   }

@@ -98,8 +98,9 @@ struct CompactionOutput {
 /// The one record of a compaction job. Executors fill it per shard, the
 /// DB sums the shards and sets `bytes_read` once from the job's input
 /// files, and every other view of the job (per-level stats, the
-/// db.compaction.* instruments, span args, CompactionJobInfo) is read
-/// from the summed record.
+/// db.compaction.* instruments and the host.device attempt, retry and
+/// fault counts, span args, CompactionJobInfo) is read from the summed
+/// record.
 struct CompactionExecStats {
   double micros = 0;           // Wall-clock kernel time.
   int64_t bytes_read = 0;      // Input table bytes, set by the DB.

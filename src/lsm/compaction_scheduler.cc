@@ -30,10 +30,7 @@ CompactionScheduler::CompactionScheduler(Env* env, CondVar* wakeup,
 void CompactionScheduler::ScheduleFlush(void (*fn)(void*), void* arg) {
   assert(!flush_scheduled_);
   flush_scheduled_ = true;
-  flushes_started_++;
-  if (metrics_ != nullptr) {
-    metrics_->scheduler_flushes_started.Increment();
-  }
+  metrics_->scheduler_flushes_started.Increment();
   UpdateGauges();
   env_->SchedulePool(kFlushPool, 1, fn, arg);
 }
@@ -47,10 +44,7 @@ void CompactionScheduler::FlushFinished() {
 void CompactionScheduler::ScheduleScrub(void (*fn)(void*), void* arg) {
   assert(!scrub_scheduled_);
   scrub_scheduled_ = true;
-  scrubs_started_++;
-  if (metrics_ != nullptr) {
-    metrics_->scheduler_scrubs_started.Increment();
-  }
+  metrics_->scheduler_scrubs_started.Increment();
   UpdateGauges();
   env_->SchedulePool(kScrubPool, 1, fn, arg);
 }
@@ -78,10 +72,7 @@ void CompactionScheduler::BeginCompaction(int level) {
   assert(LevelsFree(level));
   busy_levels_ |= LevelPairMask(level);
   running_compactions_++;
-  compactions_started_++;
-  if (metrics_ != nullptr) {
-    metrics_->scheduler_compactions_started.Increment();
-  }
+  metrics_->scheduler_compactions_started.Increment();
   UpdateGauges();
 }
 
@@ -121,10 +112,7 @@ void CompactionScheduler::EndRepair(int level) {
 
 void CompactionScheduler::LockManifest() {
   while (manifest_busy_) {
-    manifest_waits_++;
-    if (metrics_ != nullptr) {
-      metrics_->scheduler_manifest_waits.Increment();
-    }
+    metrics_->scheduler_manifest_waits.Increment();
     wakeup_->Wait();
   }
   manifest_busy_ = true;
@@ -140,16 +128,11 @@ void CompactionScheduler::UnlockManifest() {
 }
 
 void CompactionScheduler::RecordShardedJob(int shards) {
-  sharded_jobs_++;
-  shards_run_ += shards;
-  if (metrics_ != nullptr) {
-    metrics_->scheduler_sharded_jobs.Increment();
-    metrics_->scheduler_shards_run.Increment(static_cast<uint64_t>(shards));
-  }
+  metrics_->scheduler_sharded_jobs.Increment();
+  metrics_->scheduler_shards_run.Increment(static_cast<uint64_t>(shards));
 }
 
 void CompactionScheduler::UpdateGauges() {
-  if (metrics_ == nullptr) return;
   metrics_->scheduler_workers_scheduled.Set(scheduled_workers_);
   metrics_->scheduler_workers_running.Set(running_compactions_);
   metrics_->scheduler_busy_levels.Set(static_cast<int64_t>(busy_levels_));
@@ -158,21 +141,24 @@ void CompactionScheduler::UpdateGauges() {
 }
 
 std::string CompactionScheduler::DebugString() const {
+  const auto count = [](const obs::Counter& c) {
+    return static_cast<unsigned long long>(c.value());
+  };
   char buf[256];
   std::snprintf(
       buf, sizeof(buf),
       "scheduler{workers=%d/%d running=%d busy-levels=0x%x flush=%d "
-      "scrub=%d scrubs=%lld "
-      "flushes=%lld compactions=%lld sharded-jobs=%lld shards=%lld "
-      "manifest-waits=%lld}",
+      "scrub=%d scrubs=%llu "
+      "flushes=%llu compactions=%llu sharded-jobs=%llu shards=%llu "
+      "manifest-waits=%llu}",
       scheduled_workers_, max_workers_, running_compactions_, busy_levels_,
       flush_scheduled_ ? 1 : 0, scrub_scheduled_ ? 1 : 0,
-      static_cast<long long>(scrubs_started_),
-      static_cast<long long>(flushes_started_),
-      static_cast<long long>(compactions_started_),
-      static_cast<long long>(sharded_jobs_),
-      static_cast<long long>(shards_run_),
-      static_cast<long long>(manifest_waits_));
+      count(metrics_->scheduler_scrubs_started),
+      count(metrics_->scheduler_flushes_started),
+      count(metrics_->scheduler_compactions_started),
+      count(metrics_->scheduler_sharded_jobs),
+      count(metrics_->scheduler_shards_run),
+      count(metrics_->scheduler_manifest_waits));
   return std::string(buf);
 }
 

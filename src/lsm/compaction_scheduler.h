@@ -36,8 +36,10 @@ class MetricsRegistry;
 class CompactionScheduler {
  public:
   /// `wakeup` is the DB's background-work CondVar; UnlockManifest()
-  /// signals it so manifest waiters recheck. `metrics` may be null
-  /// (unit tests); `env` may be null if Schedule* is never called.
+  /// signals it so manifest waiters recheck. `metrics` (borrowed,
+  /// required) holds every count the scheduler publishes: its job
+  /// counters and its state gauges. `env` may be null if Schedule* is
+  /// never called.
   CompactionScheduler(Env* env, CondVar* wakeup, int max_workers,
                       obs::MetricsRegistry* metrics);
 
@@ -150,7 +152,9 @@ class CompactionScheduler {
   /// Accounting for a job split into `shards` sub-compactions.
   void RecordShardedJob(int shards);
 
-  /// One line for DB::GetProperty("fcae.scheduler").
+  /// One line for DB::GetProperty("fcae.scheduler"): the live state,
+  /// then the registry's job counters (with a registry shared by
+  /// several DBs, their totals).
   std::string DebugString() const;
 
   /// Plans user-key shard boundaries for splitting a compaction whose
@@ -179,15 +183,7 @@ class CompactionScheduler {
   uint32_t busy_levels_ = 0;
   bool manifest_busy_ = false;
 
-  // Lifetime totals (also mirrored to metrics when available).
-  int64_t flushes_started_ = 0;
-  int64_t scrubs_started_ = 0;
-  int64_t compactions_started_ = 0;
-  int64_t sharded_jobs_ = 0;
-  int64_t shards_run_ = 0;
-  int64_t manifest_waits_ = 0;
-
-  obs::MetricsRegistry* const metrics_;  // May be null.
+  obs::MetricsRegistry* const metrics_;
 
   void UpdateGauges();
 };

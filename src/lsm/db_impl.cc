@@ -175,7 +175,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       metrics_(raw_options.metrics_registry != nullptr
                    ? raw_options.metrics_registry
                    : owned_metrics_.get()),
-      trace_(options_.trace_ring_size),
+      trace_(options_.trace_ring_size, &metrics_->obs_trace_dropped_events),
       notifier_(options_.listeners),
       shutting_down_(false),
       background_work_finished_signal_(&mutex_),
@@ -1586,18 +1586,14 @@ void DBImpl::RunCompactionShard(CompactionShard* shard) {
       fallback_info.reason = shard->status.ToString();
       notifier_.NotifyOffloadFallback(fallback_info);
     }
-    FCAE_PERF_COUNT(offload_cpu_fallbacks, 1);
 
     // Keep the failed attempt's fault accounting and host-stage times
     // visible in the DB totals, but take the job's time and volume from
     // the run that succeeded.
     const CompactionExecStats device_stats = shard->stats;
     shard->stats = CompactionExecStats();
-    {
-      FCAE_PERF_TIMER_GUARD(fallback_timer, offload_cpu_fallback_micros);
-      shard->status = owned_cpu_executor_->Execute(shard->job, &shard->outputs,
-                                                   &shard->stats);
-    }
+    shard->status = owned_cpu_executor_->Execute(shard->job, &shard->outputs,
+                                                 &shard->stats);
     shard->stats.device_attempts += device_stats.device_attempts;
     shard->stats.device_retries += device_stats.device_retries;
     shard->stats.device_faults += device_stats.device_faults;
@@ -1811,6 +1807,10 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
   metrics_->db_compaction_entries_dropped.Increment(
       exec_stats.entries_dropped);
   metrics_->db_compaction_micros.Observe(exec_stats.micros);
+  metrics_->host_device_attempts.Increment(exec_stats.device_attempts);
+  metrics_->host_device_retries.Increment(exec_stats.device_retries);
+  metrics_->host_device_faults.Increment(exec_stats.device_faults);
+  metrics_->host_verify_rejects.Increment(exec_stats.verify_failures);
   compaction_span.AddArg("offloaded", exec_stats.offloaded ? "true" : "false");
   compaction_span.AddArg("fallback", exec_stats.fell_back ? "true" : "false");
   job_info.offloaded = exec_stats.offloaded;
@@ -2233,15 +2233,6 @@ void DBImpl::PumpRateLimiterMetrics() {
   }
 }
 
-void DBImpl::PumpTraceMetrics() {
-  const uint64_t dropped = trace_.events_dropped();
-  if (dropped > trace_dropped_exported_) {
-    metrics_->obs_trace_dropped_events.Increment(
-        dropped - trace_dropped_exported_);
-    trace_dropped_exported_ = dropped;
-  }
-}
-
 void DBImpl::NotifyFlushEvent(bool begin, const obs::FlushJobInfo& info) {
   if (!notifier_.active()) return;
   mutex_.Unlock();
@@ -2495,10 +2486,9 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
   Slice prefix("fcae.");
   if (!in.StartsWith(prefix)) return false;
   in.RemovePrefix(prefix.size());
-  // Settle any rate-limiter and trace-ring activity into the registry
-  // so property snapshots ("metrics", "stats") are current.
+  // Settle any rate-limiter activity into the registry so property
+  // snapshots ("metrics", "stats") are current.
   PumpRateLimiterMetrics();
-  PumpTraceMetrics();
 
   if (in.StartsWith("num-files-at-level")) {
     in.RemovePrefix(strlen("num-files-at-level"));
@@ -2601,23 +2591,25 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     return true;
   } else if (in == Slice("device-health")) {
     // One line of robustness/fault counters for the offload path: how
-    // compactions were routed (the registry's compaction counters),
-    // what the device attempts cost, and the primary executor's own
-    // health dump (breaker state per card).
+    // compactions were routed and what the device attempts cost (the
+    // registry's counters; only the verify time, which no instrument
+    // records, comes from the summed record), and the primary
+    // executor's own health dump (breaker state per card).
+    const auto count = [](const obs::Counter& c) {
+      return static_cast<unsigned long long>(c.value());
+    };
     AppendF(value,
             "executor=%s compactions{offloaded=%llu cpu=%llu fallback=%llu} "
             "device{attempts=%llu retries=%llu faults=%llu "
             "verify-rejects=%llu verify-ms=%.3f}",
             primary_executor_->Name(),
-            static_cast<unsigned long long>(
-                metrics_->db_compaction_offloaded.value()),
-            static_cast<unsigned long long>(metrics_->db_compaction_cpu.value()),
-            static_cast<unsigned long long>(
-                metrics_->db_compaction_fallbacks.value()),
-            static_cast<unsigned long long>(exec_stats_.device_attempts),
-            static_cast<unsigned long long>(exec_stats_.device_retries),
-            static_cast<unsigned long long>(exec_stats_.device_faults),
-            static_cast<unsigned long long>(exec_stats_.verify_failures),
+            count(metrics_->db_compaction_offloaded),
+            count(metrics_->db_compaction_cpu),
+            count(metrics_->db_compaction_fallbacks),
+            count(metrics_->host_device_attempts),
+            count(metrics_->host_device_retries),
+            count(metrics_->host_device_faults),
+            count(metrics_->host_verify_rejects),
             exec_stats_.verify_micros / 1e3);
     std::string health = primary_executor_->HealthString();
     if (!health.empty()) {
@@ -2645,7 +2637,8 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     return true;
   } else if (in == Slice("scheduler")) {
     // One line of parallel-compaction state: worker occupancy, claimed
-    // level pairs, flush lane, and lifetime job counters (DESIGN.md §8).
+    // level pairs, flush lane, and the registry's job counters
+    // (DESIGN.md §8).
     *value = scheduler_->DebugString();
     return true;
   } else if (in == Slice("sstables")) {

@@ -148,10 +148,6 @@ class DBImpl : public DB {
   /// shared across DBs still export sane per-registry values).
   void PumpRateLimiterMetrics() REQUIRES(mutex_);
 
-  /// Bridges trace-ring evictions into the registry's dropped-events
-  /// counter (delta-based, same discipline as PumpRateLimiterMetrics).
-  void PumpTraceMetrics() REQUIRES(mutex_);
-
   /// One periodic stats dump (the StatsDumper callback): renders
   /// GetProperty("fcae.stats") — cumulative plus interval — and emits
   /// it as a structured "fcae.stats" record through options_.info_log.
@@ -294,8 +290,9 @@ class DBImpl : public DB {
 
   // Observability (obs/): metrics_ is options_.metrics_registry when the
   // caller supplied a shared registry, else owned_metrics_. trace_ is
-  // always DB-owned (a bounded ring readable via "fcae.trace");
-  // options_.trace_sink, when set, additionally sees each event live.
+  // always DB-owned (a bounded ring readable via "fcae.trace") and
+  // counts its evictions into metrics_; options_.trace_sink, when set,
+  // additionally sees each event live.
   // Both are internally synchronized (leaf locks under mutex_).
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* const metrics_;
@@ -395,7 +392,8 @@ class DBImpl : public DB {
 
   // The sum of every compaction job's record. It keeps the device, PCIe
   // and verify times, which no instrument records; job counts by route
-  // are the registry's db.compaction.* counters.
+  // and device attempt counts are the registry's counters, published
+  // from each job's record.
   CompactionExecStats exec_stats_ GUARDED_BY(mutex_);
 
   // Overload protection (DESIGN.md §10): the WriteController prices
@@ -411,9 +409,6 @@ class DBImpl : public DB {
   uint64_t rl_exported_throttled_bytes_ GUARDED_BY(mutex_) = 0;
   uint64_t rl_exported_wait_micros_ GUARDED_BY(mutex_) = 0;
   uint64_t rl_exported_requests_ GUARDED_BY(mutex_) = 0;
-  // Trace-ring evictions already exported into the registry (the
-  // recorder keeps its own monotonic total; see PumpTraceMetrics).
-  uint64_t trace_dropped_exported_ GUARDED_BY(mutex_) = 0;
 
   // Baseline for the interval section of GetProperty("fcae.stats"):
   // refreshed on every "stats" read, so each read reports activity

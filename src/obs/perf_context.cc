@@ -55,13 +55,6 @@ std::string PerfContext::ToString() const {
   AppendField(&out, "write_delay_micros", write_delay_micros);
   AppendField(&out, "write_stops", write_stops);
   AppendField(&out, "write_stop_micros", write_stop_micros);
-  AppendField(&out, "offload_queue_wait_micros", offload_queue_wait_micros);
-  AppendField(&out, "offload_device_attempts", offload_device_attempts);
-  AppendField(&out, "offload_device_micros", offload_device_micros);
-  AppendField(&out, "offload_verify_micros", offload_verify_micros);
-  AppendField(&out, "offload_cpu_fallbacks", offload_cpu_fallbacks);
-  AppendField(&out, "offload_cpu_fallback_micros",
-              offload_cpu_fallback_micros);
   return out;
 }
 

@@ -10,9 +10,9 @@ namespace obs {
 /// How much per-operation accounting the calling thread pays for.
 /// kDisable reduces every tick site to a single thread-local load and
 /// branch; kEnableCount adds counter increments; kEnableTime adds
-/// clock reads around the timed sections (WAL sync, block reads,
-/// device attempts), which is the only level that makes *_micros
-/// fields nonzero.
+/// clock reads around the timed sections (WAL appends and syncs, block
+/// reads, write-stall passes), which is the only level that makes
+/// *_micros fields nonzero.
 enum class PerfLevel : unsigned char {
   kDisable = 0,
   kEnableCount = 1,
@@ -51,14 +51,6 @@ struct PerfContext {
   uint64_t write_delay_micros = 0;
   uint64_t write_stops = 0;  // Full stalls (memtable limit or L0 stop).
   uint64_t write_stop_micros = 0;
-
-  // Offload executor (ticked on the compaction/shard thread).
-  uint64_t offload_queue_wait_micros = 0;
-  uint64_t offload_device_attempts = 0;
-  uint64_t offload_device_micros = 0;
-  uint64_t offload_verify_micros = 0;
-  uint64_t offload_cpu_fallbacks = 0;
-  uint64_t offload_cpu_fallback_micros = 0;
 
   void Reset();
 

@@ -19,8 +19,8 @@ uint64_t TraceNowMicros() {
           .count());
 }
 
-TraceRecorder::TraceRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+TraceRecorder::TraceRecorder(size_t capacity, Counter* dropped)
+    : capacity_(capacity == 0 ? 1 : capacity), dropped_(dropped) {}
 
 void TraceRecorder::set_sink(TraceSink* sink) {
   MutexLock lock(&mutex_);
@@ -37,7 +37,7 @@ void TraceRecorder::Record(TraceEvent event) {
     } else {
       ring_[next_] = event;
       next_ = (next_ + 1) % capacity_;
-      dropped_++;
+      dropped_->Increment();
     }
   }
   // Sink runs outside the lock so a slow sink (file write) never
@@ -77,7 +77,6 @@ void TraceRecorder::RecordInstant(
 
 std::string TraceRecorder::ToJson() const {
   std::vector<TraceEvent> events;
-  uint64_t dropped;
   {
     MutexLock lock(&mutex_);
     events.reserve(ring_.size());
@@ -86,7 +85,6 @@ std::string TraceRecorder::ToJson() const {
     for (size_t i = 0; i < ring_.size(); i++) {
       events.push_back(ring_[(next_ + i) % ring_.size()]);
     }
-    dropped = dropped_;
   }
 
   std::string out = "{\"traceEvents\": [";
@@ -125,7 +123,7 @@ std::string TraceRecorder::ToJson() const {
   out += events.empty() ? "]" : "\n]";
   std::snprintf(buf, sizeof(buf),
                 ", \"displayTimeUnit\": \"ms\", \"eventsDropped\": %llu}",
-                static_cast<unsigned long long>(dropped));
+                static_cast<unsigned long long>(dropped_->value()));
   out += buf;
   return out;
 }
@@ -133,11 +131,6 @@ std::string TraceRecorder::ToJson() const {
 size_t TraceRecorder::size() const {
   MutexLock lock(&mutex_);
   return ring_.size();
-}
-
-uint64_t TraceRecorder::events_dropped() const {
-  MutexLock lock(&mutex_);
-  return dropped_;
 }
 
 std::string TraceRecorder::Quote(const std::string& value) {

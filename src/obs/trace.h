@@ -38,16 +38,22 @@ class TraceSink {
   virtual void Append(const TraceEvent& event) = 0;
 };
 
+class Counter;
+
 /// A bounded in-memory ring of trace events, exportable as
 /// chrome://tracing JSON (load via chrome://tracing or Perfetto).
-/// When the ring is full the oldest events are overwritten and
-/// events_dropped() counts them, so a long-running DB keeps the most
-/// recent window rather than failing or growing without bound.
+/// When the ring is full the oldest events are overwritten, so a
+/// long-running DB keeps the most recent window rather than failing or
+/// growing without bound.
 class TraceRecorder {
  public:
   /// `capacity` is the max retained events; 4096 spans comfortably
-  /// cover thousands of compactions between exports.
-  explicit TraceRecorder(size_t capacity = 4096);
+  /// cover thousands of compactions between exports. Each overwritten
+  /// event increments `dropped` (borrowed; it must outlive the
+  /// recorder), the one count of evictions: a DB passes its registry's
+  /// obs.trace.dropped_events, so the registry is current at every
+  /// eviction, and ToJson's "eventsDropped" prints the same counter.
+  TraceRecorder(size_t capacity, Counter* dropped);
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -77,8 +83,6 @@ class TraceRecorder {
 
   /// Events currently retained in the ring.
   size_t size() const EXCLUDES(mutex_);
-  /// Events overwritten because the ring was full.
-  uint64_t events_dropped() const EXCLUDES(mutex_);
 
   /// Wraps a string value as a JSON string literal for TraceEvent::args.
   static std::string Quote(const std::string& value);
@@ -86,9 +90,9 @@ class TraceRecorder {
  private:
   mutable Mutex mutex_;
   const size_t capacity_;
+  Counter* const dropped_;
   std::vector<TraceEvent> ring_ GUARDED_BY(mutex_);
   size_t next_ GUARDED_BY(mutex_) = 0;  ///< ring write index once full
-  uint64_t dropped_ GUARDED_BY(mutex_) = 0;
   TraceSink* sink_ GUARDED_BY(mutex_) = nullptr;
 };
 

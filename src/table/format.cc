@@ -80,6 +80,13 @@ void EncodeBlockTrailer(const Slice& contents, CompressionType type,
   EncodeFixed32(trailer + 1, crc32c::Mask(crc));
 }
 
+void AppendStoredBlock(const Slice& contents, std::string* dst) {
+  dst->append(contents.data(), contents.size());
+  char trailer[kBlockTrailerSize];
+  EncodeBlockTrailer(contents, kNoCompression, trailer);
+  dst->append(trailer, kBlockTrailerSize);
+}
+
 bool BlockTrailerMatches(const char* data, size_t n) {
   return crc32c::Value(data, n + 1) ==
          crc32c::Unmask(DecodeFixed32(data + n + 1));

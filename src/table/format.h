@@ -77,6 +77,10 @@ Slice CompressBlock(const Slice& raw, CompressionType* type,
 void EncodeBlockTrailer(const Slice& contents, CompressionType type,
                         char* trailer);
 
+/// Appends `contents` to *dst as a stored uncompressed block: the bytes,
+/// then their kNoCompression trailer.
+void AppendStoredBlock(const Slice& contents, std::string* dst);
+
 /// Returns true iff the trailer at data[n, n + kBlockTrailerSize) holds
 /// the checksum of data[0, n) and the trailer's type byte.
 bool BlockTrailerMatches(const char* data, size_t n);

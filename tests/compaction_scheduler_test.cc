@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "lsm/dbformat.h"
 #include "lsm/version_edit.h"
+#include "obs/metrics.h"
 #include "util/comparator.h"
 #include "util/env.h"
 #include "util/mutex.h"
@@ -116,6 +117,7 @@ class CompactionSchedulerTest : public testing::Test {
   Mutex mu_;
   CondVar cv_;
   InternalKeyComparator icmp_;
+  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(CompactionSchedulerTest, PlanShardBoundariesSplitsParentRun) {
@@ -181,7 +183,7 @@ TEST_F(CompactionSchedulerTest, PlanShardBoundariesDedupsEqualUserKeys) {
 }
 
 TEST_F(CompactionSchedulerTest, LevelClaimsAreDisjoint) {
-  CompactionScheduler s(&env_, &cv_, 4, nullptr);
+  CompactionScheduler s(&env_, &cv_, 4, &metrics_);
 
   EXPECT_TRUE(s.LevelsFree(0));
   s.BeginCompaction(0);  // Claims {0, 1}.
@@ -215,7 +217,7 @@ TEST_F(CompactionSchedulerTest, LevelClaimsAreDisjoint) {
 }
 
 TEST_F(CompactionSchedulerTest, WorkerCapEnforced) {
-  CompactionScheduler s(&env_, &cv_, 2, nullptr);
+  CompactionScheduler s(&env_, &cv_, 2, &metrics_);
   EXPECT_EQ(s.max_workers(), 2);
 
   EXPECT_TRUE(s.CanScheduleCompaction());
@@ -244,7 +246,7 @@ TEST_F(CompactionSchedulerTest, WorkerCapEnforced) {
 }
 
 TEST_F(CompactionSchedulerTest, FlushLaneIsSeparateFromWorkers) {
-  CompactionScheduler s(&env_, &cv_, 1, nullptr);
+  CompactionScheduler s(&env_, &cv_, 1, &metrics_);
   EXPECT_FALSE(s.flush_scheduled());
   s.ScheduleFlush(&NoopWork, nullptr);
   EXPECT_TRUE(s.flush_scheduled());
@@ -258,7 +260,7 @@ TEST_F(CompactionSchedulerTest, FlushLaneIsSeparateFromWorkers) {
 }
 
 TEST_F(CompactionSchedulerTest, ShutdownDrainTracksAllLanes) {
-  CompactionScheduler s(&env_, &cv_, 2, nullptr);
+  CompactionScheduler s(&env_, &cv_, 2, &metrics_);
   EXPECT_FALSE(s.HasBackgroundWork());
 
   s.ScheduleFlush(&NoopWork, nullptr);
@@ -273,7 +275,7 @@ TEST_F(CompactionSchedulerTest, ShutdownDrainTracksAllLanes) {
 }
 
 TEST_F(CompactionSchedulerTest, ManifestLockSerializesWriters) {
-  CompactionScheduler s(&env_, &cv_, 2, nullptr);
+  CompactionScheduler s(&env_, &cv_, 2, &metrics_);
 
   mu_.Lock();
   s.LockManifest();
@@ -300,17 +302,47 @@ TEST_F(CompactionSchedulerTest, ManifestLockSerializesWriters) {
 }
 
 TEST_F(CompactionSchedulerTest, DebugStringReportsCounts) {
-  CompactionScheduler s(&env_, &cv_, 3, nullptr);
+  CompactionScheduler s(&env_, &cv_, 3, &metrics_);
   s.ScheduleCompaction(&NoopWork, nullptr);
   s.BeginCompaction(1);
   s.RecordShardedJob(4);
   std::string d = s.DebugString();
   EXPECT_NE(d.find("workers=1/3"), std::string::npos) << d;
   EXPECT_NE(d.find("running=1"), std::string::npos) << d;
+  EXPECT_NE(d.find("compactions=1"), std::string::npos) << d;
   EXPECT_NE(d.find("sharded-jobs=1"), std::string::npos) << d;
   EXPECT_NE(d.find("shards=4"), std::string::npos) << d;
   s.EndCompaction(1);
   s.WorkerFinished();
+}
+
+// The job counts live in the registry alone, so a second scheduler on
+// the same registry (a second DB) adds to them, and each scheduler's
+// line prints the registry's totals beside its own live state.
+TEST_F(CompactionSchedulerTest, CountsAreTheRegistrys) {
+  CompactionScheduler a(&env_, &cv_, 2, &metrics_);
+  CompactionScheduler b(&env_, &cv_, 2, &metrics_);
+  a.ScheduleFlush(&NoopWork, nullptr);
+  b.ScheduleFlush(&NoopWork, nullptr);
+  a.BeginCompaction(0);
+  b.BeginCompaction(2);
+  b.RecordShardedJob(3);
+  EXPECT_EQ(2u, metrics_.scheduler_flushes_started.value());
+  EXPECT_EQ(2u, metrics_.scheduler_compactions_started.value());
+  EXPECT_EQ(1u, metrics_.scheduler_sharded_jobs.value());
+  EXPECT_EQ(3u, metrics_.scheduler_shards_run.value());
+  for (const CompactionScheduler* s : {&a, &b}) {
+    const std::string d = s->DebugString();
+    EXPECT_NE(d.find("flushes=2 compactions=2 sharded-jobs=1 shards=3"),
+              std::string::npos)
+        << d;
+  }
+  EXPECT_NE(a.DebugString().find("busy-levels=0x3"), std::string::npos);
+  EXPECT_NE(b.DebugString().find("busy-levels=0xc"), std::string::npos);
+  a.EndCompaction(0);
+  b.EndCompaction(2);
+  a.FlushFinished();
+  b.FlushFinished();
 }
 
 }  // namespace fcae

@@ -7,6 +7,9 @@
 //    retry and cpu_fallback instants) on one logical track;
 //  - Options::metrics_registry and Options::trace_sink injection, and
 //    the point-in-time gauges of a registry shared across reopens;
+//  - one count per fact: trace evictions reach the registry as they
+//    happen, and a registry shared by two DBs holds the sum of their
+//    scheduler, device and eviction counts, which each DB prints;
 //  - the `fcae.num-files-at-level<N>` digit-parsing regression.
 
 #include <algorithm>
@@ -49,7 +52,9 @@ class DbMetricsTest : public testing::Test {
 
   std::unique_ptr<DB> OpenDb(CompactionExecutor* executor,
                              obs::MetricsRegistry* registry = nullptr,
-                             obs::TraceSink* sink = nullptr) {
+                             obs::TraceSink* sink = nullptr,
+                             const std::string& name = "/obs_db",
+                             size_t trace_ring_size = 4096) {
     Options options;
     options.env = env_.get();
     options.create_if_missing = true;
@@ -61,8 +66,9 @@ class DbMetricsTest : public testing::Test {
     options.compaction_executor = executor;
     options.metrics_registry = registry;
     options.trace_sink = sink;
+    options.trace_ring_size = trace_ring_size;
     DB* db = nullptr;
-    EXPECT_TRUE(DB::Open(options, "/obs_db", &db).ok());
+    EXPECT_TRUE(DB::Open(options, name, &db).ok());
     return std::unique_ptr<DB>(db);
   }
 
@@ -369,6 +375,96 @@ TEST_F(DbMetricsTest, PointInTimeGaugesEndWithTheirDb) {
   ASSERT_TRUE(db->GetProperty("fcae.num-quarantined-files", &quarantined));
   EXPECT_EQ("0", quarantined);
   EXPECT_EQ(0, registry.integrity_quarantined_files.value());
+}
+
+// The ring counts each eviction into the registry as it happens, so the
+// registry is current with no property read in between.
+TEST_F(DbMetricsTest, TraceEvictionsReachTheRegistryAtOnce) {
+  obs::MetricsRegistry registry;
+  std::unique_ptr<DB> db = OpenDb(nullptr, &registry, nullptr, "/ring_db",
+                                  /*trace_ring_size=*/16);
+  auto* impl = reinterpret_cast<DBImpl*>(db.get());
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), test::Cat("k", i), "v").ok());
+    ASSERT_TRUE(impl->TEST_CompactMemTable().ok());
+  }
+  const uint64_t before = registry.obs_trace_dropped_events.value();
+  EXPECT_GT(before, 0u);
+
+  // The trace export prints the same counter.
+  std::string trace;
+  ASSERT_TRUE(db->GetProperty("fcae.trace", &trace));
+  const double printed = MustParse(trace)["eventsDropped"].number;
+  EXPECT_LE(static_cast<double>(before), printed);
+  EXPECT_GE(static_cast<double>(registry.obs_trace_dropped_events.value()),
+            printed);
+}
+
+// With one registry shared by two DBs, every count below is the
+// registry's: it sums what both DBs did, and each DB's exports print
+// those totals.
+TEST_F(DbMetricsTest, SharedRegistrySumsBothDbs) {
+  fpga::EngineConfig engine_config;
+  engine_config.num_inputs = 9;
+  host::DeviceSet devices(engine_config, /*num_cards=*/1);
+  host::FcaeExecutorOptions exec_options;
+  exec_options.tournament_scheduling = true;
+  host::FcaeCompactionExecutor executor(&devices, exec_options);
+  obs::MetricsRegistry registry;
+
+  std::unique_ptr<DB> a =
+      OpenDb(&executor, &registry, nullptr, "/shared_a", 16);
+  RunWorkload(a.get());
+  const obs::MetricsRegistry::Snapshot after_a = registry.TakeSnapshot();
+  std::unique_ptr<DB> b =
+      OpenDb(&executor, &registry, nullptr, "/shared_b", 16);
+  RunWorkload(b.get());
+
+  // Each DB's work reached the registry: A alone before B opened, and B
+  // on top of it.
+  EXPECT_GT(after_a.scheduler_flushes_started, 0u);
+  EXPECT_GT(after_a.scheduler_compactions_started, 0u);
+  EXPECT_GT(after_a.obs_trace_dropped_events, 0u);
+  EXPECT_GT(registry.scheduler_flushes_started.value(),
+            after_a.scheduler_flushes_started);
+  EXPECT_GT(registry.scheduler_compactions_started.value(),
+            after_a.scheduler_compactions_started);
+  EXPECT_GT(registry.obs_trace_dropped_events.value(),
+            after_a.obs_trace_dropped_events);
+
+  // The device counts are the sum of the two DBs' compaction records.
+  const CompactionExecStats ra =
+      reinterpret_cast<DBImpl*>(a.get())->OffloadStats();
+  const CompactionExecStats rb =
+      reinterpret_cast<DBImpl*>(b.get())->OffloadStats();
+  EXPECT_GT(ra.device_attempts, 0u);
+  EXPECT_GT(rb.device_attempts, 0u);
+  EXPECT_EQ(ra.device_attempts + rb.device_attempts,
+            registry.host_device_attempts.value());
+  EXPECT_EQ(ra.device_retries + rb.device_retries,
+            registry.host_device_retries.value());
+  EXPECT_EQ(ra.device_faults + rb.device_faults,
+            registry.host_device_faults.value());
+  EXPECT_EQ(ra.verify_failures + rb.verify_failures,
+            registry.host_verify_rejects.value());
+
+  // Each DB's lines print the registry's totals, not its own share.
+  const std::string totals = test::Cat(
+      "flushes=", registry.scheduler_flushes_started.value(),
+      " compactions=", registry.scheduler_compactions_started.value());
+  const std::string attempts =
+      test::Cat("attempts=", registry.host_device_attempts.value(), " ");
+  for (DB* db : {a.get(), b.get()}) {
+    std::string line;
+    ASSERT_TRUE(db->GetProperty("fcae.scheduler", &line));
+    EXPECT_NE(std::string::npos, line.find(totals)) << line;
+    ASSERT_TRUE(db->GetProperty("fcae.device-health", &line));
+    EXPECT_NE(std::string::npos, line.find(attempts)) << line;
+    std::string trace;
+    ASSERT_TRUE(db->GetProperty("fcae.trace", &trace));
+    EXPECT_EQ(static_cast<double>(registry.obs_trace_dropped_events.value()),
+              MustParse(trace)["eventsDropped"].number);
+  }
 }
 
 TEST_F(DbMetricsTest, NumFilesAtLevelDigitParsing) {

@@ -13,6 +13,7 @@
 #include "host/sstable_stager.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
+#include "lsm/filename.h"
 #include "lsm/table_cache.h"
 #include "lsm/version_edit.h"
 #include "lsm/version_set.h"
@@ -554,6 +555,93 @@ TEST_F(EngineInputsNeededTest, CountsRunsNotFiles) {
   EXPECT_EQ((std::vector<int>{1, 0, 1}), Picked(0, "m", "n"));
   // Sorted levels concatenate: one input per level.
   EXPECT_EQ((std::vector<int>{2, 3, 2}), Picked(2, "f", "i"));
+}
+
+/// Runs one compaction of real table files through an executor.
+class ExecutorRecordTest : public EngineInputsNeededTest {
+ protected:
+  ExecutorRecordTest() : job_options_(options_) {
+    job_options_.comparator = &icmp_;
+  }
+
+  /// Writes `records` as a new table file and adds it at `level`.
+  void AddTable(VersionEdit* edit, int level,
+                const std::vector<TestKv>& records) {
+    const uint64_t number = versions_->NewFileNumber();
+    const std::string fname = TableFileName("/runs", number);
+    ASSERT_TRUE(WriteSstable(env_.get(), options_, fname, records).ok());
+    uint64_t size = 0;
+    ASSERT_TRUE(env_->GetFileSize(fname, &size).ok());
+    const TestKv& first = records.front();
+    const TestKv& last = records.back();
+    edit->AddFile(level, number, size,
+                  InternalKey(first.user_key, first.sequence, first.type),
+                  InternalKey(last.user_key, last.sequence, last.type));
+  }
+
+  CompactionExecStats Run(CompactionExecutor* executor, Compaction* c) {
+    CompactionJob job;
+    job.options = &job_options_;
+    job.dbname = "/runs";
+    job.table_cache = table_cache_.get();
+    job.icmp = &icmp_;
+    job.compaction = c;
+    job.smallest_snapshot = kNoSnapshot;
+    job.no_deeper_data = true;
+    job.new_file_number = [this] { return versions_->NewFileNumber(); };
+    job.make_input_iterator = [this, c] {
+      return versions_->MakeInputIterator(c);
+    };
+    std::vector<CompactionOutput> outputs;
+    CompactionExecStats stats;
+    const Status s = executor->Execute(job, &outputs, &stats);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_FALSE(outputs.empty());
+    return stats;
+  }
+
+  Options job_options_;  // The DB's view: internal-key comparator.
+};
+
+// A tournament reads its intermediate runs again in later passes; the
+// job's record still counts each input entry once, as the CPU path does.
+TEST_F(ExecutorRecordTest, TournamentCountsEachInputEntryOnce) {
+  VersionEdit edit;
+  constexpr int kRuns = 7;
+  for (int r = 0; r < kRuns; r++) {
+    // Overlapping level-0 files, newer ones later: shadowed versions
+    // are dropped in whichever pass first meets both.
+    AddTable(&edit, 0, MakeRun("key", r * 50, 150, 1, 1000 * (r + 1), 64));
+  }
+  {
+    Mutex mu;
+    MutexLock lock(&mu);
+    ASSERT_TRUE(versions_->LogAndApply(&edit, &mu).ok());
+  }
+  const InternalKey begin("key", kMaxSequenceNumber, kValueTypeForSeek);
+  const InternalKey end("kez", 0, kValueTypeForSeek);
+  std::unique_ptr<Compaction> c(versions_->CompactRange(0, &begin, &end));
+  ASSERT_NE(nullptr, c);
+  CompactionJob probe;
+  probe.compaction = c.get();
+  ASSERT_EQ(kRuns, EngineInputsNeeded(probe));
+
+  fpga::EngineConfig config;
+  config.num_inputs = 2;  // Seven runs take a tournament of passes.
+  DeviceSet devices(config, /*num_cards=*/1);
+  FcaeExecutorOptions exec_options;
+  exec_options.tournament_scheduling = true;
+  FcaeCompactionExecutor fcae(&devices, exec_options);
+  std::unique_ptr<CompactionExecutor> cpu(NewCpuCompactionExecutor());
+
+  const CompactionExecStats device_stats = Run(&fcae, c.get());
+  const CompactionExecStats cpu_stats = Run(cpu.get(), c.get());
+  ASSERT_TRUE(device_stats.offloaded);
+  EXPECT_GT(devices.device(0)->kernels_launched(), 1u);
+  EXPECT_EQ(uint64_t{kRuns} * 150, cpu_stats.entries_in);
+  EXPECT_EQ(kRuns * 150 - (6 * 50 + 150), cpu_stats.entries_dropped);
+  EXPECT_EQ(cpu_stats.entries_in, device_stats.entries_in);
+  EXPECT_EQ(cpu_stats.entries_dropped, device_stats.entries_dropped);
 }
 
 }  // namespace host

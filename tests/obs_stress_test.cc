@@ -72,7 +72,8 @@ class CountingSink : public TraceSink {
 };
 
 TEST(ObsStressTest, TraceRingConcurrentRecordAndExport) {
-  TraceRecorder recorder(256);  // Small ring: constant overwrite.
+  Counter dropped;
+  TraceRecorder recorder(256, &dropped);  // Small ring: constant overwrite.
   CountingSink sink;
   recorder.set_sink(&sink);
 
@@ -108,7 +109,7 @@ TEST(ObsStressTest, TraceRingConcurrentRecordAndExport) {
   const uint64_t total = static_cast<uint64_t>(kWriters) * kEventsPerWriter;
   EXPECT_EQ(total, sink.appended.load());
   EXPECT_EQ(256u, recorder.size());
-  EXPECT_EQ(total - 256, recorder.events_dropped());
+  EXPECT_EQ(total - 256, dropped.value());
 }
 
 }  // namespace

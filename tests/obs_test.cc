@@ -304,12 +304,13 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
 }
 
 TEST(TraceRecorderTest, RingKeepsNewestAndCountsDropped) {
-  TraceRecorder recorder(4);
+  Counter dropped;
+  TraceRecorder recorder(4, &dropped);
   for (int i = 0; i < 6; i++) {
     recorder.RecordInstant(test::Cat("e", i), "db", 100 + i, 0);
   }
   EXPECT_EQ(4u, recorder.size());
-  EXPECT_EQ(2u, recorder.events_dropped());
+  EXPECT_EQ(2u, dropped.value());
 
   mini_json::Value root = MustParse(recorder.ToJson());
   EXPECT_EQ(2.0, root["eventsDropped"].number);
@@ -322,7 +323,8 @@ TEST(TraceRecorderTest, RingKeepsNewestAndCountsDropped) {
 }
 
 TEST(TraceRecorderTest, ChromeTracingShape) {
-  TraceRecorder recorder;
+  Counter dropped;
+  TraceRecorder recorder(4096, &dropped);
   recorder.RecordSpan("compaction", "db", 1000, 250, 3,
                       {{"level", "2"},
                        {"reason", TraceRecorder::Quote("seek\"limit")}});
@@ -358,7 +360,8 @@ class CollectingSink : public TraceSink {
 };
 
 TEST(TraceRecorderTest, SinkObservesEveryEvent) {
-  TraceRecorder recorder(2);  // Smaller than the event count below.
+  Counter dropped;
+  TraceRecorder recorder(2, &dropped);  // Smaller than the event count.
   CollectingSink sink;
   recorder.set_sink(&sink);
   for (int i = 0; i < 5; i++) {
@@ -375,7 +378,8 @@ TEST(TraceRecorderTest, SinkObservesEveryEvent) {
 }
 
 TEST(SpanTimerTest, RecordsOneSpanWithArgs) {
-  TraceRecorder recorder;
+  Counter dropped;
+  TraceRecorder recorder(4096, &dropped);
   {
     SpanTimer span(&recorder, "merge", "cpu", 7);
     span.AddArg("entries_in", "123");

@@ -332,7 +332,7 @@ TEST(SimulatorTest, FaultStreamIsDeterministicInSeed) {
 
 TEST(SimulatorTest, ObsSpansAndCountersMirrorTheResult) {
   obs::MetricsRegistry registry;
-  obs::TraceRecorder trace(1 << 16);
+  obs::TraceRecorder trace(1 << 16, &registry.obs_trace_dropped_events);
 
   SimConfig config = FcaeConfig(512);
   config.device_fault_rate = 0.25;  // Force retries and fallbacks.
